@@ -2,8 +2,9 @@
 
 Machine output (the JSON report or CSV table) goes to stdout or --output;
 human context lines go to stderr, so piping stdout always yields one clean
-machine-readable document.  Exit codes: 0 success, 1 error, 2 test
-rejection forced by a non-positive-definite restricted estimate, 64 usage.
+machine-readable document.  Exit codes: 0 success, 1 error (including no
+usable CVLL span), 2 test rejection forced by a non-positive-definite
+unrestricted or restricted estimate, 64 usage.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _cmd_test(args, parser: _Parser) -> int:
         "demean": not args.no_demean,
     }
     document.update(asdict(report))
-    _write_text(json.dumps(document, sort_keys=True) + "\n", args.output)
+    _write_text(json.dumps(document, sort_keys=True, allow_nan=False) + "\n", args.output)
     verdict = "REJECT" if report.reject else "RETAIN"
     sys.stderr.write(
         f"{verdict}, T-hat = {_fmt6(report.standardized)}, "

@@ -21,6 +21,10 @@ class EmptyGrid(SpectestError):
     """A bandwidth candidate grid is empty."""
 
 
+class NoUsableSpan(SpectestError):
+    """Every candidate span gives a non-positive-definite leave-out estimate."""
+
+
 class SingularCovariance(SpectestError):
     """A sample covariance matrix is singular or indefinite."""
 

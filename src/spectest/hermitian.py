@@ -9,7 +9,8 @@ definite B ("relative eigenvalues", real because the pencil is definite).
 
 Positive definiteness is decided by a Cholesky attempt whose pivots must
 clear tol * trace / r, i.e. a relative floor against the mean eigenvalue
-scale, so the verdict is scale free.
+scale, so the verdict is scale free.  The screen, the inverse and the
+Hermitian check take one (r, r) matrix or an (..., r, r) stack alike.
 """
 
 from __future__ import annotations
@@ -22,15 +23,21 @@ from .errors import NotPositiveDefinite
 DEFAULT_PD_TOL = 1e-12
 
 
+def _conj_t(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
 def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
     """Validate near-Hermitian input and return its exact Hermitian part.
 
     Parameters
     ----------
-    a : array_like, shape (r, r)
-        Matrix expected to be Hermitian up to floating point drift.
+    a : array_like, shape (r, r) or (..., r, r)
+        Matrix, or stack of matrices, expected to be Hermitian up to
+        floating point drift.
     tol : float
-        Maximum allowed relative asymmetry, measured as
+        Maximum allowed relative asymmetry of each matrix, measured as
         max|A - A^H| / max(1, max|A|).
 
     Returns
@@ -39,31 +46,45 @@ def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
         (A + A^H) / 2, with exactly real diagonal.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    drift = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if drift > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {drift:.3e} exceeds "
-            f"tolerance {tol * scale:.3e}"
-        )
-    return (a + a.conj().T) / 2.0
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a_h = _conj_t(a)
+    if a.size:
+        drift = np.abs(a - a_h)
+        bound = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), keepdims=True))
+        if np.any(drift > bound):
+            bound = np.broadcast_to(bound, drift.shape)
+            worst = np.unravel_index(np.argmax(drift / bound), drift.shape)
+            raise ValueError(
+                f"matrix is not Hermitian: max asymmetry {drift[worst]:.3e} exceeds "
+                f"tolerance {bound[worst]:.3e}"
+            )
+    return (a + a_h) / 2.0
 
 
-def is_positive_definite(a, tol: float = DEFAULT_PD_TOL) -> bool:
-    """True iff Cholesky succeeds with every pivot above tol * trace(a) / r."""
+def is_positive_definite(a, tol: float = DEFAULT_PD_TOL):
+    """True iff Cholesky succeeds with every pivot above tol * trace(a) / r.
+
+    A stack (..., r, r) gives a boolean array of shape (...).  The whole
+    stack is factored one column at a time, so a matrix that fails never
+    stops the others from being screened.
+    """
     a = np.asarray(a)
-    r = a.shape[0]
-    trace = float(np.trace(a).real)
-    if trace <= 0.0:
-        return False
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    pivots = np.real(np.diagonal(chol)) ** 2
-    return bool(np.all(pivots > tol * trace / r))
+    r = a.shape[-1]
+    trace = np.trace(a, axis1=-2, axis2=-1).real
+    ok = trace > 0.0
+    floor = tol * trace / r
+    work = np.array(a, dtype=np.result_type(a.dtype, float))
+    # Pivots of A = L D L^H equal the squared Cholesky diagonal.  Once a
+    # matrix has failed, its later (possibly non-finite) pivots are ignored.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(r):
+            pivot = work[..., k, k].real
+            ok &= pivot > floor
+            col = work[..., k + 1 :, k]
+            scaled = np.conj(col / pivot[..., np.newaxis])
+            work[..., k + 1 :, k + 1 :] -= col[..., :, np.newaxis] * scaled[..., np.newaxis, :]
+    return ok if a.ndim > 2 else bool(ok)
 
 
 def logdet_pd(a) -> float:
@@ -77,14 +98,16 @@ def logdet_pd(a) -> float:
 
 
 def inverse_pd(a) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, re-symmetrized."""
+    """Inverse of a Hermitian positive definite matrix or stack, re-symmetrized."""
     a = np.asarray(a)
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("inverse needs a positive definite matrix") from exc
-    inv = scipy.linalg.cho_solve(factor, np.eye(a.shape[0], dtype=a.dtype), check_finite=False)
-    return (inv + inv.conj().T) / 2.0
+    # A^{-1} = L^{-H} L^{-1}
+    chol_inv = np.linalg.inv(chol)
+    inv = _conj_t(chol_inv) @ chol_inv
+    return (inv + _conj_t(inv)) / 2.0
 
 
 def relative_eigenvalues(a, b) -> np.ndarray:
@@ -128,3 +151,4 @@ def relative_eigenvalues_stack(a_stack, b_stack) -> np.ndarray:
     congruent = np.linalg.solve(chol, half.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
     congruent = (congruent + congruent.conj().transpose(0, 2, 1)) / 2.0
     return np.linalg.eigvalsh(congruent)
+

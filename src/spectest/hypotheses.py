@@ -35,10 +35,12 @@ from .errors import (
     SingularCovariance,
 )
 from .hermitian import as_hermitian, inverse_pd, is_positive_definite
-from .spectral import SpectralSequence, WeightKernel, pd_flags
+from .spectral import SpectralSequence, WeightKernel
 
 FLAT_CU = 0.5
 FLAT_DU = 1.0 / 3.0
+# Sweeps covariance selection runs before it gives up on a matrix.
+SELECTION_MAX_SWEEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def parse_edge_list(text: str, r: int) -> EdgeSet:
     return EdgeSet.from_pairs(r, pairs)
 
 
-def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:
+def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10) -> np.ndarray:
     """Complete a Hermitian PD matrix so its inverse vanishes off the edge set.
 
     Keeps every diagonal entry and every entry on an edge, and adjusts the
@@ -124,38 +126,50 @@ def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10, max_iter: int = 
     of the pair becomes diagonal) and preserves positive definiteness, so
     each sweep is a sequence of exact single-pair solutions.
 
-    Raises NotPositiveDefinite on invalid input and NoConvergence if the
-    sweep budget is exhausted.
+    h may be one (r, r) matrix or an (..., r, r) stack.  The sweeps run over
+    the whole stack at once, and each matrix stops at its own tolerance test.
+    A single matrix raises NotPositiveDefinite on invalid input and
+    NoConvergence if SELECTION_MAX_SWEEPS sweeps do not reach tol; in a
+    stack, such a matrix comes back as NaN, which fails is_positive_definite.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     g = as_hermitian(np.asarray(h, dtype=complex))
-    if not is_positive_definite(g):
+    r = g.shape[-1]
+    stack = g.reshape(-1, r, r)
+    pd = is_positive_definite(stack)
+    if g.ndim == 2 and not pd[0]:
         raise NotPositiveDefinite("covariance selection needs a positive definite input")
+    stack[~pd] = np.nan
     absent = edges.absent_pairs
     if not absent:
         return g
-    r = g.shape[0]
     everything = np.arange(r)
-    for _ in range(max_iter):
-        for a, b in absent:
-            rest = everything[(everything != a) & (everything != b)]
-            if rest.size == 0:
-                g[a, b] = 0.0
-                g[b, a] = 0.0
-                continue
-            block = g[np.ix_(rest, rest)]
-            solved = np.linalg.solve(block, g[rest, b])
-            value = g[a, rest] @ solved
-            g[a, b] = value
-            g[b, a] = np.conj(value)
-        inv = inverse_pd(g)
-        off = max(abs(inv[a, b]) for a, b in absent)
-        if off <= tol * np.max(np.abs(inv)):
-            return g
-    raise NoConvergence(
-        f"covariance selection did not reach tol {tol:g} in {max_iter} sweeps"
-    )
+    updates = [(a, b, everything[(everything != a) & (everything != b)]) for a, b in absent]
+    rows, cols = np.array(absent).T
+    active = np.flatnonzero(pd)
+    work = stack[active]
+    for _ in range(SELECTION_MAX_SWEEPS):
+        if not active.size:
+            break
+        for a, b, rest in updates:
+            block = work[:, rest[:, np.newaxis], rest]
+            solved = np.linalg.solve(block, work[:, rest, b, np.newaxis])[..., 0]
+            value = np.einsum("ks,ks->k", work[:, a, rest], solved)
+            work[:, a, b] = value
+            work[:, b, a] = np.conj(value)
+        inv = inverse_pd(work)
+        off = np.max(np.abs(inv[:, rows, cols]), axis=1)
+        done = off <= tol * np.max(np.abs(inv), axis=(1, 2))
+        stack[active[done]] = work[done]
+        active, work = active[~done], work[~done]
+    if active.size:
+        if g.ndim == 2:
+            raise NoConvergence(
+                f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps"
+            )
+        stack[active] = np.nan
+    return g
 
 
 def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
@@ -241,9 +255,6 @@ class IndependenceModel:
 
     name = "independence"
 
-    def free_parameters(self, r: int) -> int:
-        return 0
-
     def estimate_theta(self, values) -> np.ndarray:
         return np.empty(0)
 
@@ -251,13 +262,7 @@ class IndependenceModel:
         mats = np.zeros_like(f_unrestricted.matrices)
         idx = np.arange(f_unrestricted.r)
         mats[:, idx, idx] = np.real(f_unrestricted.matrices[:, idx, idx])
-        return SpectralSequence(
-            kind="restricted",
-            n=f_unrestricted.n,
-            r=f_unrestricted.r,
-            matrices=mats,
-            pd=pd_flags(mats),
-        )
+        return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         return EtaSigma(eta=(r * r - r) / 4.0, sigma2=(r * r - r) / 6.0)
@@ -274,9 +279,6 @@ class SeparableModel:
 
     name = "separable"
 
-    def free_parameters(self, r: int) -> int:
-        return r * r
-
     def estimate_theta(self, values) -> np.ndarray:
         """Sample second-moment matrix (1/n) sum Z_t Z_t'."""
         arr = np.asarray(values, dtype=float)
@@ -291,13 +293,7 @@ class SeparableModel:
         diag = np.real(np.diagonal(f_unrestricted.matrices, axis1=1, axis2=2))
         shape = np.mean(diag / np.diag(sigma)[np.newaxis, :], axis=1)
         mats = shape[:, np.newaxis, np.newaxis] * sigma[np.newaxis, :, :].astype(complex)
-        return SpectralSequence(
-            kind="restricted",
-            n=f_unrestricted.n,
-            r=f_unrestricted.r,
-            matrices=mats,
-            pd=pd_flags(mats),
-        )
+        return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
         sigma = np.asarray(theta, dtype=float)
@@ -322,42 +318,20 @@ class GraphicalModel:
 
     name = "graphical"
 
-    def __init__(self, edges: EdgeSet, tol: float = 1e-10, max_iter: int = 1000):
+    def __init__(self, edges: EdgeSet):
         if edges.missing_count < 1:
             raise ValueError(
                 "complete edge set leaves nothing to test; at least one pair must be absent"
             )
         self.edges = edges
-        self.tol = tol
-        self.max_iter = max_iter
-
-    def free_parameters(self, r: int) -> int:
-        return 0
 
     def estimate_theta(self, values) -> np.ndarray:
         return np.empty(0)
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
-        half = f_unrestricted.half
-        mats = np.array(f_unrestricted.matrices, copy=True)
-        solved = np.zeros(half, dtype=bool)
-        for t in range(half):
-            if not f_unrestricted.pd[t]:
-                continue
-            try:
-                mats[t] = covariance_selection(
-                    mats[t], self.edges, tol=self.tol, max_iter=self.max_iter
-                )
-                solved[t] = True
-            except (NotPositiveDefinite, NoConvergence):
-                pass
-        return SpectralSequence(
-            kind="restricted",
-            n=f_unrestricted.n,
-            r=f_unrestricted.r,
-            matrices=mats,
-            pd=solved & pd_flags(mats),
-        )
+        # Frequencies that fail covariance selection come back NaN and fail the PD screen.
+        mats = covariance_selection(f_unrestricted.matrices, self.edges)
+        return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         m_absent = self.edges.missing_count

@@ -96,9 +96,10 @@ def raw_statistic(
 ) -> tuple[float, int]:
     """Accumulate the discrepancy over the variant's index set.
 
-    Indices whose restricted matrix failed the positive-definiteness screen
-    contribute nothing and are counted; the decision layer turns a nonzero
-    count into a forced rejection.  Returns (raw value, non-PD count).
+    Indices where the unrestricted or the restricted matrix failed the
+    positive-definiteness screen contribute nothing and are counted; the
+    decision layer turns a nonzero count into a forced rejection.  Returns
+    (raw value, non-PD count).
     """
     if (fU.n, fU.r) != (fR.n, fR.r):
         raise AlignmentMismatch(
@@ -111,7 +112,7 @@ def raw_statistic(
         positions = block_indices(half, m) - 1
     else:
         positions = np.arange(half)
-    ok = fR.pd[positions]
+    ok = fU.pd[positions] & fR.pd[positions]
     nonpd = int(np.sum(~ok))
     kept = positions[ok]
     if kept.size == 0:
@@ -169,7 +170,7 @@ def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float
     """One-sided upper-tail p-value and decision.
 
     p = 1 - Phi(standardized) through the complementary error function.  A
-    forced call (non-PD restricted estimate somewhere) rejects with p = 0
+    forced call (non-PD estimate somewhere) rejects with p = 0
     regardless of the statistic's value.
     """
     if not 0.0 < alpha_level < 1.0:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import BandwidthTooLarge, EmptyGrid
-from .hermitian import DEFAULT_PD_TOL, is_positive_definite
+from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
+from .hermitian import DEFAULT_PD_TOL, as_hermitian, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +114,16 @@ def kernel_constants(u, quadrature_points: int = 2048) -> tuple[float, float, fl
     return float(cu), float(du), float(bu)
 
 
+def _check_span(m: int, r: int | None = None, n: int | None = None) -> None:
+    """Validate a smoothing span: even, >= 2, and when given, >= r and < n/2."""
+    if m < 2 or m % 2 != 0:
+        raise ValueError(f"span m must be even and >= 2, got {m}")
+    if r is not None and m < r:
+        raise ValueError(f"span m = {m} too small for dimension r = {r}")
+    if n is not None and 2 * m >= n:
+        raise BandwidthTooLarge(f"span m = {m} must satisfy m < n/2 = {n / 2}")
+
+
 def _eval_weight(u, x: np.ndarray) -> np.ndarray:
     vals = np.asarray(u(x), dtype=float)
     if vals.shape != x.shape:
@@ -133,8 +143,7 @@ class WeightKernel:
     bu: float
 
     def __post_init__(self):
-        if self.m < 2 or self.m % 2 != 0:
-            raise ValueError(f"span m must be even and >= 2, got {self.m}")
+        _check_span(self.m)
         if self.weights.shape != (self.m + 1,):
             raise ValueError("weights must have m + 1 entries")
         if np.min(self.weights) <= 0.0:
@@ -150,8 +159,7 @@ class WeightKernel:
 
     @classmethod
     def from_function(cls, u, m: int, quadrature_points: int = 2048) -> "WeightKernel":
-        if m < 2 or m % 2 != 0:
-            raise ValueError(f"span m must be even and >= 2, got {m}")
+        _check_span(m)
         offsets = np.arange(-(m // 2), m // 2 + 1)
         weights = _eval_weight(u, offsets / m)
         cu, du, bu = kernel_constants(u, quadrature_points)
@@ -164,8 +172,7 @@ class WeightKernel:
         The constants are exact for the flat weight function, so no
         quadrature is involved.
         """
-        if m < 2 or m % 2 != 0:
-            raise ValueError(f"span m must be even and >= 2, got {m}")
+        _check_span(m)
         weights = np.ones(m + 1)
         return cls(m=m, weights=weights, wstar=float(m + 1), cu=0.5, du=1.0 / 3.0, bu=1.0)
 
@@ -175,8 +182,8 @@ class SpectralSequence:
     """Spectral matrices at lambda_t = 2*pi*t/n for t = 1 .. n//2.
 
     matrices[t - 1] holds the value at index t; pd[t - 1] records whether it
-    passed the positive-definiteness screen at construction.  kind is one of
-    "periodogram", "unrestricted", "restricted".
+    passed the positive-definiteness screen at construction.  kind is
+    "unrestricted" or "restricted".
     """
 
     kind: str
@@ -186,7 +193,7 @@ class SpectralSequence:
     pd: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("periodogram", "unrestricted", "restricted"):
+        if self.kind not in ("unrestricted", "restricted"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         half = self.n // 2
         if self.matrices.shape != (half, self.r, self.r):
@@ -196,10 +203,7 @@ class SpectralSequence:
             )
         if self.pd.shape != (half,):
             raise ValueError("pd flags must align with the frequency grid")
-        drift = np.max(np.abs(self.matrices - self.matrices.conj().transpose(0, 2, 1)))
-        scale = max(1.0, float(np.max(np.abs(self.matrices))))
-        if drift > 1e-10 * scale:
-            raise ValueError(f"sequence entries are not Hermitian (drift {drift:.3e})")
+        as_hermitian(self.matrices, tol=1e-10)
 
     @property
     def half(self) -> int:
@@ -218,26 +222,8 @@ class SpectralSequence:
             n=n,
             r=matrices.shape[-1],
             matrices=matrices,
-            pd=pd_flags(matrices, tol=pd_tol),
+            pd=is_positive_definite(matrices, tol=pd_tol),
         )
-
-
-def pd_flags(matrices: np.ndarray, tol: float = DEFAULT_PD_TOL) -> np.ndarray:
-    """Positive-definiteness screen for a stack, same rule as is_positive_definite.
-
-    Fast path: one batched Cholesky plus the pivot threshold.  numpy raises as
-    soon as any element of the stack fails, in which case we fall back to the
-    per-index scalar check.
-    """
-    count, r = matrices.shape[0], matrices.shape[-1]
-    traces = np.trace(matrices, axis1=1, axis2=2).real
-    try:
-        chol = np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError:
-        return np.array([is_positive_definite(m, tol=tol) for m in matrices], dtype=bool)
-    pivots = np.real(np.diagonal(chol, axis1=1, axis2=2)) ** 2
-    flags = (traces > 0.0) & np.all(pivots > tol * traces[:, np.newaxis] / r, axis=1)
-    return flags
 
 
 def smoothed_periodogram(sample, kernel: WeightKernel, pd_tol: float = DEFAULT_PD_TOL) -> SpectralSequence:
@@ -250,8 +236,7 @@ def smoothed_periodogram(sample, kernel: WeightKernel, pd_tol: float = DEFAULT_P
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     n, r, m = frame.n, frame.r, kernel.m
-    if 2 * m >= n:
-        raise BandwidthTooLarge(f"span m = {m} must satisfy m < n/2 = {n / 2}")
+    _check_span(m, n=n)
     if m + 1 < r:
         raise ValueError(f"span m = {m} too small for dimension r = {r}; need m + 1 >= r")
     half = n // 2
@@ -261,19 +246,15 @@ def smoothed_periodogram(sample, kernel: WeightKernel, pd_tol: float = DEFAULT_P
     smoothed = np.einsum("w,twab->tab", kernel.weights, stack[idx]) / kernel.wstar
     smoothed = (smoothed + smoothed.conj().transpose(0, 2, 1)) / 2.0
     return SpectralSequence(
-        kind="unrestricted", n=n, r=r, matrices=smoothed, pd=pd_flags(smoothed, tol=pd_tol)
+        kind="unrestricted", n=n, r=r, matrices=smoothed,
+        pd=is_positive_definite(smoothed, tol=pd_tol),
     )
 
 
 def leave_out_estimate(frame: FourierFrame, j: int, m: int) -> np.ndarray:
     """Mean of the m periodogram ordinates at offsets -m/2..m/2 excluding 0."""
     n, r = frame.n, frame.r
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"span m must be even and >= 2, got {m}")
-    if m < r:
-        raise ValueError(f"span m = {m} too small for dimension r = {r}")
-    if 2 * m >= n:
-        raise BandwidthTooLarge(f"span m = {m} must satisfy m < n/2 = {n / 2}")
+    _check_span(m, r=r, n=n)
     offsets = np.concatenate([np.arange(-(m // 2), 0), np.arange(1, m // 2 + 1)])
     idx = (j + offsets) % n
     w = frame.w[idx]
@@ -291,12 +272,7 @@ def cvll_score(sample, m: int, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     n, r = frame.n, frame.r
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"span m must be even and >= 2, got {m}")
-    if m < r:
-        raise ValueError(f"span m = {m} too small for dimension r = {r}")
-    if 2 * m >= n:
-        raise BandwidthTooLarge(f"span m = {m} must satisfy m < n/2 = {n / 2}")
+    _check_span(m, r=r, n=n)
     half = n // 2
     offsets = np.concatenate([np.arange(-(m // 2), 0), np.arange(1, m // 2 + 1)])
     idx = (np.arange(1, half + 1)[:, np.newaxis] + offsets[np.newaxis, :]) % n
@@ -304,7 +280,7 @@ def cvll_score(sample, m: int, pd_tol: float = DEFAULT_PD_TOL) -> float:
     gathered = w[idx]
     leave_out = np.einsum("tja,tjb->tab", gathered, np.conj(gathered)) / m
     leave_out = (leave_out + leave_out.conj().transpose(0, 2, 1)) / 2.0
-    if not np.all(pd_flags(leave_out, tol=pd_tol)):
+    if not np.all(is_positive_definite(leave_out, tol=pd_tol)):
         return math.inf
     eigs = np.linalg.eigvalsh(leave_out)
     logdets = np.sum(np.log(eigs), axis=1)
@@ -328,7 +304,8 @@ def default_cvll_grid(n: int, r: int) -> list[int]:
 def cvll_select(sample, grid=None, pd_tol: float = DEFAULT_PD_TOL) -> tuple[int, list[tuple[int, float]]]:
     """Pick the span minimizing the cross validation score; ties go small.
 
-    Returns (best span, [(span, score), ...] over the full grid).
+    Returns (best span, [(span, score), ...] over the full grid).  Raises
+    NoUsableSpan when every span scores +inf.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     if grid is None:
@@ -341,4 +318,9 @@ def cvll_select(sample, grid=None, pd_tol: float = DEFAULT_PD_TOL) -> tuple[int,
     for m, score in scores[1:]:
         if score < best:
             best_m, best = m, score
+    if best == math.inf:
+        raise NoUsableSpan(
+            f"no span in the grid {grid[0]}..{grid[-1]} gives a positive definite "
+            "leave-out estimate at every frequency"
+        )
     return best_m, scores

@@ -142,17 +142,34 @@ def test_cli_test_graphical(tmp_path, capsys):
     assert json.loads(out)["hypothesis"] == "graphical"
 
 
+def write_collinear_csv(path, n=200, seed=5):
+    """Third column is the sum of the first two, so every spectral matrix is singular."""
+    x = np.random.default_rng(seed).standard_normal((n, 2))
+    np.savetxt(path, np.column_stack([x, x.sum(axis=1)]), fmt="%.17g", delimiter=",",
+               header="a,b,c", comments="")
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_cli_test_constant_column_forces_rejection(tmp_path, capsys):
     csv_path = tmp_path / "const.csv"
     lines = ["a,b"] + [f"5.0,{v:.6f}" for v in np.random.default_rng(3).standard_normal(64)]
     csv_path.write_text("\n".join(lines) + "\n")
-    code = main(["test", "--input", str(csv_path), "--m", "8"])
-    out, err = capsys.readouterr()
-    doc = json.loads(out)
-    assert code == 2
-    assert doc["forced_reject"] is True
-    assert doc["p_value"] == 0.0
-    assert err.startswith("REJECT,")
+    collinear = tmp_path / "collinear.csv"
+    write_collinear_csv(collinear)
+    for path, m in ((csv_path, "8"), (collinear, "20")):
+        code = main(["test", "--input", str(path), "--m", m])
+        out, err = capsys.readouterr()
+        doc = strict_json(out)
+        assert code == 2
+        assert doc["forced_reject"] is True
+        assert doc["nonpd_count"] > 0
+        assert doc["p_value"] == 0.0
+        assert err.startswith("REJECT,")
 
 
 def test_cli_data_errors_exit_one(tmp_path, capsys):
@@ -164,6 +181,14 @@ def test_cli_data_errors_exit_one(tmp_path, capsys):
     assert "row 40" in capsys.readouterr().err
     assert main(["test", "--input", str(tmp_path / "missing.csv"), "--m", "8"]) == 1
     assert "error" in capsys.readouterr().err
+    # no span of the CVLL grid is usable on collinear columns
+    collinear = tmp_path / "collinear.csv"
+    write_collinear_csv(collinear)
+    for argv in (["cvll", "--input", str(collinear)], ["test", "--input", str(collinear), "--cvll"]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no span in the grid")
 
 
 # ------------------------------------------------------------ usage errors

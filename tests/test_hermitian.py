@@ -47,14 +47,20 @@ def test_logdet_matches_determinant_oracle():
 
 def test_inverse_pd_roundtrip():
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        a = random_hpd(rng, 5)
+    stack = np.stack([random_hpd(rng, 5) for _ in range(25)])
+    for a in stack:
         assert np.allclose(a @ inverse_pd(a), np.eye(5), atol=1e-10)
+    stacked = inverse_pd(stack)
+    for a, inv in zip(stack, stacked):
+        single = inverse_pd(a)
+        assert np.max(np.abs(inv - single)) <= 1e-12 * np.max(np.abs(single))
 
 
 def test_inverse_pd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         inverse_pd(np.diag([1.0, -1.0]))
+    with pytest.raises(NotPositiveDefinite):
+        inverse_pd(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
     with pytest.raises(NotPositiveDefinite):
         logdet_pd(np.diag([1.0, 0.0]))
 
@@ -106,12 +112,41 @@ def test_is_positive_definite_matches_eigensolver():
     assert hits > 50
 
 
+def test_is_positive_definite_stack_matches_per_matrix():
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    floor = 1e-12 * 3.0 / 4.0  # tol * trace / r for diag(1, 1, 1, d), d tiny
+    cases = [
+        (random_hpd(rng, 4), True),
+        (x @ x.conj().T, False),  # rank 2
+        (1e8 * random_hpd(rng, 4), True),
+        (-random_hpd(rng, 4), False),
+        (np.diag([1.0, 1.0, 1.0, 2.0 * floor]), True),
+        (np.diag([1.0, 1.0, 1.0, 0.5 * floor]), False),
+        (np.diag([1.0, 1.0, 1.0, 0.0]), False),
+        (1e-8 * random_hpd(rng, 4), True),
+    ]
+    stack = np.stack([a for a, _ in cases])
+    flags = is_positive_definite(stack)
+    assert flags.dtype == bool and flags.shape == (len(cases),)
+    for (a, expected), flag in zip(cases, flags):
+        assert is_positive_definite(a) is expected
+        assert flag == expected
+    assert np.array_equal(is_positive_definite(stack.reshape(2, 4, 4, 4)), flags.reshape(2, 4))
+
+
 def test_as_hermitian_symmetrizes_and_validates():
     a = np.array([[1.0, 2.0 + 1e-14j], [2.0 - 1e-14j, 3.0]])
     out = as_hermitian(a)
     assert np.array_equal(out, out.conj().T)
     with pytest.raises(ValueError):
         as_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    stack = np.stack([a, 1e6 * a])
+    assert np.array_equal(as_hermitian(stack), np.stack([out, 1e6 * out]))
+    with pytest.raises(ValueError):
+        as_hermitian(np.stack([a, np.array([[1.0, 2.0], [0.0, 1.0]])]))
+    with pytest.raises(ValueError):
+        as_hermitian(np.ones((2, 2, 3)))
 
 
 def test_relative_eigenvalues_needs_pd_base():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spectest.errors import DegenerateVariance, NotPositiveDefinite
+import spectest.hypotheses
+from spectest.errors import DegenerateVariance, NoConvergence, NotPositiveDefinite
 from spectest.hermitian import inverse_pd, is_positive_definite
 from spectest.hypotheses import (
     EdgeSet,
@@ -19,6 +20,7 @@ from spectest.hypotheses import (
     mu_tensor,
     parse_edge_list,
 )
+from spectest.inference import StatisticVariant, run_many
 from spectest.spectral import SpectralSequence, WeightKernel
 
 
@@ -141,6 +143,60 @@ def test_selection_rejects_indefinite():
     es = EdgeSet.from_pairs(2, [])
     with pytest.raises(NotPositiveDefinite):
         covariance_selection(np.diag([1.0, -1.0]), es)
+
+
+def test_selection_stack_matches_per_matrix():
+    # random edge sets drawn as in acceptance criterion 4, eight matrices each
+    rng = np.random.default_rng(83)
+    for trial in range(12):
+        r = 3 + trial % 3
+        pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+        while True:
+            keep = [p for p in pairs if rng.random() < 0.5]
+            if len(keep) < len(pairs):
+                break
+        es = EdgeSet.from_pairs(r, keep)
+        stack = np.stack([random_hpd(rng, r, shift=float(r)) for _ in range(8)])
+        stack[5] = -stack[5]  # not PD: comes back NaN instead of raising
+        got = covariance_selection(stack, es)
+        assert np.all(np.isnan(got[5]))
+        assert is_positive_definite(got).tolist() == [t != 5 for t in range(8)]
+        for t in (0, 1, 2, 3, 4, 6, 7):
+            single = covariance_selection(stack[t], es)
+            assert np.max(np.abs(got[t] - single)) <= 1e-12 * np.max(np.abs(single))
+    got = covariance_selection(stack.reshape(2, 4, r, r), es)
+    assert np.array_equal(got.reshape(8, r, r), covariance_selection(stack, es), equal_nan=True)
+
+
+def test_graphical_unconverged_frequencies_fail_screen(monkeypatch):
+    monkeypatch.setattr(spectest.hypotheses, "SELECTION_MAX_SWEEPS", 1)
+    # 4-cycle: not decomposable, so one sweep does not settle a generic matrix
+    es = EdgeSet.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    rng = np.random.default_rng(89)
+    mats = []
+    for t in range(8):
+        if t % 2:
+            k = random_hpd(rng, 4, shift=2.0)
+            k[0, 2] = k[2, 0] = k[1, 3] = k[3, 1] = 0.0
+            mats.append(inverse_pd(k))  # already a fixed point: settles in one sweep
+        else:
+            mats.append(random_hpd(rng, 4))
+    fu = SpectralSequence.from_matrices("unrestricted", 16, np.stack(mats))
+    expected = []
+    for h in mats:
+        try:
+            covariance_selection(h, es)
+            expected.append(True)
+        except NoConvergence:
+            expected.append(False)
+    assert expected == [bool(t % 2) for t in range(8)]
+    fr = GraphicalModel(es).restricted_estimate(fu)
+    assert fr.pd.tolist() == expected
+
+    z = rng.standard_normal((128, 4))
+    report = run_many(z, GraphicalModel(es), 16, [StatisticVariant("full")])["full-kl"]
+    assert report.nonpd_count > 0
+    assert report.forced_reject and report.reject and report.p_value == 0.0
 
 
 # ------------------------------------------------------------ the mu tensor

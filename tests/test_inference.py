@@ -109,6 +109,14 @@ def test_raw_statistic_counts_nonpd():
     assert nonpd == 2
     # the two dropped ordinates contribute K((2,2)) = 2(1 - ln 2) each
     assert raw == pytest.approx(raw_all - 2.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
+    # a failed unrestricted ordinate is dropped and counted too, once per index
+    flags_u = fu.pd.copy()
+    flags_u[7] = False
+    flags_u[11] = False
+    fu_bad = SpectralSequence(kind="unrestricted", n=fu.n, r=fu.r, matrices=fu.matrices, pd=flags_u)
+    raw, nonpd = raw_statistic(fu_bad, fr_bad, FULL)
+    assert nonpd == 3
+    assert raw == pytest.approx(raw_all - 3.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
 
 
 def test_standardize_centering_and_frozen_example():
