@@ -225,11 +225,13 @@ def _cmd_test(args, parser: _Parser) -> int:
     }
     document.update(asdict(report))
     _write_text(json.dumps(document, sort_keys=True, allow_nan=False) + "\n", args.output)
+    if report.forced_reject:
+        # the statistic sums only the screened frequencies, so it is not shown
+        evidence = f"forced by {report.nonpd_count} non-positive-definite frequencies"
+    else:
+        evidence = f"T-hat = {_fmt6(report.standardized)}"
     verdict = "REJECT" if report.reject else "RETAIN"
-    sys.stderr.write(
-        f"{verdict}, T-hat = {_fmt6(report.standardized)}, "
-        f"p = {_fmt6(report.p_value)}, m = {report.m}\n"
-    )
+    sys.stderr.write(f"{verdict}, {evidence}, p = {_fmt6(report.p_value)}, m = {report.m}\n")
     return 2 if report.forced_reject else 0
 
 

@@ -8,15 +8,14 @@ eigenvalues of B^{-1} A for a Hermitian A against a Hermitian positive
 definite B ("relative eigenvalues", real because the pencil is definite).
 
 Positive definiteness is decided by a Cholesky attempt whose pivots must
-clear tol * trace / r, i.e. a relative floor against the mean eigenvalue
-scale, so the verdict is scale free.  The screen, the inverse and the
-Hermitian check take one (r, r) matrix or an (..., r, r) stack alike.
+clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
+eigenvalue scale, so the verdict is scale free.  The screen, the inverse and
+the Hermitian check take one (r, r) matrix or an (..., r, r) stack alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite
 
@@ -62,8 +61,8 @@ def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
     return (a + a_h) / 2.0
 
 
-def is_positive_definite(a, tol: float = DEFAULT_PD_TOL):
-    """True iff Cholesky succeeds with every pivot above tol * trace(a) / r.
+def is_positive_definite(a):
+    """True iff Cholesky succeeds with every pivot above DEFAULT_PD_TOL * trace(a) / r.
 
     A stack (..., r, r) gives a boolean array of shape (...).  The whole
     stack is factored one column at a time, so a matrix that fails never
@@ -73,7 +72,7 @@ def is_positive_definite(a, tol: float = DEFAULT_PD_TOL):
     r = a.shape[-1]
     trace = np.trace(a, axis1=-2, axis2=-1).real
     ok = trace > 0.0
-    floor = tol * trace / r
+    floor = DEFAULT_PD_TOL * trace / r
     work = np.array(a, dtype=np.result_type(a.dtype, float))
     # Pivots of A = L D L^H equal the squared Cholesky diagonal.  Once a
     # matrix has failed, its later (possibly non-finite) pivots are ignored.
@@ -85,16 +84,6 @@ def is_positive_definite(a, tol: float = DEFAULT_PD_TOL):
             scaled = np.conj(col / pivot[..., np.newaxis])
             work[..., k + 1 :, k + 1 :] -= col[..., :, np.newaxis] * scaled[..., np.newaxis, :]
     return ok if a.ndim > 2 else bool(ok)
-
-
-def logdet_pd(a) -> float:
-    """log det A via Cholesky; raises NotPositiveDefinite if A is not HPD."""
-    a = np.asarray(a)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("log-determinant needs a positive definite matrix") from exc
-    return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))
 
 
 def inverse_pd(a) -> np.ndarray:
@@ -110,33 +99,16 @@ def inverse_pd(a) -> np.ndarray:
     return (inv + _conj_t(inv)) / 2.0
 
 
-def relative_eigenvalues(a, b) -> np.ndarray:
-    """Eigenvalues of B^{-1} A in ascending order.
-
-    A must be Hermitian, B Hermitian positive definite.  The pencil is then
-    congruent to an ordinary Hermitian problem, so the eigenvalues are real;
-    they are nonnegative exactly when A is positive semidefinite.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    try:
-        vals = scipy.linalg.eigh(a, b, eigvals_only=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NotPositiveDefinite("reference matrix is not positive definite") from exc
-    return np.asarray(vals, dtype=float)
-
-
 def relative_eigenvalues_stack(a_stack, b_stack) -> np.ndarray:
-    """Relative eigenvalues for aligned stacks of matrices, batched.
+    """Eigenvalues of B^{-1} A for aligned (t, r, r) stacks of A and B.
 
-    Same result as calling relative_eigenvalues per index, but reduces the
-    pencil with one batched Cholesky + triangular congruence so per-frequency
-    Python overhead disappears.  Every B in the stack must be positive
-    definite; callers screen indices first.
+    A must be Hermitian and B Hermitian positive definite, so the pencil is
+    congruent to an ordinary Hermitian problem and the eigenvalues are real;
+    they are nonnegative exactly when A is positive semidefinite.  The pencil
+    is reduced with one batched Cholesky + triangular congruence.  Every B in
+    the stack must be positive definite; callers screen indices first.
 
-    Returns an (t, r) float array, each row ascending.
+    Returns a (t, r) float array, each row ascending.
     """
     a_stack = np.asarray(a_stack)
     b_stack = np.asarray(b_stack)

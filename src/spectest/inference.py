@@ -92,37 +92,39 @@ def block_indices(half: int, m: int) -> np.ndarray:
 
 
 def raw_statistic(
-    fU: SpectralSequence, fR: SpectralSequence, variant: StatisticVariant, m: int | None = None
-) -> tuple[float, int]:
-    """Accumulate the discrepancy over the variant's index set.
+    fU: SpectralSequence, fR: SpectralSequence, variants, m: int | None = None
+) -> list[tuple[float, int]]:
+    """Accumulate each variant's discrepancy over its own index set.
 
-    Indices where the unrestricted or the restricted matrix failed the
-    positive-definiteness screen contribute nothing and are counted; the
+    The relative eigenvalues are solved once, in one batched call, at every
+    index where both matrices passed the positive-definiteness screen, and
+    shared by all variants.  Indices that failed the screen contribute
+    nothing and are counted, per variant over its own index set; the
     decision layer turns a nonzero count into a forced rejection.  Returns
-    (raw value, non-PD count).
+    one (raw value, non-PD count) pair per variant, in order.
     """
     if (fU.n, fU.r) != (fR.n, fR.r):
         raise AlignmentMismatch(
             f"sequence mismatch: (n={fU.n}, r={fU.r}) vs (n={fR.n}, r={fR.r})"
         )
     half = fU.half
-    if variant.form == "block":
-        if m is None:
-            raise ValueError("block statistic needs the smoothing span m")
-        positions = block_indices(half, m) - 1
-    else:
-        positions = np.arange(half)
-    ok = fU.pd[positions] & fR.pd[positions]
-    nonpd = int(np.sum(~ok))
-    kept = positions[ok]
-    if kept.size == 0:
-        return 0.0, nonpd
-    eigs = relative_eigenvalues_stack(fU.matrices[kept], fR.matrices[kept])
-    terms = _terms(variant.effective_kind, eigs)
-    if variant.form == "weighted":
-        freqs = fU.frequencies[kept]
-        terms = terms * np.array([float(variant.phi(lam)) for lam in freqs])
-    return float(np.sum(terms)), nonpd
+    ok = fU.pd & fR.pd
+    eigs = np.full((half, fU.r), np.nan)
+    eigs[ok] = relative_eigenvalues_stack(fU.matrices[ok], fR.matrices[ok])
+    results = []
+    for variant in variants:
+        if variant.form == "block":
+            if m is None:
+                raise ValueError("block statistic needs the smoothing span m")
+            positions = block_indices(half, m) - 1
+        else:
+            positions = np.arange(half)
+        kept = positions[ok[positions]]
+        terms = _terms(variant.effective_kind, eigs[kept])
+        if variant.form == "weighted":
+            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[kept]])
+        results.append((float(np.sum(terms)), int(positions.size - kept.size)))
+    return results
 
 
 def standardize(
@@ -213,7 +215,8 @@ def run_many(
 
     kernel may be a WeightKernel, an even integer span (flat weights), or
     "cvll" to select the span by cross validation first.  The spectral
-    estimates are computed once and reused across variants.
+    estimates and the relative eigenvalues are computed once and shared by
+    all variants.
     """
     from .spectral import validate_sample
 
@@ -232,9 +235,10 @@ def run_many(
     f_unrestricted = smoothed_periodogram(frame, kern)
     theta = model.estimate_theta(arr)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
+    variants = tuple(variants)
+    raws = raw_statistic(f_unrestricted, f_restricted, variants, m=kern.m)
     reports = {}
-    for variant in variants:
-        raw, nonpd = raw_statistic(f_unrestricted, f_restricted, variant, m=kern.m)
+    for variant, (raw, nonpd) in zip(variants, raws):
         es = _scaled_eta_sigma(
             model, theta, arr.shape[1], kern, variant, f_unrestricted.frequencies
         )

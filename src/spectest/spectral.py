@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import DEFAULT_PD_TOL, as_hermitian, is_positive_definite
+from .hermitian import as_hermitian, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,20 +62,27 @@ def dft(values) -> FourierFrame:
     w[0] = w[0].real
     if n % 2 == 0:
         w[n // 2] = w[n // 2].real
-    for j in range(1, (n + 1) // 2):
-        w[n - j] = np.conj(w[j])
+    upper = np.arange(1, (n + 1) // 2)
+    w[n - upper] = np.conj(w[upper])
     return FourierFrame(w=w, n=n, r=r)
 
 
-def periodogram_at(frame: FourierFrame, j: int) -> np.ndarray:
-    """Periodogram matrix I[j] = w[j] w[j]^H at frequency index j (mod n)."""
-    wj = frame.w[j % frame.n]
-    return np.outer(wj, np.conj(wj))
+def _window_sum(frame: FourierFrame, weights: np.ndarray, scale: float) -> np.ndarray:
+    """(1/scale) * sum_j weights[j] I[(t + j) mod n] for t = 1 .. n//2, Hermitian.
 
-
-def periodogram_stack(frame: FourierFrame) -> np.ndarray:
-    """All n periodogram matrices as an (n, r, r) complex array."""
-    return np.einsum("ja,jb->jab", frame.w, np.conj(frame.w))
+    weights holds m + 1 entries for the offsets j = -m/2 .. m/2.  The DFT
+    vectors of each window are gathered and contracted in one einsum,
+    sum_j weights[j] w[t+j] w[t+j]^H, so no periodogram matrix is formed.
+    A batched matmul would be faster, but its BLAS summation order rounds
+    differently, and near-zero statistics and far-tail p-values amplify that
+    to changes of up to 4e-12 relative in a report.
+    """
+    m = weights.size - 1
+    offsets = np.arange(-(m // 2), m // 2 + 1)
+    idx = (np.arange(1, frame.n // 2 + 1)[:, np.newaxis] + offsets[np.newaxis, :]) % frame.n
+    gathered = frame.w[idx]
+    sums = np.einsum("j,tja,tjb->tab", weights, gathered, np.conj(gathered)) / scale
+    return (sums + np.conj(np.swapaxes(sums, 1, 2))) / 2.0
 
 
 def kernel_constants(u, quadrature_points: int = 2048) -> tuple[float, float, float]:
@@ -158,11 +165,11 @@ class WeightKernel:
             raise ValueError("constants violate 2D/B <= 1; weight function is invalid")
 
     @classmethod
-    def from_function(cls, u, m: int, quadrature_points: int = 2048) -> "WeightKernel":
+    def from_function(cls, u, m: int) -> "WeightKernel":
         _check_span(m)
         offsets = np.arange(-(m // 2), m // 2 + 1)
         weights = _eval_weight(u, offsets / m)
-        cu, du, bu = kernel_constants(u, quadrature_points)
+        cu, du, bu = kernel_constants(u)
         return cls(m=m, weights=weights, wstar=float(np.sum(weights)), cu=cu, du=du, bu=bu)
 
     @classmethod
@@ -214,7 +221,7 @@ class SpectralSequence:
         return TWO_PI * np.arange(1, self.half + 1) / self.n
 
     @classmethod
-    def from_matrices(cls, kind, n, matrices, pd_tol: float = DEFAULT_PD_TOL) -> "SpectralSequence":
+    def from_matrices(cls, kind, n, matrices) -> "SpectralSequence":
         matrices = np.asarray(matrices, dtype=complex)
         matrices = (matrices + matrices.conj().transpose(0, 2, 1)) / 2.0
         return cls(
@@ -222,11 +229,11 @@ class SpectralSequence:
             n=n,
             r=matrices.shape[-1],
             matrices=matrices,
-            pd=is_positive_definite(matrices, tol=pd_tol),
+            pd=is_positive_definite(matrices),
         )
 
 
-def smoothed_periodogram(sample, kernel: WeightKernel, pd_tol: float = DEFAULT_PD_TOL) -> SpectralSequence:
+def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     """Kernel-smoothed periodogram on the half grid t = 1 .. n//2.
 
     fhat[t] = (1/wstar) * sum_{j=-m/2}^{m/2} w_j I[(t + j) mod n].
@@ -239,52 +246,32 @@ def smoothed_periodogram(sample, kernel: WeightKernel, pd_tol: float = DEFAULT_P
     _check_span(m, n=n)
     if m + 1 < r:
         raise ValueError(f"span m = {m} too small for dimension r = {r}; need m + 1 >= r")
-    half = n // 2
-    stack = periodogram_stack(frame)
-    offsets = np.arange(-(m // 2), m // 2 + 1)
-    idx = (np.arange(1, half + 1)[:, np.newaxis] + offsets[np.newaxis, :]) % n
-    smoothed = np.einsum("w,twab->tab", kernel.weights, stack[idx]) / kernel.wstar
-    smoothed = (smoothed + smoothed.conj().transpose(0, 2, 1)) / 2.0
+    smoothed = _window_sum(frame, kernel.weights, kernel.wstar)
     return SpectralSequence(
-        kind="unrestricted", n=n, r=r, matrices=smoothed,
-        pd=is_positive_definite(smoothed, tol=pd_tol),
+        kind="unrestricted", n=n, r=r, matrices=smoothed, pd=is_positive_definite(smoothed),
     )
 
 
-def leave_out_estimate(frame: FourierFrame, j: int, m: int) -> np.ndarray:
-    """Mean of the m periodogram ordinates at offsets -m/2..m/2 excluding 0."""
-    n, r = frame.n, frame.r
-    _check_span(m, r=r, n=n)
-    offsets = np.concatenate([np.arange(-(m // 2), 0), np.arange(1, m // 2 + 1)])
-    idx = (j + offsets) % n
-    w = frame.w[idx]
-    est = np.einsum("ja,jb->ab", w, np.conj(w)) / m
-    return (est + est.conj().T) / 2.0
-
-
-def cvll_score(sample, m: int, pd_tol: float = DEFAULT_PD_TOL) -> float:
+def cvll_score(sample, m: int) -> float:
     """Leave-one-out Whittle cross validation score for span m.
 
     (1/n) * sum_{j=1}^{n//2} [ tr(I[j] G[j]^{-1}) + log det G[j] ]
 
-    where G[j] is the leave-out estimate at j.  Any index whose leave-out
+    where G[j], the leave-out estimate at j, is the mean of the m periodogram
+    ordinates around j without I[j] itself.  Any index whose leave-out
     estimate fails the positive-definiteness screen sends the score to +inf.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     n, r = frame.n, frame.r
     _check_span(m, r=r, n=n)
-    half = n // 2
-    offsets = np.concatenate([np.arange(-(m // 2), 0), np.arange(1, m // 2 + 1)])
-    idx = (np.arange(1, half + 1)[:, np.newaxis] + offsets[np.newaxis, :]) % n
-    w = frame.w
-    gathered = w[idx]
-    leave_out = np.einsum("tja,tjb->tab", gathered, np.conj(gathered)) / m
-    leave_out = (leave_out + leave_out.conj().transpose(0, 2, 1)) / 2.0
-    if not np.all(is_positive_definite(leave_out, tol=pd_tol)):
+    weights = np.ones(m + 1)
+    weights[m // 2] = 0.0
+    leave_out = _window_sum(frame, weights, m)
+    if not np.all(is_positive_definite(leave_out)):
         return math.inf
     eigs = np.linalg.eigvalsh(leave_out)
     logdets = np.sum(np.log(eigs), axis=1)
-    wt = w[1 : half + 1]
+    wt = frame.w[1 : n // 2 + 1]
     solved = np.linalg.solve(leave_out, wt[:, :, np.newaxis])[:, :, 0]
     quads = np.real(np.einsum("ta,ta->t", np.conj(wt), solved))
     return float((np.sum(quads) + np.sum(logdets)) / n)
@@ -301,7 +288,7 @@ def default_cvll_grid(n: int, r: int) -> list[int]:
     return grid
 
 
-def cvll_select(sample, grid=None, pd_tol: float = DEFAULT_PD_TOL) -> tuple[int, list[tuple[int, float]]]:
+def cvll_select(sample, grid=None) -> tuple[int, list[tuple[int, float]]]:
     """Pick the span minimizing the cross validation score; ties go small.
 
     Returns (best span, [(span, score), ...] over the full grid).  Raises
@@ -313,7 +300,7 @@ def cvll_select(sample, grid=None, pd_tol: float = DEFAULT_PD_TOL) -> tuple[int,
     grid = sorted(int(m) for m in grid)
     if not grid:
         raise EmptyGrid("candidate grid is empty")
-    scores = [(m, cvll_score(frame, m, pd_tol=pd_tol)) for m in grid]
+    scores = [(m, cvll_score(frame, m)) for m in grid]
     best_m, best = scores[0]
     for m, score in scores[1:]:
         if score < best:

@@ -170,6 +170,9 @@ def test_cli_test_constant_column_forces_rejection(tmp_path, capsys):
         assert doc["nonpd_count"] > 0
         assert doc["p_value"] == 0.0
         assert err.startswith("REJECT,")
+        # the truncated statistic is not reported as if it were evidence
+        assert f"forced by {doc['nonpd_count']} non-positive-definite frequencies" in err
+        assert "T-hat" not in err
 
 
 def test_cli_data_errors_exit_one(tmp_path, capsys):

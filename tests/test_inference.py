@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectest.divergence import J, KL, QUADRATIC, chernoff
 from spectest.errors import AlignmentMismatch, DegenerateVariance
@@ -63,7 +65,7 @@ def test_block_indices_frozen_example():
 def test_raw_statistic_zero_when_equal():
     fu, fr = sequence_pair(101, 2, 1.0)
     for variant in (FULL, QUAD, BLOCK):
-        raw, nonpd = raw_statistic(fu, fr, variant, m=16)
+        [(raw, nonpd)] = raw_statistic(fu, fr, [variant], m=16)
         assert raw == pytest.approx(0.0, abs=1e-12)
         assert nonpd == 0
 
@@ -71,14 +73,14 @@ def test_raw_statistic_zero_when_equal():
 def test_raw_statistic_frozen_doubling_example():
     # r = 1, fU = 2 fR at all 50 ordinates: KL gives 50 (2 - ln 2 - 1)
     fu, fr = sequence_pair(101, 1, 2.0)
-    raw, nonpd = raw_statistic(fu, fr, FULL)
+    [(raw, nonpd)] = raw_statistic(fu, fr, [FULL])
     assert raw == pytest.approx(50.0 * (1.0 - math.log(2.0)), rel=1e-12)
     assert nonpd == 0
     # quadratic: 50 * (2 - 1)^2 / 2
-    raw_q, _ = raw_statistic(fu, fr, QUAD)
+    [(raw_q, _)] = raw_statistic(fu, fr, [QUAD])
     assert raw_q == pytest.approx(25.0, rel=1e-12)
     # block: only 2 ordinates survive
-    raw_b, _ = raw_statistic(fu, fr, BLOCK, m=16)
+    [(raw_b, _)] = raw_statistic(fu, fr, [BLOCK], m=16)
     assert raw_b == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
 
 
@@ -86,7 +88,7 @@ def test_raw_statistic_weighted():
     fu, fr = sequence_pair(101, 1, 2.0)
     lam_weight = lambda lam: 2.0
     variant = StatisticVariant(form="weighted", phi=lam_weight)
-    raw, _ = raw_statistic(fu, fr, variant)
+    [(raw, _)] = raw_statistic(fu, fr, [variant])
     assert raw == pytest.approx(100.0 * (1.0 - math.log(2.0)), rel=1e-12)
     assert variant.label == "weighted-kl"
 
@@ -95,7 +97,7 @@ def test_raw_statistic_alignment_guard():
     fu, _ = sequence_pair(101, 2, 1.0)
     _, fr = sequence_pair(99, 2, 1.0)
     with pytest.raises(AlignmentMismatch):
-        raw_statistic(fu, fr, FULL)
+        raw_statistic(fu, fr, [FULL])
 
 
 def test_raw_statistic_counts_nonpd():
@@ -104,8 +106,8 @@ def test_raw_statistic_counts_nonpd():
     flags[3] = False
     flags[7] = False
     fr_bad = SpectralSequence(kind="restricted", n=fr.n, r=fr.r, matrices=fr.matrices, pd=flags)
-    raw_all, _ = raw_statistic(fu, fr, FULL)
-    raw, nonpd = raw_statistic(fu, fr_bad, FULL)
+    [(raw_all, _)] = raw_statistic(fu, fr, [FULL])
+    [(raw, nonpd)] = raw_statistic(fu, fr_bad, [FULL])
     assert nonpd == 2
     # the two dropped ordinates contribute K((2,2)) = 2(1 - ln 2) each
     assert raw == pytest.approx(raw_all - 2.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
@@ -114,9 +116,18 @@ def test_raw_statistic_counts_nonpd():
     flags_u[7] = False
     flags_u[11] = False
     fu_bad = SpectralSequence(kind="unrestricted", n=fu.n, r=fu.r, matrices=fu.matrices, pd=flags_u)
-    raw, nonpd = raw_statistic(fu_bad, fr_bad, FULL)
+    [(raw, nonpd)] = raw_statistic(fu_bad, fr_bad, [FULL])
     assert nonpd == 3
     assert raw == pytest.approx(raw_all - 3.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
+    # a block variant in the same call counts only its own positions; at
+    # n = 101, m = 16 these are indices 9 and 26, and 26 now fails
+    flags_u[25] = False
+    fu_bad = SpectralSequence(kind="unrestricted", n=fu.n, r=fu.r, matrices=fu.matrices, pd=flags_u)
+    (raw, nonpd), (raw_b, nonpd_b) = raw_statistic(fu_bad, fr_bad, [FULL, BLOCK], m=16)
+    assert nonpd == 4
+    assert raw == pytest.approx(raw_all - 4.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
+    assert nonpd_b == 1
+    assert raw_b == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
 
 
 def test_standardize_centering_and_frozen_example():
@@ -216,6 +227,32 @@ def test_run_test_permutation_equivariance():
     assert abs(base - moved) < 1e-8
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(64, 256),
+    half_m=st.integers(2, 12),
+    coupling=st.floats(-0.6, 0.6),
+)
+def test_run_test_time_reversal_invariance(seed, n, half_m, coupling):
+    # Reversing time conjugates every DFT ordinate up to a phase, so each
+    # periodogram matrix is replaced by its transpose and the relative
+    # eigenvalues, hence every statistic, are unchanged.
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n + 1, 3))
+    z = e[1:] + coupling * e[:-1] @ np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    chain = GraphicalModel(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    for model in (IndependenceModel(), SeparableModel(), chain):
+        for variant in (FULL, QUAD, BLOCK):
+            base = run_test(z, model, 2 * half_m, variant)
+            flipped = run_test(z[::-1], model, 2 * half_m, variant)
+            assert flipped.nonpd_count == base.nonpd_count
+            assert flipped.raw == pytest.approx(base.raw, rel=1e-8)
+            assert abs(flipped.standardized - base.standardized) <= 1e-8 * max(
+                1.0, abs(base.standardized)
+            )
+
+
 def test_run_test_duplicate_columns_rejects():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(240)
@@ -254,6 +291,23 @@ def test_run_many_shares_pipeline():
     solo = run_test(z, IndependenceModel(), 20, QUAD)
     assert reports["quadratic"].standardized == pytest.approx(solo.standardized, rel=1e-14)
     assert reports["quadratic"].raw == pytest.approx(solo.raw, rel=1e-14)
+
+
+def test_run_many_solves_each_pencil_once(monkeypatch):
+    import spectest.inference
+
+    calls = []
+    original = spectest.inference.relative_eigenvalues_stack
+
+    def counted(a, b):
+        calls.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(spectest.inference, "relative_eigenvalues_stack", counted)
+    z = np.random.default_rng(31).standard_normal((201, 3))
+    reports = run_many(z, IndependenceModel(), 30, (FULL, QUAD, BLOCK))
+    assert len(reports) == 3
+    assert calls == [100]
 
 
 def test_run_many_rejects_short_samples():

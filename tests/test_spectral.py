@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import leave_out, logdet, periodogram
 from spectest.errors import BandwidthTooLarge, EmptyGrid
-from spectest.hermitian import inverse_pd, logdet_pd
+from spectest.hermitian import inverse_pd
 from spectest.spectral import (
     FourierFrame,
     SpectralSequence,
@@ -17,9 +18,6 @@ from spectest.spectral import (
     default_cvll_grid,
     dft,
     kernel_constants,
-    leave_out_estimate,
-    periodogram_at,
-    periodogram_stack,
     smoothed_periodogram,
     validate_sample,
 )
@@ -43,7 +41,7 @@ def test_dft_impulse_gives_flat_periodogram():
     z[0, 0] = 1.0
     frame = dft(z)
     for j in range(8):
-        val = periodogram_at(frame, j)[0, 0]
+        val = periodogram(frame, j)[0, 0]
         assert val == pytest.approx(1.0 / (TWO_PI * 8.0), abs=1e-14)
 
 
@@ -82,13 +80,15 @@ def test_periodogram_periodicity_and_hermitianness():
     rng = np.random.default_rng(29)
     frame = dft(rng.standard_normal((20, 2)))
     for j in (1, 7, 13):
-        a = periodogram_at(frame, j)
-        assert np.allclose(a, periodogram_at(frame, j + 20), atol=0.0)
-        assert np.allclose(a, periodogram_at(frame, j - 20), atol=0.0)
+        a = periodogram(frame, j)
+        assert np.allclose(a, periodogram(frame, j + 20), atol=0.0)
+        assert np.allclose(a, periodogram(frame, j - 20), atol=0.0)
         assert np.allclose(a, a.conj().T, atol=1e-15)
-    stack = periodogram_stack(frame)
-    assert stack.shape == (20, 2, 2)
-    assert np.allclose(stack[7], periodogram_at(frame, 7), atol=0.0)
+    # a flat span-2 window averages three neighbouring ordinates
+    est = smoothed_periodogram(frame, WeightKernel.flat(2))
+    assert est.matrices.shape == (10, 2, 2)
+    window = (periodogram(frame, 6) + periodogram(frame, 7) + periodogram(frame, 8)) / 3.0
+    assert np.allclose(est.matrices[6], window, atol=1e-15)
 
 
 def test_kernel_constants_flat_exact():
@@ -157,8 +157,16 @@ def test_smoothed_periodogram_is_window_average():
     assert est.matrices.shape == (32, 2, 2)
     # direct wrap-around window at t = 1 and t = 31
     for t in (1, 31):
-        window = sum(periodogram_at(frame, t + k) for k in range(-3, 4)) / 7.0
+        window = sum(periodogram(frame, t + k) for k in range(-3, 4)) / 7.0
         assert np.allclose(est.matrices[t - 1], window, atol=1e-13)
+    # unequal weights u(k/m) = 1 + cos(pi k/m), normalized by their sum
+    bump = WeightKernel.from_function(
+        lambda x: 1.0 + np.cos(math.pi * np.asarray(x, dtype=float)), 6
+    )
+    est = smoothed_periodogram(frame, bump)
+    for t in (1, 31):
+        window = sum(u * periodogram(frame, t + k) for u, k in zip(bump.weights, range(-3, 4)))
+        assert np.allclose(est.matrices[t - 1], window / bump.wstar, atol=1e-13)
 
 
 def test_smoothed_periodogram_frequencies_and_pd():
@@ -207,8 +215,8 @@ def test_leave_out_identity():
     m = 6
     est = smoothed_periodogram(frame, WeightKernel.flat(m))
     for t in (1, 2, 17, 30):
-        direct = (m + 1) * est.matrices[t - 1] - periodogram_at(frame, t)
-        assert np.allclose(direct, m * leave_out_estimate(frame, t, m), atol=1e-12)
+        direct = (m + 1) * est.matrices[t - 1] - periodogram(frame, t)
+        assert np.allclose(direct, m * leave_out(frame, t, m), atol=1e-12)
 
 
 def test_cvll_score_matches_direct_loop():
@@ -218,8 +226,8 @@ def test_cvll_score_matches_direct_loop():
     m = 6
     total = 0.0
     for j in range(1, 33):
-        g = leave_out_estimate(frame, j, m)
-        total += np.real(np.trace(periodogram_at(frame, j) @ inverse_pd(g))) + logdet_pd(g)
+        g = leave_out(frame, j, m)
+        total += np.real(np.trace(periodogram(frame, j) @ inverse_pd(g))) + logdet(g)
     assert cvll_score(frame, m) == pytest.approx(total / 64.0, rel=1e-10)
 
 
