@@ -310,8 +310,7 @@ def _cmd_cvll(args) -> int:
 
 
 def _cmd_kernel_constants(args) -> int:
-    if args.kernel == "flat":
-        cu, du, bu = kernel_constants(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    cu, du, bu = kernel_constants(lambda x: np.ones_like(np.asarray(x, dtype=float)))
     sys.stdout.write(f"Cu={_fmt6(cu)} Du={_fmt6(du)} Bu={_fmt6(bu)}\n")
     return 0
 
@@ -331,21 +330,12 @@ def main(argv=None) -> int:
             return _cmd_simulate_power(args, parser)
         if args.command == "cvll":
             return _cmd_cvll(args)
-        if args.command == "kernel-constants":
-            return _cmd_kernel_constants(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_kernel_constants(args)
     except _UsageError:
         return USAGE_EXIT
-    except SpectestError as exc:
+    except (SpectestError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    return 0
 
 
 def entry() -> None:

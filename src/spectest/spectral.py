@@ -7,7 +7,8 @@ and every indexed quantity is treated as periodic in j with period n, which
 for real data is the same as reflecting conjugate-transposed ordinates
 through zero.  Smoothing uses an even positive weight function u on
 [-1/2, 1/2] sampled at j/m; bandwidth selection minimizes a leave-one-out
-Whittle-type cross validation score.
+Whittle-type cross validation score; one running window sum scores the whole
+span grid in one O(n r^2) pass, plus one batched Cholesky per span.
 """
 
 from __future__ import annotations
@@ -252,6 +253,40 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     )
 
 
+def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
+    """Scores for an ascending list of spans, each checked, from one running sum.
+
+    The leave-out sum S[t] = sum_{0 < |k| <= h} I[t + k] only gains PSD terms
+    as h grows, so the grid costs one O(n r^2) pass over its largest span; per
+    span, one batched Cholesky G = S / m = L L^H gives log det G from diag L
+    and w^H G^{-1} w = |L^{-1} w|^2.
+    """
+    n, r, half = frame.n, frame.r, frame.n // 2
+    for m in grid:
+        _check_span(m, r=r, n=n)
+    per = frame.w[:, :, np.newaxis] * np.conj(frame.w[:, np.newaxis, :])
+    t, wt = np.arange(1, half + 1), frame.w[1 : half + 1]
+    total = np.zeros((half, r, r), dtype=complex)
+    h, scores = 0, []
+    for m in grid:
+        # t + k < n since m < n/2; a negative t - k wraps around like the grid
+        for k in range(h + 1, m // 2 + 1):
+            total += per[t - k] + per[t + k]
+        h = m // 2
+        leave_out = total / m
+        if not np.all(is_positive_definite(leave_out)):
+            scores.append(math.inf)
+            continue
+        chol = np.linalg.cholesky(leave_out)
+        solved = np.empty_like(wt)
+        for a in range(r):
+            row = np.einsum("tb,tb->t", chol[:, a, :a], solved[:, :a])
+            solved[:, a] = (wt[:, a] - row) / chol[:, a, a]
+        logdets = 2.0 * np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))
+        scores.append(float((np.sum(np.abs(solved) ** 2) + np.sum(logdets)) / n))
+    return scores
+
+
 def cvll_score(sample, m: int) -> float:
     """Leave-one-out Whittle cross validation score for span m.
 
@@ -260,21 +295,10 @@ def cvll_score(sample, m: int) -> float:
     where G[j], the leave-out estimate at j, is the mean of the m periodogram
     ordinates around j without I[j] itself.  Any index whose leave-out
     estimate fails the positive-definiteness screen sends the score to +inf.
+    It is the one-span case of the curve function cvll_select runs.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
-    n, r = frame.n, frame.r
-    _check_span(m, r=r, n=n)
-    weights = np.ones(m + 1)
-    weights[m // 2] = 0.0
-    leave_out = _window_sum(frame, weights, m)
-    if not np.all(is_positive_definite(leave_out)):
-        return math.inf
-    eigs = np.linalg.eigvalsh(leave_out)
-    logdets = np.sum(np.log(eigs), axis=1)
-    wt = frame.w[1 : n // 2 + 1]
-    solved = np.linalg.solve(leave_out, wt[:, :, np.newaxis])[:, :, 0]
-    quads = np.real(np.einsum("ta,ta->t", np.conj(wt), solved))
-    return float((np.sum(quads) + np.sum(logdets)) / n)
+    return _cvll_curve(frame, [m])[0]
 
 
 def default_cvll_grid(n: int, r: int) -> list[int]:
@@ -300,11 +324,9 @@ def cvll_select(sample, grid=None) -> tuple[int, list[tuple[int, float]]]:
     grid = sorted(int(m) for m in grid)
     if not grid:
         raise EmptyGrid("candidate grid is empty")
-    scores = [(m, cvll_score(frame, m)) for m in grid]
-    best_m, best = scores[0]
-    for m, score in scores[1:]:
-        if score < best:
-            best_m, best = m, score
+    scores = list(zip(grid, _cvll_curve(frame, grid)))
+    # min keeps the first of equal scores, so ties go to the smaller span
+    best_m, best = min(scores, key=lambda item: item[1])
     if best == math.inf:
         raise NoUsableSpan(
             f"no span in the grid {grid[0]}..{grid[-1]} gives a positive definite "

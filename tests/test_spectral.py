@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oracles import leave_out, logdet, periodogram
@@ -229,6 +231,60 @@ def test_cvll_score_matches_direct_loop():
         g = leave_out(frame, j, m)
         total += np.real(np.trace(periodogram(frame, j) @ inverse_pd(g))) + logdet(g)
     assert cvll_score(frame, m) == pytest.approx(total / 64.0, rel=1e-10)
+
+
+def test_cvll_curve_matches_per_span_oracle():
+    rng = np.random.default_rng(83)
+    z = rng.standard_normal((64, 3)) @ np.array([[1.0, 0.4, 0.0], [0.0, 1.0, -0.3], [0.2, 0.0, 1.0]])
+    frame = dft(z)
+    best, scores = cvll_select(frame, grid=[12, 4, 8, 8, 30])
+    assert [m for m, _ in scores] == [4, 8, 8, 12, 30]
+    oracle = {}
+    for m in (4, 8, 12, 30):
+        total = 0.0
+        for j in range(1, 33):
+            g = leave_out(frame, j, m)
+            total += np.real(np.trace(np.linalg.solve(g, periodogram(frame, j)))) + logdet(g)
+        oracle[m] = total / 64.0
+    for m, score in scores:
+        assert score == pytest.approx(oracle[m], rel=1e-10)
+        # the one-span entry point runs the same curve, so it agrees to the bit
+        assert cvll_score(frame, m) == score
+    assert best == min(oracle, key=oracle.get)
+    # a bad span anywhere in the grid raises what the per-span check raises
+    with pytest.raises(ValueError, match="even and >= 2, got 5"):
+        cvll_select(frame, grid=[12, 4, 5, 30])
+    with pytest.raises(ValueError, match="m = 2 too small for dimension r = 3"):
+        cvll_select(frame, grid=[12, 8, 2])
+    with pytest.raises(BandwidthTooLarge, match="m = 32 must satisfy"):
+        cvll_select(frame, grid=[32, 4, 8])
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    perm=st.permutations([0, 1, 2]),
+    scales=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
+)
+def test_cvll_permutation_and_scale_invariance(seed, perm, scales):
+    # Relabelling components permutes every leave-out estimate by congruence,
+    # so no score moves.  Scaling column a by c_a leaves w^H G^{-1} w alone and
+    # adds 2 sum_a log c_a to each of the n//2 log determinants.
+    rng = np.random.default_rng(seed)
+    n = 96
+    mix = np.eye(3) + 0.5 * rng.standard_normal((3, 3))
+    z = rng.standard_normal((n, 3)) @ mix
+    best, scores = cvll_select(z)
+    best_perm, scores_perm = cvll_select(z[:, perm])
+    assert best_perm == best
+    for (m, score), (m_perm, moved) in zip(scores, scores_perm):
+        assert m_perm == m
+        assert moved == pytest.approx(score, rel=1e-10)
+    shift = 2.0 * (n // 2) * float(np.sum(np.log(scales))) / n
+    best_scaled, scores_scaled = cvll_select(z * np.array(scales))
+    assert best_scaled == best
+    for (_, score), (_, scaled) in zip(scores, scores_scaled):
+        assert scaled == pytest.approx(score + shift, rel=1e-10)
 
 
 def test_cvll_select_deterministic_and_scale_invariant():
