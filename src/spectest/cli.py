@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -75,15 +76,12 @@ def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
             for col, cell in enumerate(cells):
                 try:
                     value = float(cell)
+                    problem = None if math.isfinite(value) else f"non-finite value {cell!r}"
                 except ValueError:
+                    problem = f"{cell!r} is not a number"
+                if problem:
                     raise NonNumeric(
-                        f"{path}: row {line_no}, column {col + 1} "
-                        f"({header[col].strip()}): {cell!r} is not a number"
-                    ) from None
-                if not np.isfinite(value):
-                    raise NonNumeric(
-                        f"{path}: row {line_no}, column {col + 1} "
-                        f"({header[col].strip()}): non-finite value {cell!r}"
+                        f"{path}: row {line_no}, column {col + 1} ({header[col].strip()}): {problem}"
                     )
                 parsed.append(value)
             rows.append(parsed)

@@ -7,7 +7,7 @@ surface and adds the one operation the statistics actually run on: the
 eigenvalues of B^{-1} A for a Hermitian A against a Hermitian positive
 definite B ("relative eigenvalues", real because the pencil is definite).
 
-Positive definiteness is decided by a Cholesky attempt whose pivots must
+Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
 eigenvalue scale, so the verdict is scale free.  The screen, the inverse and
 the Hermitian check take one (r, r) matrix or an (..., r, r) stack alike.
@@ -61,28 +61,34 @@ def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
     return (a + a_h) / 2.0
 
 
-def is_positive_definite(a):
-    """True iff Cholesky succeeds with every pivot above DEFAULT_PD_TOL * trace(a) / r.
+def _eliminate(a: np.ndarray, r: int):
+    """LDL^H elimination of the first r columns of a frequency-last (s, s, ...) stack.
 
-    A stack (..., r, r) gives a boolean array of shape (...).  The whole
-    stack is factored one column at a time, so a matrix that fails never
-    stops the others from being screened.
+    Results depend only on the lower triangle.  Returns (ok, logdet, rest): ok
+    where the leading r x r block has trace > 0 and every pivot above
+    DEFAULT_PD_TOL * trace / r, its sum of log pivots, and A22 - A21 A11^{-1} A12.
     """
-    a = np.asarray(a)
-    r = a.shape[-1]
-    trace = np.trace(a, axis1=-2, axis2=-1).real
+    work = np.array(a, dtype=np.result_type(a.dtype, float), order="C")
+    trace = np.trace(work[:r, :r]).real
     ok = trace > 0.0
     floor = DEFAULT_PD_TOL * trace / r
-    work = np.array(a, dtype=np.result_type(a.dtype, float))
-    # Pivots of A = L D L^H equal the squared Cholesky diagonal.  Once a
-    # matrix has failed, its later (possibly non-finite) pivots are ignored.
+    logdet = np.zeros_like(trace)
+    # Once a matrix has failed, its later (possibly non-finite) pivots are ignored.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(r):
-            pivot = work[..., k, k].real
+            pivot = work[k, k].real
             ok &= pivot > floor
-            col = work[..., k + 1 :, k]
-            scaled = np.conj(col / pivot[..., np.newaxis])
-            work[..., k + 1 :, k + 1 :] -= col[..., :, np.newaxis] * scaled[..., np.newaxis, :]
+            logdet += np.log(pivot)
+            col = work[k + 1 :, k]
+            scaled = np.conj(col / pivot)
+            work[k + 1 :, k + 1 :] -= col[:, np.newaxis] * scaled[np.newaxis, :]
+    return ok, logdet, work[r:, r:]
+
+
+def is_positive_definite(a):
+    """True iff every LDL^H pivot clears DEFAULT_PD_TOL * trace / r; a stack gives an array."""
+    a = np.asarray(a)
+    ok = _eliminate(np.moveaxis(a, (-2, -1), (0, 1)), a.shape[-1])[0]
     return ok if a.ndim > 2 else bool(ok)
 
 

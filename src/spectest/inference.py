@@ -28,7 +28,7 @@ from .divergence import KL, QUADRATIC, Discrepancy, _terms
 from .errors import AlignmentMismatch, DegenerateVariance
 from .hermitian import relative_eigenvalues_stack
 from .hypotheses import EtaSigma
-from .spectral import SpectralSequence, WeightKernel, dft, smoothed_periodogram, cvll_select
+from .spectral import SpectralSequence, WeightKernel, cvll_select, dft, smoothed_periodogram, validate_sample
 
 VALID_FORMS = ("full", "quadratic", "block", "weighted")
 
@@ -218,8 +218,6 @@ def run_many(
     estimates and the relative eigenvalues are computed once and shared by
     all variants.
     """
-    from .spectral import validate_sample
-
     arr = validate_sample(sample)
     n = arr.shape[0]
     if n < 8:

@@ -7,8 +7,8 @@ and every indexed quantity is treated as periodic in j with period n, which
 for real data is the same as reflecting conjugate-transposed ordinates
 through zero.  Smoothing uses an even positive weight function u on
 [-1/2, 1/2] sampled at j/m; bandwidth selection minimizes a leave-one-out
-Whittle-type cross validation score; one running window sum scores the whole
-span grid in one O(n r^2) pass, plus one batched Cholesky per span.
+Whittle-type cross validation score.  Both add up pairs I[t - k] + I[t + k]
+on frequency-last (r, r, n//2) stacks; CVLL adds one LDL^H elimination per span.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import as_hermitian, is_positive_definite
+from .hermitian import _eliminate, as_hermitian, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,22 +68,22 @@ def dft(values) -> FourierFrame:
     return FourierFrame(w=w, n=n, r=r)
 
 
-def _window_sum(frame: FourierFrame, weights: np.ndarray, scale: float) -> np.ndarray:
-    """(1/scale) * sum_j weights[j] I[(t + j) mod n] for t = 1 .. n//2, Hermitian.
+def _periodogram_pairs(frame: FourierFrame, reach: int):
+    """Yield I[t], then I[t - k] + I[t + k] for k = 1 .. reach, as (r, r, n//2) stacks.
 
-    weights holds m + 1 entries for the offsets j = -m/2 .. m/2.  The DFT
-    vectors of each window are gathered and contracted in one einsum,
-    sum_j weights[j] w[t+j] w[t+j]^H, so no periodogram matrix is formed.
-    A batched matmul would be faster, but its BLAS summation order rounds
-    differently, and near-zero statistics and far-tail p-values amplify that
-    to changes of up to 4e-12 relative in a report.
+    I[j] = w[j] w[j]^H is formed once for j = 1 - reach .. n//2 + reach (mod n),
+    in real arithmetic: a complex multiply may fuse multiply-adds, which would
+    break the exact Hermitian symmetry that sums with real weights keep.
     """
-    m = weights.size - 1
-    offsets = np.arange(-(m // 2), m // 2 + 1)
-    idx = (np.arange(1, frame.n // 2 + 1)[:, np.newaxis] + offsets[np.newaxis, :]) % frame.n
-    gathered = frame.w[idx]
-    sums = np.einsum("j,tja,tjb->tab", weights, gathered, np.conj(gathered)) / scale
-    return (sums + np.conj(np.swapaxes(sums, 1, 2))) / 2.0
+    half = frame.n // 2
+    w = frame.w[np.arange(1 - reach, half + reach + 1) % frame.n].T
+    x, y = w.real[:, np.newaxis], w.imag[:, np.newaxis]
+    per = np.empty((frame.r, frame.r, w.shape[1]), dtype=complex)
+    per.real = x * w.real + y * w.imag
+    per.imag = y * w.real - x * w.imag
+    yield per[..., reach : reach + half]
+    for k in range(1, reach + 1):
+        yield per[..., reach - k : reach - k + half] + per[..., reach + k : reach + k + half]
 
 
 def kernel_constants(u, quadrature_points: int = 2048) -> tuple[float, float, float]:
@@ -247,7 +247,12 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     _check_span(m, n=n)
     if m + 1 < r:
         raise ValueError(f"span m = {m} too small for dimension r = {r}; need m + 1 >= r")
-    smoothed = _window_sum(frame, kernel.weights, kernel.wstar)
+    pairs = _periodogram_pairs(frame, m // 2)
+    total = kernel.weights[m // 2] * next(pairs)
+    # the weights are symmetric, so w_{-k} = w_k
+    for weight, pair in zip(kernel.weights[m // 2 + 1 :], pairs):
+        total += weight * pair
+    smoothed = np.ascontiguousarray(np.moveaxis(total / kernel.wstar, -1, 0))
     return SpectralSequence(
         kind="unrestricted", n=n, r=r, matrices=smoothed, pd=is_positive_definite(smoothed),
     )
@@ -257,33 +262,26 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
     """Scores for an ascending list of spans, each checked, from one running sum.
 
     The leave-out sum S[t] = sum_{0 < |k| <= h} I[t + k] only gains PSD terms
-    as h grows, so the grid costs one O(n r^2) pass over its largest span; per
-    span, one batched Cholesky G = S / m = L L^H gives log det G from diag L
-    and w^H G^{-1} w = |L^{-1} w|^2.
+    as h grows, so the grid costs one O(n r^2) pass.  Per span, eliminating G
+    = S / m in the bordered matrix [[G, w], [w^H, 0]] screens G, gives log det G
+    from the pivots and leaves -w^H G^{-1} w in the corner.
     """
     n, r, half = frame.n, frame.r, frame.n // 2
     for m in grid:
         _check_span(m, r=r, n=n)
-    per = frame.w[:, :, np.newaxis] * np.conj(frame.w[:, np.newaxis, :])
-    t, wt = np.arange(1, half + 1), frame.w[1 : half + 1]
-    total = np.zeros((half, r, r), dtype=complex)
+    pairs = _periodogram_pairs(frame, grid[-1] // 2)
+    total = np.zeros_like(next(pairs))  # the centre I[t] is left out
+    bordered = np.zeros((r + 1, r + 1, half), dtype=complex)
+    bordered[r, :r] = np.conj(frame.w[1 : half + 1]).T  # only the lower triangle is read
     h, scores = 0, []
     for m in grid:
-        # t + k < n since m < n/2; a negative t - k wraps around like the grid
-        for k in range(h + 1, m // 2 + 1):
-            total += per[t - k] + per[t + k]
+        for _ in range(h + 1, m // 2 + 1):
+            total += next(pairs)
         h = m // 2
-        leave_out = total / m
-        if not np.all(is_positive_definite(leave_out)):
-            scores.append(math.inf)
-            continue
-        chol = np.linalg.cholesky(leave_out)
-        solved = np.empty_like(wt)
-        for a in range(r):
-            row = np.einsum("tb,tb->t", chol[:, a, :a], solved[:, :a])
-            solved[:, a] = (wt[:, a] - row) / chol[:, a, a]
-        logdets = 2.0 * np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))
-        scores.append(float((np.sum(np.abs(solved) ** 2) + np.sum(logdets)) / n))
+        np.divide(total, m, out=bordered[:r, :r])
+        ok, logdet, corner = _eliminate(bordered, r)
+        # any frequency failing the screen sends the score to +inf
+        scores.append(float((np.sum(logdet) - np.sum(corner.real)) / n) if ok.all() else math.inf)
     return scores
 
 

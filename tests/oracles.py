@@ -24,3 +24,25 @@ def logdet(a):
 def relative_eigenvalues(a, b):
     """Ascending eigenvalues of B^{-1} A from the generalized Hermitian solver."""
     return scipy.linalg.eigh(a, b, eigvals_only=True)
+
+
+def column_screen(a, tol=1e-12):
+    """PD verdicts from a column-by-column Cholesky over an (..., r, r) stack.
+
+    Every pivot must clear tol * trace / r and the trace must be positive;
+    a single (r, r) matrix gives a bool.
+    """
+    a = np.asarray(a)
+    r = a.shape[-1]
+    trace = np.trace(a, axis1=-2, axis2=-1).real
+    ok = trace > 0.0
+    floor = tol * trace / r
+    work = np.array(a, dtype=np.result_type(a.dtype, float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(r):
+            pivot = work[..., k, k].real
+            ok &= pivot > floor
+            col = work[..., k + 1 :, k]
+            scaled = np.conj(col / pivot[..., np.newaxis])
+            work[..., k + 1 :, k + 1 :] -= col[..., :, np.newaxis] * scaled[..., np.newaxis, :]
+    return ok if a.ndim > 2 else bool(ok)

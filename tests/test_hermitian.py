@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import logdet, relative_eigenvalues
+from oracles import column_screen, logdet, relative_eigenvalues
 from spectest.errors import NotPositiveDefinite
 from spectest.hermitian import (
     as_hermitian,
@@ -131,6 +131,62 @@ def test_is_positive_definite_stack_matches_per_matrix():
         assert is_positive_definite(a) is expected
         assert flag == expected
     assert np.array_equal(is_positive_definite(stack.reshape(2, 4, 4, 4)), flags.reshape(2, 4))
+
+
+def adversarial_stack(rng, r):
+    """Matrices on and around every edge of the screen, with the verdict each should get."""
+    floor = 1e-12 * (r - 1) / r  # tol * trace / r for diag(1, ..., 1, d), d tiny
+    x = rng.standard_normal((r, r - 1)) + 1j * rng.standard_normal((r, r - 1))
+    cases = [
+        (random_hpd(rng, r), True),
+        (1e8 * random_hpd(rng, r), True),
+        (1e-8 * random_hpd(rng, r), True),
+        (np.zeros((r, r)), False),
+        (-random_hpd(rng, r), False),
+        (np.full((r, r), np.nan), False),
+    ]
+    if r > 1:
+        a = random_hpd(rng, r)
+        a[0, r - 1] = a[r - 1, 0] = np.nan
+        mix = np.eye(r, r - 1) + 0.3 * rng.standard_normal((r, r - 1))
+        cases += [
+            (x @ x.conj().T, False),  # singular, rank r - 1
+            (mix @ mix.T, False),  # collinear: one column mixes the others
+            (np.diag([1.0] * (r - 1) + [floor * (1.0 + 1e-3)]), True),
+            (np.diag([1.0] * (r - 1) + [floor * (1.0 - 1e-3)]), False),
+            (np.diag([1.0] * (r - 1) + [-3.0 * r]), False),  # negative trace
+            (a, False),
+        ]
+        # unit lower L, pivots (1, ..., 1, floor (1 +- 1e-3)): the last pivot
+        # comes out of r - 1 eliminations, with rounding near the margin, so
+        # real and complex copies may differ and only the oracle decides
+        lower = np.tril(rng.standard_normal((r, r)), -1) + np.eye(r)
+        pivots = np.ones(r)
+        pivots[-1] = 0.0
+        edge = 1e-12 * np.trace(lower @ np.diag(pivots) @ lower.T) / r
+        for factor in (1.0 + 1e-3, 1.0 - 1e-3):
+            pivots[-1] = edge * factor
+            cases.append((lower @ np.diag(pivots) @ lower.T, None))
+    return cases
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+def test_is_positive_definite_matches_column_screen(r):
+    rng = np.random.default_rng(100 + r)
+    cases = adversarial_stack(rng, r)
+    stack = np.stack([a for a, _ in cases])
+    flags = is_positive_definite(stack)
+    assert flags.dtype == bool and flags.shape == (len(cases),)
+    assert np.array_equal(flags, column_screen(stack))
+    for (a, expected), flag in zip(cases, flags):
+        single = is_positive_definite(a)
+        assert type(single) is bool and single == column_screen(a)
+        if expected is not None:
+            assert single is expected and flag == expected
+    complex_stack = stack.astype(complex)
+    assert np.array_equal(is_positive_definite(complex_stack), flags)
+    twice = np.stack([stack, stack[::-1]])
+    assert np.array_equal(is_positive_definite(twice), column_screen(twice))
 
 
 def test_as_hermitian_symmetrizes_and_validates():

@@ -253,6 +253,47 @@ def test_run_test_time_reversal_invariance(seed, n, half_m, coupling):
             )
 
 
+def assert_same_reports(moved, base):
+    for label, report in base.items():
+        assert moved[label].nonpd_count == report.nonpd_count
+        assert moved[label].raw == pytest.approx(report.raw, rel=1e-8)
+        assert abs(moved[label].standardized - report.standardized) <= 1e-8 * max(
+            1.0, abs(report.standardized)
+        )
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half_m=st.integers(4, 12),
+    scales=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
+    perm=st.permutations([0, 1, 2]),
+)
+def test_run_many_scale_and_permutation_invariance(seed, half_m, scales, perm):
+    # Scaling column a by c_a and relabelling the columns both act on every
+    # spectral matrix by congruence, f -> P D f D P^T.  Each null's restricted
+    # estimate follows the same congruence (the graphical null with its edges
+    # relabelled), so the relative eigenvalues and every statistic stay put.
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((161, 3))
+    z = e[1:] + 0.4 * e[:-1] @ np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    pos = {old: new for new, old in enumerate(perm)}
+    chain = [(0, 1), (1, 2)]
+    models = [
+        (IndependenceModel(), IndependenceModel()),
+        (SeparableModel(), SeparableModel()),
+        (
+            GraphicalModel(EdgeSet.from_pairs(3, chain)),
+            GraphicalModel(EdgeSet.from_pairs(3, [(pos[a], pos[b]) for a, b in chain])),
+        ),
+    ]
+    variants = (FULL, QUAD, BLOCK)
+    for model, relabelled in models:
+        base = run_many(z, model, 2 * half_m, variants)
+        assert_same_reports(run_many(z * np.array(scales), model, 2 * half_m, variants), base)
+        assert_same_reports(run_many(z[:, perm], relabelled, 2 * half_m, variants), base)
+
+
 def test_run_test_duplicate_columns_rejects():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(240)

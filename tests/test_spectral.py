@@ -157,6 +157,8 @@ def test_smoothed_periodogram_is_window_average():
     est = smoothed_periodogram(frame, WeightKernel.flat(6))
     assert est.kind == "unrestricted"
     assert est.matrices.shape == (32, 2, 2)
+    # sums of exactly Hermitian products with real weights need no symmetrizing pass
+    assert np.array_equal(est.matrices, np.conj(np.swapaxes(est.matrices, 1, 2)))
     # direct wrap-around window at t = 1 and t = 31
     for t in (1, 31):
         window = sum(periodogram(frame, t + k) for k in range(-3, 4)) / 7.0
@@ -166,6 +168,7 @@ def test_smoothed_periodogram_is_window_average():
         lambda x: 1.0 + np.cos(math.pi * np.asarray(x, dtype=float)), 6
     )
     est = smoothed_periodogram(frame, bump)
+    assert np.array_equal(est.matrices, np.conj(np.swapaxes(est.matrices, 1, 2)))
     for t in (1, 31):
         window = sum(u * periodogram(frame, t + k) for u, k in zip(bump.weights, range(-3, 4)))
         assert np.allclose(est.matrices[t - 1], window / bump.wstar, atol=1e-13)
@@ -258,6 +261,42 @@ def test_cvll_curve_matches_per_span_oracle():
         cvll_select(frame, grid=[12, 8, 2])
     with pytest.raises(BandwidthTooLarge, match="m = 32 must satisfy"):
         cvll_select(frame, grid=[32, 4, 8])
+
+
+def test_running_sums_keep_accuracy_over_wide_dynamic_range():
+    # An AR(1) component with a = 0.99 and power scale 1e4 beside white noise
+    # of power 1e-4: the spectrum spans about 1e12 between its peak at zero
+    # frequency and the white floor.  A sum that subtracted large partial sums
+    # (a prefix-sum difference) would leave errors in proportion to the peak at
+    # the quiet frequencies, so each entry's error is measured against its own
+    # frequency's scale sqrt(f_aa f_bb), which is at most that frequency's norm.
+    rng = np.random.default_rng(89)
+    n = 512
+    e = rng.standard_normal((n + 500, 2))
+    ar = np.zeros(n + 500)
+    for t in range(1, n + 500):
+        ar[t] = 0.99 * ar[t - 1] + e[t, 0]
+    z = np.column_stack([1e2 * ar[500:], 1e-2 * e[500:, 1]])
+    frame = dft(z)
+    bump = WeightKernel.from_function(lambda x: 1.0 + np.cos(math.pi * np.asarray(x, dtype=float)), 40)
+    for kernel in (WeightKernel.flat(8), WeightKernel.flat(40), bump):
+        h = kernel.m // 2
+        est = smoothed_periodogram(frame, kernel).matrices
+        for t in range(1, n // 2 + 1):
+            window = sum(u * periodogram(frame, t + k) for u, k in zip(kernel.weights, range(-h, h + 1)))
+            window /= kernel.wstar
+            diag = np.sqrt(np.real(np.diag(window)))
+            assert np.max(np.abs(est[t - 1] - window) / np.outer(diag, diag)) < 1e-14
+    peak, quiet = np.real(est[0, 0, 0]), np.real(est[-1, 1, 1])
+    assert peak / quiet > 1e8
+    _, scores = cvll_select(frame, grid=[8, 40])
+    for m, score in scores:
+        total = 0.0
+        for j in range(1, n // 2 + 1):
+            g = leave_out(frame, j, m)
+            total += np.real(np.trace(np.linalg.solve(g, periodogram(frame, j)))) + logdet(g)
+        # 256 terms of O(1) round to about 1e-15; a prefix-sum difference misses by 5e-14
+        assert score == pytest.approx(total / n, rel=1e-14)
 
 
 @settings(max_examples=6, deadline=None)

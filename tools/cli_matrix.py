@@ -1,0 +1,152 @@
+"""Run the spectest CLI matrix from two source trees and compare the outputs.
+
+    python3 tools/cli_matrix.py --base OLD_TREE --head NEW_TREE [--inputs 'bench/out/cli_input_*.csv']
+
+Each tree is a checkout holding src/spectest.  Every input CSV runs
+`spectest cvll` once and `spectest test` under independence, separable and
+graphical (--edges 1-2,2-3) with --stat full, block and quadratic plus full
+with --kind j, each with --m 40 and with --cvll: 25 runs per file, 250 on the
+ten CSV files the benchmark's cli_cvll workload writes to bench/out/.
+
+One fresh interpreter per tree imports that tree's package and calls
+spectest.cli.main for every run, with stdout and stderr captured.  The report
+gives the number of runs whose exit code, stdout and stderr are identical,
+the largest relative difference per JSON field (and per CVLL score) among
+the others, and every flip of a decision (reject), of a selected span (m) or
+of an exit code.  It exits 1 when anything flipped.  Uses only the standard
+library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import glob
+import io
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3"])
+STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"])
+BANDWIDTHS = (["--m", "40"], ["--cvll"])
+
+
+def matrix(inputs: list[str]) -> list[list[str]]:
+    """Every argv of the comparison, in a fixed order."""
+    runs = []
+    for path in inputs:
+        runs.append(["cvll", "--input", path])
+        for hypothesis in HYPOTHESES:
+            for statistic in STATISTICS:
+                for bandwidth in BANDWIDTHS:
+                    runs.append(["test", "--input", path, "--hypothesis", *hypothesis, *statistic, *bandwidth])
+    return runs
+
+
+def work(tree: str, runs: list[list[str]]) -> list[dict]:
+    """Run every argv through tree's spectest.cli.main in this interpreter."""
+    sys.path.insert(0, os.path.join(tree, "src"))
+    from spectest import cli
+
+    results = []
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+    return results
+
+
+def collect(tree: str, runs: list[list[str]]) -> list[dict]:
+    """Start one interpreter for tree and return its results."""
+    if not os.path.isfile(os.path.join(tree, "src", "spectest", "__init__.py")):
+        raise SystemExit(f"no src/spectest under {tree}")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", tree],
+        input=json.dumps(runs), capture_output=True, text=True, env=env, cwd=ROOT, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def relative(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def selected_span(result: dict):
+    """The span a run chose: the report's m, or cvll's 'selected m = ...' line."""
+    if result["stdout"].startswith("{"):
+        return json.loads(result["stdout"])["m"]
+    for line in result["stderr"].splitlines():
+        if line.startswith("selected m = "):
+            return int(line.split("=")[1])
+    return None
+
+
+def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
+    identical, worst, flips = {argv[0]: 0 for argv in runs}, {}, []
+
+    def note(field: str, a: float, b: float, argv: list[str]) -> None:
+        diff = relative(a, b)
+        if diff > worst.get(field, (-1.0, None))[0]:
+            worst[field] = (diff, argv)
+
+    for argv, old, new in zip(runs, base, head):
+        if old == new:
+            identical[argv[0]] += 1
+            continue
+        label = " ".join(argv)
+        if old["code"] != new["code"]:
+            flips.append(f"exit code {old['code']} -> {new['code']}: {label}")
+        if selected_span(old) != selected_span(new):
+            flips.append(f"m {selected_span(old)} -> {selected_span(new)}: {label}")
+        if old["stdout"].startswith("{") and new["stdout"].startswith("{"):
+            a, b = json.loads(old["stdout"]), json.loads(new["stdout"])
+            if a["reject"] != b["reject"]:
+                flips.append(f"reject {a['reject']} -> {b['reject']}: {label}")
+            for field, value in a.items():
+                if isinstance(value, float) and isinstance(b.get(field), float):
+                    note(field, value, b[field], argv)
+        elif argv[0] == "cvll":
+            for line_a, line_b in zip(old["stdout"].splitlines()[1:], new["stdout"].splitlines()[1:]):
+                note("cvll score", float(line_a.split(",")[1]), float(line_b.split(",")[1]), argv)
+
+    for command, count in sorted(identical.items()):
+        total = sum(argv[0] == command for argv in runs)
+        print(f"spectest {command}: {total} runs, {count} identical, {total - count} differing")
+    for field, (diff, argv) in sorted(worst.items()):
+        where = f" ({' '.join(argv)})" if diff else ""
+        print(f"  {field}: largest relative difference {diff:.3g}{where}")
+    for flip in flips:
+        print(f"  FLIP {flip}")
+    if not flips:
+        print("no decision, span or exit code flips")
+    return 1 if flips else 0
+
+
+def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] == "--worker":
+        json.dump(work(sys.argv[2], json.load(sys.stdin)), sys.stdout)
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", required=True, help="source tree of the reference version")
+    parser.add_argument("--head", required=True, help="source tree of the version under test")
+    parser.add_argument("--inputs", default=os.path.join(ROOT, "bench", "out", "cli_input_*.csv"))
+    args = parser.parse_args()
+    inputs = sorted(os.path.abspath(path) for path in glob.glob(args.inputs))
+    if not inputs:
+        parser.error(f"no input CSV files match {args.inputs}")
+    runs = matrix(inputs)
+    base = collect(os.path.abspath(args.base), runs)
+    head = collect(os.path.abspath(args.head), runs)
+    return compare(runs, base, head)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
