@@ -256,12 +256,12 @@ class IndependenceModel:
     name = "independence"
 
     def estimate_theta(self, values) -> np.ndarray:
-        return np.empty(0)
+        return np.empty(np.shape(values)[:-2] + (0,))
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         mats = np.zeros_like(f_unrestricted.matrices)
         idx = np.arange(f_unrestricted.r)
-        mats[:, idx, idx] = np.real(f_unrestricted.matrices[:, idx, idx])
+        mats[..., idx, idx] = np.real(f_unrestricted.matrices[..., idx, idx])
         return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
@@ -280,19 +280,20 @@ class SeparableModel:
     name = "separable"
 
     def estimate_theta(self, values) -> np.ndarray:
-        """Sample second-moment matrix (1/n) sum Z_t Z_t'."""
+        """Sample second-moment matrix (1/n) sum Z_t Z_t', one per sample of a stack."""
         arr = np.asarray(values, dtype=float)
-        sigma = arr.T @ arr / arr.shape[0]
-        sigma = (sigma + sigma.T) / 2.0
-        if not is_positive_definite(sigma):
+        sigma = np.swapaxes(arr, -1, -2) @ arr / arr.shape[-2]
+        sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
+        if not np.all(is_positive_definite(sigma)):
             raise SingularCovariance("sample second-moment matrix is not positive definite")
         return sigma
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta) -> SpectralSequence:
         sigma = np.asarray(theta, dtype=float)
-        diag = np.real(np.diagonal(f_unrestricted.matrices, axis1=1, axis2=2))
-        shape = np.mean(diag / np.diag(sigma)[np.newaxis, :], axis=1)
-        mats = shape[:, np.newaxis, np.newaxis] * sigma[np.newaxis, :, :].astype(complex)
+        diag = np.real(np.diagonal(f_unrestricted.matrices, axis1=-2, axis2=-1))
+        scale = np.diagonal(sigma, axis1=-2, axis2=-1)[..., np.newaxis, :]
+        shape = np.mean(diag / scale, axis=-1)
+        mats = shape[..., np.newaxis, np.newaxis] * sigma[..., np.newaxis, :, :].astype(complex)
         return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
@@ -326,7 +327,7 @@ class GraphicalModel:
         self.edges = edges
 
     def estimate_theta(self, values) -> np.ndarray:
-        return np.empty(0)
+        return np.empty(np.shape(values)[:-2] + (0,))
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         # Frequencies that fail covariance selection come back NaN and fail the PD screen.

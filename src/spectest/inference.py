@@ -101,15 +101,17 @@ def raw_statistic(
     shared by all variants.  Indices that failed the screen contribute
     nothing and are counted, per variant over its own index set; the
     decision layer turns a nonzero count into a forced rejection.  Returns
-    one (raw value, non-PD count) pair per variant, in order.
+    one (raw value, non-PD count) pair per variant, in order; for stacked
+    sequences each is an array over the leading axes, and each sample's row
+    is summed on its own.
     """
     if (fU.n, fU.r) != (fR.n, fR.r):
         raise AlignmentMismatch(
             f"sequence mismatch: (n={fU.n}, r={fU.r}) vs (n={fR.n}, r={fR.r})"
         )
-    half = fU.half
+    half, r = fU.half, fU.r
     ok = fU.pd & fR.pd
-    eigs = np.full((half, fU.r), np.nan)
+    eigs = np.full(ok.shape + (r,), np.nan)
     eigs[ok] = relative_eigenvalues_stack(fU.matrices[ok], fR.matrices[ok])
     results = []
     for variant in variants:
@@ -119,11 +121,13 @@ def raw_statistic(
             positions = block_indices(half, m) - 1
         else:
             positions = np.arange(half)
-        kept = positions[ok[positions]]
-        terms = _terms(variant.effective_kind, eigs[kept])
+        kept = ok[..., positions]
+        lam = eigs[..., positions, :].reshape(-1, r)
+        terms = _terms(variant.effective_kind, lam).reshape(kept.shape)
         if variant.form == "weighted":
-            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[kept]])
-        results.append((float(np.sum(terms)), int(positions.size - kept.size)))
+            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[positions]])
+        raw = np.sum(np.where(kept, terms, 0.0), axis=-1)
+        results.append((raw, positions.size - np.sum(kept, axis=-1)))
     return results
 
 
@@ -183,83 +187,70 @@ def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float
     return p, standardized > normal_quantile(1.0 - alpha_level)
 
 
-def _scaled_eta_sigma(model, theta, r, kernel: WeightKernel, variant: StatisticVariant,
-                      frequencies: np.ndarray) -> EtaSigma:
-    """Hypothesis constants adjusted for the kernel and an optional weight.
+def _run_stack(samples, model, kernel: WeightKernel, variants, alpha_level: float) -> list[dict]:
+    """The test pipeline on an (R, n, r) stack of samples: one report dict per sample.
 
-    The closed forms are stated for the flat kernel (C = 1/2, D = 1/3); a
-    general kernel rescales them by (2C, 3D), exactly, because the
-    underlying frequency integrands of the built-in hypotheses are
-    constants.  For the same reason a weight phi multiplies eta by its
-    grid mean and sigma^2 by the mean of its square.
+    Each stage runs once on the whole stack.  Every operation on it is
+    elementwise, a per-matrix LAPACK call or a per-row sum, so a sample's
+    reports have the same bits whatever else the stack holds.
+
+    The hypothesis constants are stated for the flat kernel (C = 1/2, D = 1/3);
+    a general kernel rescales them by (2C, 3D), exactly, because the frequency
+    integrands of the built-in hypotheses are constants.  For the same reason
+    a weight phi multiplies eta by its grid mean and sigma^2 by the mean of
+    its square.
     """
-    es = model.eta_sigma_closed(r, theta)
-    eta = es.eta * 2.0 * kernel.cu
-    sigma2 = es.sigma2 * 3.0 * kernel.du
-    if variant.form == "weighted":
-        phi_vals = np.array([float(variant.phi(lam)) for lam in frequencies])
-        eta *= float(np.mean(phi_vals))
-        sigma2 *= float(np.mean(phi_vals**2))
-    return EtaSigma(eta=eta, sigma2=sigma2)
+    count, n, r = samples.shape
+    f_unrestricted = smoothed_periodogram(dft(samples), kernel)
+    theta = model.estimate_theta(samples)
+    f_restricted = model.restricted_estimate(f_unrestricted, theta)
+    variants = tuple(variants)
+    raws = raw_statistic(f_unrestricted, f_restricted, variants, m=kernel.m)
+    reports = [{} for _ in range(count)]
+    for variant, (raw, nonpd) in zip(variants, raws):
+        phi = [1.0]
+        if variant.form == "weighted":
+            phi = np.array([float(variant.phi(lam)) for lam in f_unrestricted.frequencies])
+        eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
+        for k in range(count):
+            es = model.eta_sigma_closed(r, theta[k])
+            es = EtaSigma(eta=es.eta * 2.0 * kernel.cu * eta_weight,
+                          sigma2=es.sigma2 * 3.0 * kernel.du * sigma2_weight)
+            standardized = standardize(
+                float(raw[k]), n, kernel.m, es, variant.effective_kind.curvature, variant,
+                du=kernel.du, bu=kernel.bu,
+            )
+            forced = bool(nonpd[k] > 0)
+            p_value, reject = decide(standardized, alpha_level, forced)
+            reports[k][variant.label] = TestReport(
+                raw=float(raw[k]), m=kernel.m, n=n, eta_hat=es.eta, sigma2_hat=es.sigma2,
+                standardized=standardized, p_value=p_value, reject=reject,
+                alpha_level=alpha_level, nonpd_count=int(nonpd[k]), forced_reject=forced,
+            )
+    return reports
 
 
 def run_many(
-    sample,
-    model,
-    kernel,
-    variants,
-    alpha_level: float = 0.05,
-    cvll_grid=None,
+    sample, model, kernel, variants, alpha_level: float = 0.05, cvll_grid=None
 ) -> dict[str, TestReport]:
     """Shared pipeline for several statistic variants on one sample.
 
     kernel may be a WeightKernel, an even integer span (flat weights), or
     "cvll" to select the span by cross validation first.  The spectral
     estimates and the relative eigenvalues are computed once and shared by
-    all variants.
+    all variants.  This is the one-sample call of the stacked pipeline the
+    Monte Carlo drivers run.
     """
     arr = validate_sample(sample)
-    n = arr.shape[0]
-    if n < 8:
-        raise ValueError(f"need at least 8 observations, got {n}")
-    frame = dft(arr)
+    if arr.shape[0] < 8:
+        raise ValueError(f"need at least 8 observations, got {arr.shape[0]}")
     if isinstance(kernel, WeightKernel):
         kern = kernel
     elif kernel == "cvll":
-        span, _ = cvll_select(frame, grid=cvll_grid)
-        kern = WeightKernel.flat(span)
+        kern = WeightKernel.flat(cvll_select(arr, grid=cvll_grid)[0])
     else:
         kern = WeightKernel.flat(int(kernel))
-    f_unrestricted = smoothed_periodogram(frame, kern)
-    theta = model.estimate_theta(arr)
-    f_restricted = model.restricted_estimate(f_unrestricted, theta)
-    variants = tuple(variants)
-    raws = raw_statistic(f_unrestricted, f_restricted, variants, m=kern.m)
-    reports = {}
-    for variant, (raw, nonpd) in zip(variants, raws):
-        es = _scaled_eta_sigma(
-            model, theta, arr.shape[1], kern, variant, f_unrestricted.frequencies
-        )
-        standardized = standardize(
-            raw, n, kern.m, es, variant.effective_kind.curvature, variant,
-            du=kern.du, bu=kern.bu,
-        )
-        forced = nonpd > 0
-        p_value, reject = decide(standardized, alpha_level, forced)
-        reports[variant.label] = TestReport(
-            raw=raw,
-            m=kern.m,
-            n=n,
-            eta_hat=es.eta,
-            sigma2_hat=es.sigma2,
-            standardized=standardized,
-            p_value=p_value,
-            reject=reject,
-            alpha_level=alpha_level,
-            nonpd_count=nonpd,
-            forced_reject=forced,
-        )
-    return reports
+    return _run_stack(arr[np.newaxis], model, kern, variants, alpha_level)[0]
 
 
 def run_test(

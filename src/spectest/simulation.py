@@ -15,8 +15,9 @@ standardized statistics over independent replications; power studies use
 the empirical null quantile as the critical value (size-adjusted power).
 
 Replication k of a run seeded with s draws from the dedicated stream
-SeedSequence(s, spawn_key=(k,)), so results do not depend on execution
-order or worker count.
+SeedSequence(s, spawn_key=(k,)).  Replications run in fixed-size chunks, each
+simulated (burn-in included) and tested as one (R, n, r) stack.  No step mixes
+samples, so results are bit-identical for any chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ import numpy as np
 
 from .errors import NonStationary
 from .hermitian import is_positive_definite
-from .inference import normal_quantile, run_many
+from .inference import _run_stack, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
+from .spectral import WeightKernel, _check_span, cvll_select
+
+# Elements (chunk * n * r^2) per stack: 22 replications at n = 201, r = 3.  It bounds peak
+# memory, about 140 KB per replication there; larger chunks save little time.
+_CHUNK_ELEMENTS = 40_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,25 +89,41 @@ def replication_seed(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(k,))
 
 
-def simulate_var1(process: VarOneProcess, n: int, burn_in: int = 1000, seed=None) -> np.ndarray:
-    """Simulate n observations after discarding burn_in steps from Z_0 = 0."""
+def _check_design(n: int, burn_in: int) -> None:
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    r = process.r
-    total = burn_in + n
-    eps = rng.standard_normal((total, r))
-    if process.innovation_cov is not None:
-        eps = eps @ np.linalg.cholesky(process.innovation_cov).T
-    out = np.empty((total, r))
-    a = process.a
-    state = np.zeros(r)
-    for t in range(total):
-        state = a @ state + eps[t]
-        out[t] = state
-    return out[burn_in:]
+
+
+def _simulate_stack(process: VarOneProcess, n: int, burn_in: int, seeds) -> np.ndarray:
+    """An (R, n, r) stack of samples, one per seed, from one recursion over an (R, r) state.
+
+    Each sample draws its (burn_in + n, r) innovations from default_rng(seed).
+    The update eps[t] + sum_j state[:, j] * a[:, j] is elementwise, so no
+    sample's values depend on the others.
+    """
+    r, total = process.r, burn_in + n
+    cov = process.innovation_cov
+    factor = None if cov is None else np.linalg.cholesky(cov).T
+    path = np.empty((total, len(seeds), r))  # innovations, overwritten by the states
+    for k, seed in enumerate(seeds):
+        eps = np.random.default_rng(seed).standard_normal((total, r))
+        path[:, k] = eps if factor is None else eps @ factor
+    columns = process.a.T[:, np.newaxis, :]  # columns[j, 0] = a[:, j]
+    previous, products = np.zeros(path.shape[1:]), np.empty((r,) + path.shape[1:])
+    for state in path:
+        np.multiply(previous.T[:, :, np.newaxis], columns, out=products)
+        for product in products:  # product j = state[:, j:j+1] * a[:, j]
+            state += product
+        previous = state
+    return np.ascontiguousarray(path[burn_in:].transpose(1, 0, 2))
+
+
+def simulate_var1(process: VarOneProcess, n: int, burn_in: int = 1000, seed=None) -> np.ndarray:
+    """Simulate n observations after discarding burn_in steps from Z_0 = 0."""
+    _check_design(n, burn_in)
+    return _simulate_stack(process, n, burn_in, [seed])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +147,9 @@ class McConfig:
                 raise ValueError(f"bandwidth must be an even integer or 'cvll', got {self.bandwidth!r}")
         elif int(self.bandwidth) % 2 != 0:
             raise ValueError(f"bandwidth must be even, got {self.bandwidth}")
+        else:
+            _check_span(int(self.bandwidth), r=self.process.r, n=self.n, centre=True)
+        _check_design(self.n, self.burn_in)
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if not self.variants:
@@ -153,42 +178,42 @@ class McSummary:
     replications: int
 
 
-def _replicate(config: McConfig, k: int) -> dict[str, tuple[float, bool]]:
-    sample = simulate_var1(
-        config.process, config.n, burn_in=config.burn_in, seed=replication_seed(config.seed, k)
-    )
-    reports = run_many(
-        sample,
-        config.model,
-        config.bandwidth if config.bandwidth == "cvll" else int(config.bandwidth),
-        config.variants,
-        alpha_level=config.alpha_level,
-        cvll_grid=config.cvll_grid,
-    )
-    return {label: (rep.standardized, rep.forced_reject) for label, rep in reports.items()}
-
-
-def _replicate_task(args) -> dict[str, tuple[float, bool]]:
-    return _replicate(*args)
+def _run_chunk(config: McConfig, ks: range) -> list[dict]:
+    """Reports per variant for replications ks, one stack per span ("cvll" picks each first)."""
+    seeds = [replication_seed(config.seed, k) for k in ks]
+    samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
+    if config.bandwidth == "cvll":
+        spans = np.array([cvll_select(sample, grid=config.cvll_grid)[0] for sample in samples])
+    else:
+        spans = np.full(len(ks), int(config.bandwidth))
+    results = {}
+    for span in np.unique(spans):
+        group = np.flatnonzero(spans == span)
+        kernel = WeightKernel.flat(int(span))
+        reports = _run_stack(samples[group], config.model, kernel, config.variants, config.alpha_level)
+        results.update(zip(group, reports))
+    return [results[k] for k in range(len(ks))]
 
 
 def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Standardized values and forced flags per variant, ordered by replication."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    tasks = ((config, k) for k in range(config.replications))
+    # at most _CHUNK_ELEMENTS / (n r^2) replications per chunk, and at least one chunk per worker
+    size = _CHUNK_ELEMENTS // (config.n * config.process.r**2)
+    size = max(1, min(size, -(-config.replications // threads)))
+    chunks = [range(k, min(k + size, config.replications)) for k in range(0, config.replications, size)]
     if threads == 1:
-        results = [_replicate(config, k) for k in range(config.replications)]
+        results = [_run_chunk(config, ks) for ks in chunks]
     else:
-        chunk = max(1, config.replications // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replicate_task, tasks, chunksize=chunk))
-    out = {}
-    for label in config.labels:
-        values = np.array([res[label][0] for res in results])
-        forced = np.array([res[label][1] for res in results], dtype=bool)
-        out[label] = (values, forced)
-    return out
+            results = list(pool.map(_run_chunk, [config] * len(chunks), chunks))
+    reports = [report for chunk in results for report in chunk]
+    return {
+        label: (np.array([rep[label].standardized for rep in reports]),
+                np.array([rep[label].forced_reject for rep in reports], dtype=bool))
+        for label in config.labels
+    }
 
 
 def _summarize(values: np.ndarray, forced: np.ndarray, alpha_level: float) -> McSummary:

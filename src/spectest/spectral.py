@@ -44,7 +44,8 @@ class FourierFrame:
     """Discrete Fourier transform of a sample on the full frequency grid.
 
     w[j, a] = (2*pi*n)^(-1/2) * sum_{t=1}^{n} Z[t, a] * exp(i*t*lambda_j),
-    with exact conjugate symmetry w[(n - j) % n] = conj(w[j]) enforced.
+    with exact conjugate symmetry w[(n - j) % n] = conj(w[j]) enforced.  A
+    stack of samples gives w of shape (R, n, r).
     """
 
     w: np.ndarray
@@ -53,32 +54,32 @@ class FourierFrame:
 
 
 def dft(values) -> FourierFrame:
-    """Transform an (n, r) real sample to its normalized DFT frame."""
-    arr = validate_sample(values)
-    n, r = arr.shape
+    """Transform an (n, r) real sample, or an (R, n, r) stack of finite ones, to its DFT frame."""
+    arr = np.asarray(values, dtype=float) if np.ndim(values) == 3 else validate_sample(values)
+    n, r = arr.shape[-2:]
     # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * n * ifft(Z)[j]
-    spectrum = n * np.fft.ifft(arr, axis=0)
+    spectrum = n * np.fft.ifft(arr, axis=-2)
     phase = np.exp(2j * math.pi * np.arange(n) / n)
     w = phase[:, np.newaxis] * spectrum / math.sqrt(TWO_PI * n)
-    w[0] = w[0].real
+    w[..., 0, :] = w[..., 0, :].real
     if n % 2 == 0:
-        w[n // 2] = w[n // 2].real
+        w[..., n // 2, :] = w[..., n // 2, :].real
     upper = np.arange(1, (n + 1) // 2)
-    w[n - upper] = np.conj(w[upper])
+    w[..., n - upper, :] = np.conj(w[..., upper, :])
     return FourierFrame(w=w, n=n, r=r)
 
 
 def _periodogram_pairs(frame: FourierFrame, reach: int):
-    """Yield I[t], then I[t - k] + I[t + k] for k = 1 .. reach, as (r, r, n//2) stacks.
+    """Yield I[t], then I[t - k] + I[t + k] for k = 1 .. reach, as (r, r, ..., n//2) stacks.
 
     I[j] = w[j] w[j]^H is formed once for j = 1 - reach .. n//2 + reach (mod n),
     in real arithmetic: a complex multiply may fuse multiply-adds, which would
     break the exact Hermitian symmetry that sums with real weights keep.
     """
     half = frame.n // 2
-    w = frame.w[np.arange(1 - reach, half + reach + 1) % frame.n].T
+    w = np.moveaxis(frame.w[..., np.arange(1 - reach, half + reach + 1) % frame.n, :], -1, 0)
     x, y = w.real[:, np.newaxis], w.imag[:, np.newaxis]
-    per = np.empty((frame.r, frame.r, w.shape[1]), dtype=complex)
+    per = np.empty((frame.r,) + w.shape, dtype=complex)
     per.real = x * w.real + y * w.imag
     per.imag = y * w.real - x * w.imag
     yield per[..., reach : reach + half]
@@ -122,12 +123,13 @@ def kernel_constants(u, quadrature_points: int = 2048) -> tuple[float, float, fl
     return float(cu), float(du), float(bu)
 
 
-def _check_span(m: int, r: int | None = None, n: int | None = None) -> None:
-    """Validate a smoothing span: even, >= 2, and when given, >= r and < n/2."""
+def _check_span(m: int, r: int | None = None, n: int | None = None, centre: bool = False) -> None:
+    """Validate a span: even, >= 2, and when given, m + centre >= r ordinates and m < n/2."""
     if m < 2 or m % 2 != 0:
         raise ValueError(f"span m must be even and >= 2, got {m}")
-    if r is not None and m < r:
-        raise ValueError(f"span m = {m} too small for dimension r = {r}")
+    if r is not None and m + centre < r:
+        need = "; need m + 1 >= r" if centre else ""
+        raise ValueError(f"span m = {m} too small for dimension r = {r}{need}")
     if n is not None and 2 * m >= n:
         raise BandwidthTooLarge(f"span m = {m} must satisfy m < n/2 = {n / 2}")
 
@@ -189,8 +191,9 @@ class WeightKernel:
 class SpectralSequence:
     """Spectral matrices at lambda_t = 2*pi*t/n for t = 1 .. n//2.
 
-    matrices[t - 1] holds the value at index t; pd[t - 1] records whether it
-    passed the positive-definiteness screen at construction.  kind is
+    matrices[..., t - 1, :, :] holds the value at index t; pd[..., t - 1]
+    records whether it passed the positive-definiteness screen at
+    construction.  Leading axes, if any, index a stack of samples.  kind is
     "unrestricted" or "restricted".
     """
 
@@ -204,12 +207,12 @@ class SpectralSequence:
         if self.kind not in ("unrestricted", "restricted"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         half = self.n // 2
-        if self.matrices.shape != (half, self.r, self.r):
+        if self.matrices.shape[-3:] != (half, self.r, self.r):
             raise ValueError(
-                f"matrices must have shape ({half}, {self.r}, {self.r}), "
+                f"matrices must have shape (..., {half}, {self.r}, {self.r}), "
                 f"got {self.matrices.shape}"
             )
-        if self.pd.shape != (half,):
+        if self.pd.shape != self.matrices.shape[:-2]:
             raise ValueError("pd flags must align with the frequency grid")
         as_hermitian(self.matrices, tol=1e-10)
 
@@ -224,7 +227,7 @@ class SpectralSequence:
     @classmethod
     def from_matrices(cls, kind, n, matrices) -> "SpectralSequence":
         matrices = np.asarray(matrices, dtype=complex)
-        matrices = (matrices + matrices.conj().transpose(0, 2, 1)) / 2.0
+        matrices = (matrices + np.swapaxes(matrices.conj(), -1, -2)) / 2.0
         return cls(
             kind=kind,
             n=n,
@@ -240,19 +243,18 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     fhat[t] = (1/wstar) * sum_{j=-m/2}^{m/2} w_j I[(t + j) mod n].
 
     Requires m < n/2 (BandwidthTooLarge otherwise) and m + 1 >= r so the
-    estimate has full rank for generic data.
+    estimate has full rank for generic data.  A stack of samples gives a
+    stacked sequence.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     n, r, m = frame.n, frame.r, kernel.m
-    _check_span(m, n=n)
-    if m + 1 < r:
-        raise ValueError(f"span m = {m} too small for dimension r = {r}; need m + 1 >= r")
+    _check_span(m, r=r, n=n, centre=True)
     pairs = _periodogram_pairs(frame, m // 2)
     total = kernel.weights[m // 2] * next(pairs)
     # the weights are symmetric, so w_{-k} = w_k
     for weight, pair in zip(kernel.weights[m // 2 + 1 :], pairs):
         total += weight * pair
-    smoothed = np.ascontiguousarray(np.moveaxis(total / kernel.wstar, -1, 0))
+    smoothed = np.ascontiguousarray(np.moveaxis(total / kernel.wstar, (0, 1), (-2, -1)))
     return SpectralSequence(
         kind="unrestricted", n=n, r=r, matrices=smoothed, pd=is_positive_definite(smoothed),
     )

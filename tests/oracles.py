@@ -46,3 +46,29 @@ def column_screen(a, tol=1e-12):
             scaled = np.conj(col / pivot[..., np.newaxis])
             work[..., k + 1 :, k + 1 :] -= col[..., :, np.newaxis] * scaled[..., np.newaxis, :]
     return ok if a.ndim > 2 else bool(ok)
+
+
+def simulate_var1(process, n, burn_in, seed):
+    """The serial VAR(1) recursion state = a @ state + eps[t], one sample at a time."""
+    eps = np.random.default_rng(seed).standard_normal((burn_in + n, process.r))
+    if process.innovation_cov is not None:
+        eps = eps @ np.linalg.cholesky(process.innovation_cov).T
+    out = np.empty_like(eps)
+    state = np.zeros(process.r)
+    for t in range(eps.shape[0]):
+        state = process.a @ state + eps[t]
+        out[t] = state
+    return out[burn_in:]
+
+
+def replications(config):
+    """Reports per replication of a Monte Carlo config: the serial simulator, then run_many per sample."""
+    from spectest.inference import run_many
+    from spectest.simulation import replication_seed
+
+    reports = []
+    for k in range(config.replications):
+        sample = simulate_var1(config.process, config.n, config.burn_in, replication_seed(config.seed, k))
+        reports.append(run_many(sample, config.model, config.bandwidth, config.variants,
+                                alpha_level=config.alpha_level, cvll_grid=config.cvll_grid))
+    return reports

@@ -292,3 +292,14 @@ def test_cli_threads_env_default(tmp_path, capsys, monkeypatch):
           "--stat", "full", "--seed", "1"])
     out_serial, _ = capsys.readouterr()
     assert out == out_serial
+
+
+def test_cli_simulate_rejects_a_bad_design_before_any_work(capsys):
+    code = main(["simulate-null", "--n", "101", "--m", "60", "--reps", "100", "--threads", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: span m = 60 must satisfy m < n/2 = 50.5\n"
+    code = main(["simulate-power", "--phi1", "0.3", "--n", "6", "--cvll", "--reps", "100", "--threads", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: need n >= 8, got 6\n")

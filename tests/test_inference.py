@@ -327,11 +327,17 @@ def test_run_test_cvll_resolution():
 def test_run_many_shares_pipeline():
     rng = np.random.default_rng(23)
     z = rng.standard_normal((256, 2))
-    reports = run_many(z, IndependenceModel(), 20, (FULL, QUAD, BLOCK))
-    assert set(reports) == {"full-kl", "quadratic", "block-kl"}
+    doubled = StatisticVariant(form="weighted", phi=lambda lam: 2.0)
+    reports = run_many(z, IndependenceModel(), 20, (FULL, QUAD, BLOCK, doubled))
+    assert set(reports) == {"full-kl", "quadratic", "block-kl", "weighted-kl"}
     solo = run_test(z, IndependenceModel(), 20, QUAD)
     assert reports["quadratic"].standardized == pytest.approx(solo.standardized, rel=1e-14)
     assert reports["quadratic"].raw == pytest.approx(solo.raw, rel=1e-14)
+    # phi = 2 doubles the sum and eta and quadruples sigma^2, so the standardized value stays
+    full, weighted = reports["full-kl"], reports["weighted-kl"]
+    assert (weighted.raw, weighted.eta_hat, weighted.sigma2_hat) == pytest.approx(
+        (2.0 * full.raw, 2.0 * full.eta_hat, 4.0 * full.sigma2_hat), rel=1e-14)
+    assert weighted.standardized == pytest.approx(full.standardized, rel=1e-12)
 
 
 def test_run_many_solves_each_pencil_once(monkeypatch):

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from spectest.errors import NonStationary
-from spectest.hypotheses import IndependenceModel
-from spectest.inference import StatisticVariant
+import oracles
+import spectest.simulation
+from spectest.divergence import J
+from spectest.errors import BandwidthTooLarge, NonStationary
+from spectest.hypotheses import EdgeSet, GraphicalModel, IndependenceModel, SeparableModel
+from spectest.inference import StatisticVariant, run_many
 from spectest.simulation import (
     McConfig,
     VarOneProcess,
+    _collect,
+    _run_chunk,
     _summarize,
     benchmark_process,
     config_manifest,
@@ -239,3 +244,98 @@ def test_config_manifest_hash_tracks_content():
     assert m_a["content_hash"] != m_c["content_hash"]
     assert m_a["seed"] == 5
     assert m_a["config"]["command"] == "simulate-null"
+
+
+def test_mcconfig_validates_the_design_before_any_draw():
+    def config(**changes):
+        fields = dict(process=benchmark_process(0.0), n=101, bandwidth=16, model=IndependenceModel(),
+                      variants=(FULL,), replications=120, seed=0)
+        fields.update(changes)
+        return McConfig(**fields)
+
+    with pytest.raises(ValueError, match="need n >= 8, got 6"):
+        config(n=6, bandwidth="cvll")
+    with pytest.raises(ValueError, match="burn_in must be nonnegative, got -1"):
+        config(burn_in=-1)
+    with pytest.raises(BandwidthTooLarge, match="span m = 60 must satisfy m < n/2 = 50.5"):
+        config(bandwidth=60)
+    with pytest.raises(ValueError, match="span m must be even and >= 2, got 0"):
+        config(bandwidth=0)
+    five = VarOneProcess(a=0.5 * np.eye(5))
+    with pytest.raises(ValueError, match="span m = 2 too small for dimension r = 5; need m \\+ 1 >= r"):
+        config(process=five, bandwidth=2)
+    assert config(process=five, bandwidth=4).n == 101
+
+
+def ramp(lam):
+    return 1.0 + lam
+
+
+EDGES = EdgeSet.from_pairs(3, [(0, 1), (1, 2)])
+ALL_FORMS = (FULL, QUAD, BLOCK, StatisticVariant(form="full", kind=J), StatisticVariant("weighted", phi=ramp))
+BATCH_CONFIGS = {
+    "independence": dict(model=IndependenceModel(), bandwidth=8),
+    "separable": dict(model=SeparableModel(), bandwidth=8),
+    "graphical": dict(model=GraphicalModel(EDGES), bandwidth=8),
+    "cvll": dict(model=IndependenceModel(), bandwidth="cvll", cvll_grid=(4, 6, 8, 10, 12)),
+}
+
+
+def batch_config(name, reps=20, phi=0.3, seed=91):
+    return McConfig(process=benchmark_process(phi), n=64, variants=ALL_FORMS, replications=reps,
+                    seed=seed, burn_in=150, **BATCH_CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_collect_is_invariant_to_chunk_size_and_threads(name, monkeypatch):
+    config = batch_config(name)
+    per_replication = config.n * config.process.r**2
+    runs = {"default": _collect(config, threads=1), "threads=2": _collect(config, threads=2)}
+    for size in (1, 7):
+        monkeypatch.setattr(spectest.simulation, "_CHUNK_ELEMENTS", size * per_replication)
+        runs[f"chunk {size}"] = _collect(config, threads=1)
+    for label in config.labels:
+        values, forced = runs["default"][label]
+        assert values.shape == (config.replications,)
+        for run in runs.values():
+            assert np.array_equal(run[label][0], values)
+            assert np.array_equal(run[label][1], forced)
+
+
+def test_collect_prefix_does_not_depend_on_the_replication_count():
+    short = _collect(batch_config("independence", reps=100), threads=1)
+    long = _collect(batch_config("independence", reps=120), threads=1)
+    for label, (values, forced) in short.items():
+        assert np.array_equal(long[label][0][:100], values)
+        assert np.array_equal(long[label][1][:100], forced)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_batched_replications_match_the_serial_oracle(name):
+    config = batch_config(name, reps=12)
+    batched = _run_chunk(config, range(config.replications))
+    for k, (got, want) in enumerate(zip(batched, oracles.replications(config))):
+        sample = simulate_var1(config.process, config.n, burn_in=config.burn_in,
+                               seed=replication_seed(config.seed, k))
+        direct = run_many(sample, config.model, config.bandwidth, config.variants,
+                          cvll_grid=config.cvll_grid)
+        assert list(got) == list(want) == list(direct)
+        for label in got:
+            # the bench regenerates replications this way, so they must be the study's bits
+            assert got[label] == direct[label]
+            assert got[label].m == want[label].m
+            assert got[label].forced_reject == want[label].forced_reject
+            assert got[label].nonpd_count == want[label].nonpd_count
+            assert got[label].raw == pytest.approx(want[label].raw, rel=1e-12)
+            # standardized values are centred, so near zero only an absolute bound means anything
+            assert got[label].standardized == pytest.approx(want[label].standardized, rel=1e-12, abs=1e-12)
+
+
+def test_simulator_matches_the_serial_recursion():
+    correlated = VarOneProcess(a=benchmark_process(0.4).a, innovation_cov=np.array(
+        [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 0.5]]))
+    for process in (benchmark_process(0.4), correlated):
+        for seed in range(5):
+            got = simulate_var1(process, 64, burn_in=200, seed=seed)
+            want = oracles.simulate_var1(process, 64, 200, seed)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -6,14 +6,20 @@ Each tree is a checkout holding src/spectest.  Every input CSV runs
 `spectest cvll` once and `spectest test` under independence, separable and
 graphical (--edges 1-2,2-3) with --stat full, block and quadratic plus full
 with --kind j, each with --m 40 and with --cvll: 25 runs per file, 250 on the
-ten CSV files the benchmark's cli_cvll workload writes to bench/out/.
+ten CSV files the benchmark's cli_cvll workload writes to bench/out/.  Then 24
+Monte Carlo runs: `spectest simulate-null` and `simulate-power` (n = 64, 100
+replications, all three statistic forms) under the same three hypotheses, with
+--m 8 and with --cvll, each with --threads 1 and --threads 2.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
 gives the number of runs whose exit code, stdout and stderr are identical,
 the largest relative difference per JSON field (and per CVLL score) among
 the others, and every flip of a decision (reject), of a selected span (m) or
-of an exit code.  It exits 1 when anything flipped.  Uses only the standard
+of an exit code.  A simulate run's CSV table and manifest (stderr) are compared
+byte for byte; each differing table cell is listed, and one in the size or
+power column counts as a flip, as does a table that changes with --threads
+within one tree.  It exits 1 when anything flipped.  Uses only the standard
 library.
 """
 
@@ -32,6 +38,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3"])
 STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"])
 BANDWIDTHS = (["--m", "40"], ["--cvll"])
+SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
+SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 
 
 def matrix(inputs: list[str]) -> list[list[str]]:
@@ -43,6 +51,12 @@ def matrix(inputs: list[str]) -> list[list[str]]:
             for statistic in STATISTICS:
                 for bandwidth in BANDWIDTHS:
                     runs.append(["test", "--input", path, "--hypothesis", *hypothesis, *statistic, *bandwidth])
+    for command in SIMULATIONS:
+        for hypothesis in HYPOTHESES:
+            for bandwidth in (["--m", "8"], ["--cvll"]):
+                for threads in ("1", "2"):
+                    runs.append([*command, *SIMULATION_DESIGN, "--hypothesis", *hypothesis, *bandwidth,
+                                 "--threads", threads])
     return runs
 
 
@@ -89,8 +103,30 @@ def selected_span(result: dict):
     return None
 
 
+def table_cells(stdout: str) -> dict:
+    """(variant, column) -> cell text of a simulate run's CSV table."""
+    lines = stdout.splitlines()
+    if not lines:
+        return {}
+    header = lines[0].split(",")
+    return {(row.split(",")[0], col): cell for row in lines[1:] for col, cell in zip(header, row.split(","))}
+
+
+def thread_flips(runs: list[list[str]], results: list[dict], tree: str) -> list[str]:
+    """Simulate runs whose output changes with --threads alone."""
+    first, flips = {}, []
+    for argv, result in zip(runs, results):
+        if argv[0].startswith("simulate"):
+            key = tuple(argv[:-1])  # the argv without the thread count
+            if key in first and first[key] != result:
+                flips.append(f"{tree}: output depends on --threads: {' '.join(argv)}")
+            first.setdefault(key, result)
+    return flips
+
+
 def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
-    identical, worst, flips = {argv[0]: 0 for argv in runs}, {}, []
+    identical, worst, cells, flips = {argv[0]: 0 for argv in runs}, {}, [], []
+    flips += thread_flips(runs, base, "base") + thread_flips(runs, head, "head")
 
     def note(field: str, a: float, b: float, argv: list[str]) -> None:
         diff = relative(a, b)
@@ -116,6 +152,14 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
         elif argv[0] == "cvll":
             for line_a, line_b in zip(old["stdout"].splitlines()[1:], new["stdout"].splitlines()[1:]):
                 note("cvll score", float(line_a.split(",")[1]), float(line_b.split(",")[1]), argv)
+        elif argv[0].startswith("simulate"):
+            cells_a, cells_b = table_cells(old["stdout"]), table_cells(new["stdout"])
+            for key in sorted(set(cells_a) | set(cells_b)):
+                if cells_a.get(key) != cells_b.get(key):
+                    change = f"{key[0]} {key[1]} {cells_a.get(key)} -> {cells_b.get(key)}: {label}"
+                    (flips if key[1] in ("size", "power") else cells).append(change)
+            if old["stderr"] != new["stderr"]:
+                cells.append(f"manifest differs: {label}")
 
     for command, count in sorted(identical.items()):
         total = sum(argv[0] == command for argv in runs)
@@ -123,6 +167,8 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
     for field, (diff, argv) in sorted(worst.items()):
         where = f" ({' '.join(argv)})" if diff else ""
         print(f"  {field}: largest relative difference {diff:.3g}{where}")
+    for cell in cells:
+        print(f"  CHANGED {cell}")
     for flip in flips:
         print(f"  FLIP {flip}")
     if not flips:
