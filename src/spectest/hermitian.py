@@ -27,6 +27,21 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+def _check_hermitian(a: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless max|A - A^H| <= tol * max(1, max|A|) for every matrix A of a."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    drift = np.abs(a - _conj_t(a))
+    bound = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), keepdims=True, initial=0.0))
+    if np.any(drift > bound):
+        bound = np.broadcast_to(bound, drift.shape)
+        worst = np.unravel_index(np.argmax(drift / bound), drift.shape)
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {drift[worst]:.3e} exceeds "
+            f"tolerance {bound[worst]:.3e}"
+        )
+
+
 def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
     """Validate near-Hermitian input and return its exact Hermitian part.
 
@@ -45,20 +60,8 @@ def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
         (A + A^H) / 2, with exactly real diagonal.
     """
     a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    a_h = _conj_t(a)
-    if a.size:
-        drift = np.abs(a - a_h)
-        bound = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), keepdims=True))
-        if np.any(drift > bound):
-            bound = np.broadcast_to(bound, drift.shape)
-            worst = np.unravel_index(np.argmax(drift / bound), drift.shape)
-            raise ValueError(
-                f"matrix is not Hermitian: max asymmetry {drift[worst]:.3e} exceeds "
-                f"tolerance {bound[worst]:.3e}"
-            )
-    return (a + a_h) / 2.0
+    _check_hermitian(a, tol)
+    return (a + _conj_t(a)) / 2.0
 
 
 def _eliminate(a: np.ndarray, r: int):

@@ -12,8 +12,8 @@ estimate.  Three hypotheses are built in:
                    times one common spectral shape.
 * graphical        entries on an edge set are kept, inverse entries off it
                    are forced to zero (conditional independence given the
-                   remaining series), realized by covariance-selection
-                   completion.
+                   remaining series) by covariance selection: exact in one
+                   pass for a chordal edge set, cyclic sweeps otherwise.
 
 Each model also knows the centering and scaling constants (eta, sigma^2)
 that standardize the test statistics, either in closed form or through the
@@ -115,60 +115,87 @@ def parse_edge_list(text: str, r: int) -> EdgeSet:
     return EdgeSet.from_pairs(r, pairs)
 
 
-def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10) -> np.ndarray:
-    """Complete a Hermitian PD matrix so its inverse vanishes off the edge set.
+def _elimination_order(edges: EdgeSet):
+    """(v, earlier neighbours S_v, earlier non-neighbours) in maximum cardinality search order.
 
-    Keeps every diagonal entry and every entry on an edge, and adjusts the
-    absent entries until |(G^-1)_ab| <= tol * max|G^-1| for all absent pairs.
-    Cyclic scheme over absent pairs: setting
-        G_ab = G_{a,R} G_{R,R}^{-1} G_{R,b},   R = indices other than a, b,
-    zeroes the (a,b) entry of the inverse exactly (the 2x2 Schur complement
-    of the pair becomes diagonal) and preserves positive definiteness, so
-    each sweep is a sequence of exact single-pair solutions.
-
-    h may be one (r, r) matrix or an (..., r, r) stack.  The sweeps run over
-    the whole stack at once, and each matrix stops at its own tolerance test.
-    A single matrix raises NotPositiveDefinite on invalid input and
-    NoConvergence if SELECTION_MAX_SWEEPS sweeps do not reach tol; in a
-    stack, such a matrix comes back as NaN, which fails is_positive_definite.
+    None unless every S_v is a clique: the edge set is chordal (Tarjan & Yannakakis, 1984).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    g = as_hermitian(np.asarray(h, dtype=complex))
-    r = g.shape[-1]
-    stack = g.reshape(-1, r, r)
-    pd = is_positive_definite(stack)
-    if g.ndim == 2 and not pd[0]:
-        raise NotPositiveDefinite("covariance selection needs a positive definite input")
-    stack[~pd] = np.nan
-    absent = edges.absent_pairs
-    if not absent:
-        return g
-    everything = np.arange(r)
-    updates = [(a, b, everything[(everything != a) & (everything != b)]) for a, b in absent]
+    near = [{b for pair in edges.edges if a in pair for b in pair if b != a} for a in range(edges.r)]
+    order, seen = [], []
+    for _ in range(edges.r):
+        v = max((u for u in range(edges.r) if u not in seen), key=lambda u: len(near[u] & set(seen)))
+        clique = [s for s in seen if s in near[v]]
+        if any(b not in near[a] for a in clique for b in clique if a != b):
+            return None
+        order.append((v, np.array(clique, dtype=int), [s for s in seen if s not in near[v]]))
+        seen.append(v)
+    return order
+
+
+def _fill(work: np.ndarray, a: int, others, rest: np.ndarray) -> None:
+    """Set G[a, others] = G[a, rest] G[rest, rest]^{-1} G[rest, others] and its mirror, in place."""
+    solved = np.linalg.solve(work[:, rest[:, np.newaxis], rest], work[:, rest[:, np.newaxis], others])
+    value = np.einsum("ks,ksu->ku", work[:, a, rest], solved)
+    work[:, a, others], work[:, others, a] = value, np.conj(value)
+
+
+def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float) -> np.ndarray:
+    """Cyclic sweeps over the absent pairs of stack[active], in place; returns the indices left above tol."""
+    updates = [(a, b, np.delete(np.arange(stack.shape[-1]), [a, b])) for a, b in absent]
     rows, cols = np.array(absent).T
-    active = np.flatnonzero(pd)
     work = stack[active]
     for _ in range(SELECTION_MAX_SWEEPS):
         if not active.size:
             break
         for a, b, rest in updates:
-            block = work[:, rest[:, np.newaxis], rest]
-            solved = np.linalg.solve(block, work[:, rest, b, np.newaxis])[..., 0]
-            value = np.einsum("ks,ks->k", work[:, a, rest], solved)
-            work[:, a, b] = value
-            work[:, b, a] = np.conj(value)
+            _fill(work, a, [b], rest)
         inv = inverse_pd(work)
         off = np.max(np.abs(inv[:, rows, cols]), axis=1)
         done = off <= tol * np.max(np.abs(inv), axis=(1, 2))
         stack[active[done]] = work[done]
         active, work = active[~done], work[~done]
-    if active.size:
-        if g.ndim == 2:
+    return active
+
+
+def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10) -> np.ndarray:
+    """Complete a Hermitian PD matrix so its inverse vanishes off the edge set.
+
+    Keeps the diagonal and edge entries of the Hermitian part of h bit for
+    bit and sets each absent entry to G_ab = G_{a,R} G_{R,R}^{-1} G_{R,b},
+    which makes a and b independent given R and keeps G PD.  A chordal edge
+    set takes one exact pass (Dempster's closed form; Lauritzen 1996, 5.3):
+    in maximum cardinality search order, R holds a's earlier neighbours, a
+    clique, and b runs over its earlier non-neighbours.  Other edge sets run
+    cyclic sweeps with R = all other indices until |(G^-1)_ab| <= tol *
+    max|G^-1| on every absent pair; tol and SELECTION_MAX_SWEEPS apply only there.
+
+    h may be one (r, r) matrix or an (..., r, r) stack.  A single matrix
+    raises NotPositiveDefinite on invalid input and NoConvergence if the
+    sweeps do not reach tol; in a stack, such a matrix comes back as NaN.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    g = as_hermitian(np.asarray(h, dtype=complex))
+    stack = g.reshape((-1,) + g.shape[-2:])
+    pd = is_positive_definite(stack)
+    if g.ndim == 2 and not pd[0]:
+        raise NotPositiveDefinite("covariance selection needs a positive definite input")
+    stack[~pd] = np.nan
+    active = np.flatnonzero(pd)
+    order = _elimination_order(edges)
+    if order is None:
+        active = _selection_sweeps(stack, active, edges.absent_pairs, tol)
+        if active.size and g.ndim == 2:
             raise NoConvergence(
                 f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps"
             )
         stack[active] = np.nan
+        return g
+    work = stack[active]
+    for v, clique, others in order:
+        if others:
+            _fill(work, v, others, clique)
+    stack[active] = work
     return g
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import _eliminate, as_hermitian, is_positive_definite
+from .hermitian import _check_hermitian, _eliminate, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 
@@ -214,7 +214,7 @@ class SpectralSequence:
             )
         if self.pd.shape != self.matrices.shape[:-2]:
             raise ValueError("pd flags must align with the frequency grid")
-        as_hermitian(self.matrices, tol=1e-10)
+        _check_hermitian(self.matrices, tol=1e-10)
 
     @property
     def half(self) -> int:

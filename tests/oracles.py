@@ -1,5 +1,7 @@
 """Direct per-matrix reference computations the tests compare the batched paths to."""
 
+from itertools import combinations
+
 import numpy as np
 import scipy.linalg
 
@@ -46,6 +48,29 @@ def column_screen(a, tol=1e-12):
             scaled = np.conj(col / pivot[..., np.newaxis])
             work[..., k + 1 :, k + 1 :] -= col[..., :, np.newaxis] * scaled[..., np.newaxis, :]
     return ok if a.ndim > 2 else bool(ok)
+
+
+def is_chordal(edges):
+    """True unless some set of four or more vertices induces a cycle, by brute force over subsets.
+
+    A subset induces a cycle exactly when each of its vertices has two
+    neighbours inside it and a walk along those neighbours visits all of it.
+    """
+    joined = set(edges.edges) | {(b, a) for a, b in edges.edges}
+    for size in range(4, edges.r + 1):
+        for subset in combinations(range(edges.r), size):
+            near = {v: [u for u in subset if (v, u) in joined] for v in subset}
+            if any(len(near[v]) != 2 for v in subset):
+                continue
+            reached, stack = {subset[0]}, [subset[0]]
+            while stack:
+                for u in near[stack.pop()]:
+                    if u not in reached:
+                        reached.add(u)
+                        stack.append(u)
+            if len(reached) == size:
+                return False
+    return True
 
 
 def simulate_var1(process, n, burn_in, seed):

@@ -1,11 +1,15 @@
 """Tests for the null models, covariance selection, and the eta/sigma engine."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectest.hypotheses
+from oracles import is_chordal
 from spectest.errors import DegenerateVariance, NoConvergence, NotPositiveDefinite
 from spectest.hermitian import inverse_pd, is_positive_definite
 from spectest.hypotheses import (
@@ -14,6 +18,8 @@ from spectest.hypotheses import (
     GraphicalModel,
     IndependenceModel,
     SeparableModel,
+    _elimination_order,
+    _selection_sweeps,
     covariance_selection,
     eta_sigma_generic,
     model_from_name,
@@ -27,6 +33,24 @@ from spectest.spectral import SpectralSequence, WeightKernel
 def random_hpd(rng, r, shift=1.0):
     x = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     return x @ x.conj().T + shift * np.eye(r)
+
+
+def random_hpd_stack(rng, k, r):
+    x = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+    return x @ np.conj(np.swapaxes(x, -1, -2)) + r * np.eye(r)
+
+
+def every_edge_set(r):
+    pairs = list(combinations(range(r), 2))
+    for mask in range(2 ** len(pairs)):
+        yield EdgeSet.from_pairs(r, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def swept(h, es, tol=1e-13):
+    """The cyclic sweeps alone, run to tol on the Hermitian part of a stack."""
+    g = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
+    assert not _selection_sweeps(g, np.arange(len(g)), es.absent_pairs, tol).size
+    return g
 
 
 def diagonal_grid(n, r):
@@ -166,6 +190,74 @@ def test_selection_stack_matches_per_matrix():
             assert np.max(np.abs(got[t] - single)) <= 1e-12 * np.max(np.abs(single))
     got = covariance_selection(stack.reshape(2, 4, r, r), es)
     assert np.array_equal(got.reshape(8, r, r), covariance_selection(stack, es), equal_nan=True)
+
+
+def test_elimination_order_decides_chordality():
+    # every edge set on 4 and 5 vertices; labelled chordal graphs number 61 and 822
+    for r, chordal in ((4, 61), (5, 822)):
+        verdicts = [(_elimination_order(es) is not None, is_chordal(es)) for es in every_edge_set(r)]
+        assert all(ours == oracle for ours, oracle in verdicts)
+        assert sum(ours for ours, _ in verdicts) == chordal
+    for es in [EdgeSet.from_pairs(2, [])] + [EdgeSet.from_pairs(r, combinations(range(r), 2)) for r in (2, 6)]:
+        assert _elimination_order(es) is not None and is_chordal(es)
+    square = EdgeSet.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert _elimination_order(square) is None and not is_chordal(square)
+
+
+def test_closed_form_matches_sweeps():
+    rng = np.random.default_rng(97)
+    chordal = [es for r in range(2, 6) for es in every_edge_set(r) if _elimination_order(es) is not None]
+    pairs, small = list(combinations(range(6), 2)), len(chordal)
+    while len(chordal) < small + 40:
+        es = EdgeSet.from_pairs(6, [p for p in pairs if rng.random() < 0.6])
+        if _elimination_order(es) is not None:
+            chordal.append(es)
+    for es in chordal:
+        h = random_hpd_stack(rng, 3, es.r)
+        got = covariance_selection(h, es)
+        want = swept(h, es) if es.absent_pairs else (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_closed_form_needs_no_sweeps(monkeypatch):
+    monkeypatch.setattr(spectest.hypotheses, "SELECTION_MAX_SWEEPS", 0)
+    rng = np.random.default_rng(101)
+    h = random_hpd(rng, 5)
+    es = EdgeSet.from_pairs(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    g = covariance_selection(h, es)
+    inv = inverse_pd(g)
+    assert max(abs(inv[a, b]) for a, b in es.absent_pairs) <= 1e-12 * np.max(np.abs(inv))
+    with pytest.raises(NoConvergence):
+        covariance_selection(h[:4, :4], EdgeSet.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(2, 6),
+    mask=st.integers(0, 2**15 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_selection_dempster_properties(r, mask, seed, data):
+    pairs = list(combinations(range(r), 2))
+    es = EdgeSet.from_pairs(r, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    perm = np.array(data.draw(st.permutations(range(r))))
+    h = random_hpd(np.random.default_rng(seed), r, shift=float(r))
+    part = (h + h.conj().T) / 2.0
+    g = covariance_selection(h, es, tol=1e-13)
+    kept = np.eye(r, dtype=bool)
+    for a, b in es.edges:
+        kept[a, b] = kept[b, a] = True
+    assert np.array_equal(g[kept], part[kept])
+    inv = inverse_pd(g)
+    assert all(abs(inv[a, b]) <= 1e-10 * np.max(np.abs(inv)) for a, b in es.absent_pairs)
+    assert is_positive_definite(g)
+    # relabelling the series permutes the completion (the search order depends on the labels)
+    moved = EdgeSet.from_pairs(r, [(perm[a], perm[b]) for a, b in es.edges])
+    relabel = np.empty(r, dtype=int)
+    relabel[perm] = np.arange(r)
+    g_moved = covariance_selection(h[np.ix_(relabel, relabel)], moved, tol=1e-13)
+    assert np.max(np.abs(g_moved - g[np.ix_(relabel, relabel)])) <= 1e-12 * np.max(np.abs(g))
 
 
 def test_graphical_unconverged_frequencies_fail_screen(monkeypatch):

@@ -374,6 +374,12 @@ def test_spectral_sequence_validation():
     bad = np.stack([np.array([[1.0, 1.0], [0.0, 1.0]])])
     with pytest.raises(ValueError):
         SpectralSequence(kind="restricted", n=2, r=2, matrices=bad, pd=np.array([True]))
+    # asymmetry up to 1e-10 of max(1, max|A|) is drift, not an error, and nothing is symmetrized
+    drift = np.stack([np.array([[1.0, 1e-11], [0.0, 1.0]])])
+    seq = SpectralSequence(kind="restricted", n=2, r=2, matrices=drift, pd=np.array([True]))
+    assert seq.matrices is drift
+    with pytest.raises(ValueError, match="not Hermitian: max asymmetry 1.000e-09 exceeds tolerance 1.000e-10"):
+        SpectralSequence(kind="restricted", n=2, r=2, matrices=100.0 * drift - 99.0 * np.eye(2), pd=np.array([True]))
     with pytest.raises(ValueError):
         SpectralSequence.from_matrices("banana", 4, mats)
 

@@ -4,11 +4,12 @@
 
 Each tree is a checkout holding src/spectest.  Every input CSV runs
 `spectest cvll` once and `spectest test` under independence, separable and
-graphical (--edges 1-2,2-3) with --stat full, block and quadratic plus full
-with --kind j, each with --m 40 and with --cvll: 25 runs per file, 250 on the
-ten CSV files the benchmark's cli_cvll workload writes to bench/out/.  Then 24
+two graphical nulls (--edges 1-2,2-3, a chain, and --edges 1-2, whose
+separator is empty) with --stat full, block and quadratic plus full with
+--kind j, each with --m 40 and with --cvll: 33 runs per file, 330 on the ten
+CSV files the benchmark's cli_cvll workload writes to bench/out/.  Then 32
 Monte Carlo runs: `spectest simulate-null` and `simulate-power` (n = 64, 100
-replications, all three statistic forms) under the same three hypotheses, with
+replications, all three statistic forms) under the same four hypotheses, with
 --m 8 and with --cvll, each with --threads 1 and --threads 2.
 
 One fresh interpreter per tree imports that tree's package and calls
@@ -35,7 +36,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3"])
+HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3"],
+              ["graphical", "--edges", "1-2"])
 STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"])
 BANDWIDTHS = (["--m", "40"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
