@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .divergence import KL, QUADRATIC, Discrepancy, _terms
 from .errors import AlignmentMismatch, DegenerateVariance
@@ -166,10 +166,10 @@ def standardize(
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
+    """Inverse standard normal CDF (Wichura's AS 241, as in statistics.NormalDist)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
 def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float, bool]:

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
 from .hermitian import _check_hermitian, _eliminate, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
+QUADRATURE_PANELS = 2048
 
 
 def validate_sample(values) -> np.ndarray:
@@ -87,7 +87,13 @@ def _periodogram_pairs(frame: FourierFrame, reach: int):
         yield per[..., reach - k : reach - k + half] + per[..., reach + k : reach + k + half]
 
 
-def kernel_constants(u, quadrature_points: int = 2048) -> tuple[float, float, float]:
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule for samples y on a uniform grid x with an even number of panels."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    return float(np.sum(h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])))
+
+
+def kernel_constants(u) -> tuple[float, float, float]:
     """Quadrature values of the three weight-function constants.
 
     For a positive even weight u on [-1/2, 1/2] (zero outside), returns
@@ -99,28 +105,20 @@ def kernel_constants(u, quadrature_points: int = 2048) -> tuple[float, float, fl
     The triple integral collapses through the autocorrelation
     rho(z) = int u(x) u(x+z) dx to D = int_0^1 rho(z)^2 dz / (int u)^4,
     which keeps every quadrature panel smooth even when u does not vanish
-    at the support edges.  u must accept ndarray arguments.
+    at the support edges.  Every integral is composite Simpson on a uniform
+    grid of QUADRATURE_PANELS (2048) panels.  u must accept ndarray arguments.
     """
-    if quadrature_points < 64:
-        raise ValueError("quadrature_points must be at least 64")
-    panels = quadrature_points + (quadrature_points % 2)
-    x = np.linspace(-0.5, 0.5, panels + 1)
+    x = np.linspace(-0.5, 0.5, QUADRATURE_PANELS + 1)
     ux = _eval_weight(u, x)
     if np.min(ux) <= 0.0:
         raise ValueError("weight function must be strictly positive on [-1/2, 1/2]")
-    norm = simpson(ux, x=x)
-    second = simpson(ux**2, x=x)
-    fourth = simpson(ux**4, x=x)
-    cu = 0.5 * second / norm**2
-    bu = second**2 / fourth
-
-    z = np.linspace(0.0, 1.0, panels + 1)
+    norm, second, fourth = (_simpson(ux**p, x) for p in (1, 2, 4))
+    z = np.linspace(0.0, 1.0, QUADRATURE_PANELS + 1)
     rho = np.empty_like(z)
     for k, zk in enumerate(z):
-        xs = np.linspace(-0.5, 0.5 - zk, panels + 1)
-        rho[k] = simpson(_eval_weight(u, xs) * _eval_weight(u, xs + zk), x=xs)
-    du = simpson(rho**2, x=z) / norm**4
-    return float(cu), float(du), float(bu)
+        xs = np.linspace(-0.5, 0.5 - zk, QUADRATURE_PANELS + 1)
+        rho[k] = _simpson(_eval_weight(u, xs) * _eval_weight(u, xs + zk), xs)
+    return 0.5 * second / norm**2, _simpson(rho**2, z) / norm**4, second**2 / fourth
 
 
 def _check_span(m: int, r: int | None = None, n: int | None = None, centre: bool = False) -> None:
@@ -136,9 +134,11 @@ def _check_span(m: int, r: int | None = None, n: int | None = None, centre: bool
 
 def _eval_weight(u, x: np.ndarray) -> np.ndarray:
     vals = np.asarray(u(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.array([float(u(xi)) for xi in x])
-    return vals
+    try:
+        return np.broadcast_to(vals, x.shape)  # a scalar output is a constant weight
+    except ValueError as exc:
+        raise ValueError(f"weight function must map an array to one of its shape, got {vals.shape} "
+                         f"for {x.shape}") from exc
 
 
 @dataclass(frozen=True, eq=False)

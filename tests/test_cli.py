@@ -1,6 +1,9 @@
 """Tests for the command-line interface and CSV ingestion."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +225,20 @@ def test_cli_kernel_constants_line(capsys):
     assert main(["kernel-constants"]) == 0
     out, _ = capsys.readouterr()
     assert out == "Cu=0.5 Du=0.333333 Bu=1.0\n"
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, spectest, spectest.cli\n"
+        "assert spectest.cli.main(['kernel-constants']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == ["Cu=0.5 Du=0.333333 Bu=1.0", "[]"]
 
 
 def test_cli_cvll_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from spectest.divergence import J, KL, QUADRATIC, chernoff
 from spectest.errors import AlignmentMismatch, DegenerateVariance
@@ -163,6 +164,15 @@ def test_standardize_block_deflator():
 def test_standardize_rejects_degenerate_variance():
     with pytest.raises(DegenerateVariance):
         EtaSigma(eta=1.0, sigma2=-1.0)
+
+
+def test_normal_quantile_matches_ndtri():
+    levels = np.linspace(1e-6, 1.0 - 1e-6, 20001)
+    ours = np.array([normal_quantile(p) for p in levels])
+    assert np.max(np.abs(ours - ndtri(levels))) <= 2e-15
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            normal_quantile(bad)
 
 
 def test_decide():

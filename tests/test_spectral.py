@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
+import spectest.spectral
 from oracles import leave_out, logdet, periodogram
 from spectest.errors import BandwidthTooLarge, EmptyGrid
 from spectest.hermitian import inverse_pd
@@ -15,6 +16,7 @@ from spectest.spectral import (
     FourierFrame,
     SpectralSequence,
     WeightKernel,
+    _simpson,
     cvll_score,
     cvll_select,
     default_cvll_grid,
@@ -100,11 +102,32 @@ def test_kernel_constants_flat_exact():
     assert bu == pytest.approx(1.0, abs=1e-10)
 
 
-def test_kernel_constants_quadrature_converged():
+def test_kernel_constants_quadrature_converged(monkeypatch):
     for u in (flat_u, lambda x: 1.0 + np.cos(math.pi * np.asarray(x, dtype=float))):
-        coarse = kernel_constants(u, quadrature_points=1024)
-        fine = kernel_constants(u, quadrature_points=2048)
+        fine = kernel_constants(u)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectest.spectral, "QUADRATURE_PANELS", 1024)
+            coarse = kernel_constants(u)
         assert np.max(np.abs(np.array(coarse) - np.array(fine))) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "u",
+    [flat_u, lambda x: 1.0 + np.cos(math.pi * x), lambda x: 1.5 - np.abs(x)],
+    ids=["flat", "cosine-bump", "triangle"],
+)
+def test_simpson_matches_scipy_on_kernel_grids(u):
+    panels = spectest.spectral.QUADRATURE_PANELS
+    x = np.linspace(-0.5, 0.5, panels + 1)
+    cases = [(u(x), x), (u(x) ** 4, x)]
+    for z in np.linspace(0.0, 1.0, panels + 1)[:: panels // 8]:  # rho(z) grids
+        xs = np.linspace(-0.5, 0.5 - z, panels + 1)
+        cases.append((u(xs) * u(xs + z), xs))
+    for y, grid in cases:
+        ours, ref = _simpson(y, grid), simpson(y, x=grid)
+        if u is flat_u:
+            assert ours == ref
+        assert abs(ours - ref) <= 1e-15 * abs(ref)
 
 
 def test_kernel_constants_cosine_bump_oracle():
@@ -131,12 +154,21 @@ def test_kernel_constants_cosine_bump_oracle():
 
 def test_weight_kernel_flat_shortcut_matches_quadrature():
     direct = WeightKernel.flat(8)
-    via_function = WeightKernel.from_function(flat_u, 8)
-    assert np.array_equal(direct.weights, via_function.weights)
-    assert direct.wstar == via_function.wstar
-    assert direct.cu == pytest.approx(via_function.cu, abs=1e-10)
-    assert direct.du == pytest.approx(via_function.du, abs=1e-10)
-    assert direct.bu == pytest.approx(via_function.bu, abs=1e-10)
+    # a scalar u(x) is broadcast to the grid's shape
+    for u in (flat_u, lambda x: 1.0):
+        via_function = WeightKernel.from_function(u, 8)
+        assert np.array_equal(direct.weights, via_function.weights)
+        assert direct.wstar == via_function.wstar
+        assert direct.cu == pytest.approx(via_function.cu, abs=1e-10)
+        assert direct.du == pytest.approx(via_function.du, abs=1e-10)
+        assert direct.bu == pytest.approx(via_function.bu, abs=1e-10)
+
+
+def test_weight_function_output_must_broadcast():
+    with pytest.raises(ValueError, match="one of its shape"):
+        WeightKernel.from_function(lambda x: np.ones(3), 8)
+    with pytest.raises(ValueError, match="one of its shape"):
+        kernel_constants(lambda x: np.ones(np.size(x) + 1))
 
 
 def test_weight_kernel_validation():

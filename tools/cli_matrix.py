@@ -10,7 +10,9 @@ separator is empty) with --stat full, block and quadratic plus full with
 CSV files the benchmark's cli_cvll workload writes to bench/out/.  Then 32
 Monte Carlo runs: `spectest simulate-null` and `simulate-power` (n = 64, 100
 replications, all three statistic forms) under the same four hypotheses, with
---m 8 and with --cvll, each with --threads 1 and --threads 2.
+--m 8 and with --cvll, each with --threads 1 and --threads 2.  Last, one
+`spectest kernel-constants --kernel flat`, the one CLI path through the
+quadrature: 363 runs on the benchmark's ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -59,6 +61,7 @@ def matrix(inputs: list[str]) -> list[list[str]]:
                 for threads in ("1", "2"):
                     runs.append([*command, *SIMULATION_DESIGN, "--hypothesis", *hypothesis, *bandwidth,
                                  "--threads", threads])
+    runs.append(["kernel-constants", "--kernel", "flat"])
     return runs
 
 
