@@ -1,8 +1,8 @@
-"""Matrix discrepancy measures evaluated on relative eigenvalue spectra.
+"""Matrix discrepancy measures of Hermitian positive definite pencils.
 
-Each measure compares a Hermitian positive definite matrix M against the
-identity through the eigenvalues of the pencil; M itself never appears,
-only its relative eigenvalues.  All measures vanish iff every eigenvalue
+Each measure compares M = B^{-1} A against the identity through a sum over
+its eigenvalues.  For every family that sum is a trace or a log-det, so it is
+evaluated without an eigensolve.  All measures vanish iff every eigenvalue
 is 1, are nonnegative, and behave near the identity like
 
     K(I + E) ~ (c/2) * tr(E^2)
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveEigenvalue
+from .hermitian import _eliminate, _sweep
 
 VALID_FAMILIES = ("kl", "j", "chernoff", "quadratic")
 
@@ -68,8 +69,8 @@ def chernoff(alpha: float) -> Discrepancy:
 def discrepancy(kind: Discrepancy, eigs) -> float:
     """Evaluate one discrepancy on a vector of relative eigenvalues.
 
-    eigs must be strictly positive; NonPositiveEigenvalue is raised
-    otherwise, since log and reciprocal terms are undefined at zero.
+    eigs must be strictly positive; NonPositiveEigenvalue is raised otherwise,
+    since log and reciprocal terms are undefined at zero.  Evaluates the pencil (diag(eigs), I).
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -78,29 +79,41 @@ def discrepancy(kind: Discrepancy, eigs) -> float:
         raise NonPositiveEigenvalue(
             f"relative eigenvalues must be positive, got min {lam.min():.3e}"
         )
-    return float(_terms(kind, lam[np.newaxis, :])[0])
+    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), np.atleast_3d(np.eye(lam.size)))[kind][0])
 
 
-def _terms(kind: Discrepancy, lam: np.ndarray) -> np.ndarray:
-    """Row-wise discrepancy values for a (t, r) eigenvalue array.
+def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re tr(X Y) over the leading (r, r) axes, summed in a fixed order."""
+    products = (x * np.swapaxes(y, 0, 1)).real
+    return sum(products[i, j] for i in range(x.shape[0]) for j in range(x.shape[0]))
 
-    Internal fast path shared with the statistic assembler.  Zero or
-    negative eigenvalues produce +inf (the limiting value) rather than an
-    exception, so a degenerate spectral estimate turns into a certain
-    rejection instead of a crash.
+
+def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.ndarray]:
+    """Each kind's discrepancy of the pencils (A, B) of frequency-last (r, r, ...) stacks.
+
+    Every family's eigenvalue sum is a trace or log-det in M = B^{-1} A; with D = A - B, E = B^{-1} D:
+
+        kl         tr E - log det M
+        j          tr M + tr M^{-1} - 2r = tr((B^{-1} - A^{-1}) D)
+        quadratic  tr(E^2) / 2
+        chernoff   log det(aM + (1 - a)I) - a log det M = log det(B + aD) - log det B - a log det M
+
+    Scaling both by diag(B)^{-1/2} on each side first keeps M's eigenvalues and makes every
+    log-det O(1).  Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a
+    fixed order, so a pencil's terms have the same bits whatever else the stack holds.  Maps each
+    kind to an array over the trailing axes, meaningless where A or B is not positive definite.
     """
-    r = lam.shape[1]
-    if kind.family == "quadratic":
-        return 0.5 * np.sum((lam - 1.0) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lam = np.log(lam)
-        if kind.family == "kl":
-            vals = np.sum(lam - log_lam, axis=1) - r
-        elif kind.family == "j":
-            vals = np.sum(lam + 1.0 / lam, axis=1) - 2.0 * r
-        else:
-            a = kind.alpha
-            # a*(lam-1)+1 rather than a*lam+1-a: exact zero at lam = 1
-            vals = np.sum(np.log(a * (lam - 1.0) + 1.0) - a * log_lam, axis=1)
-    vals = np.where(np.any(lam <= 0.0, axis=1), np.inf, vals)
-    return vals
+    r = a.shape[0]
+    with np.errstate(all="ignore"):
+        scale = 1.0 / np.sqrt(np.moveaxis(np.diagonal(b).real, -1, 0))
+        scale = scale[:, np.newaxis] * scale[np.newaxis, :]
+        a, b, d = (np.multiply(x, scale, dtype=np.result_type(x, float), order="C") for x in (a, b, a - b))
+        mixed = {k.alpha: _eliminate(b + k.alpha * d, r)[1] for k in kinds if k.family == "chernoff"}
+        logdet_b, logdet_a = _sweep(b), _sweep(a)  # a and b now hold -A^{-1} and -B^{-1}
+        e = -sum(b[:, k, np.newaxis] * d[k] for k in range(r))
+        trace_e = sum(e[i, i].real for i in range(r))
+        return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"
+                else _trace_product(a - b, d) if kind.family == "j"
+                else 0.5 * _trace_product(e, e) if kind.family == "quadratic"
+                else (mixed[kind.alpha] - logdet_b) - kind.alpha * (logdet_a - logdet_b)
+                for kind in kinds}

@@ -3,9 +3,10 @@
 Everything downstream (spectral estimates, divergences, test statistics)
 manipulates small Hermitian matrices, typically 2x2 to 5x5, in bulk.  This
 module wraps the few LAPACK primitives we need behind a consistent error
-surface and adds the one operation the statistics actually run on: the
-eigenvalues of B^{-1} A for a Hermitian A against a Hermitian positive
-definite B ("relative eigenvalues", real because the pencil is definite).
+surface, plus the elementwise LDL^H eliminations and sweeps on frequency-last
+(r, r, ...) stacks that give the statistics their log-dets and inverses.  The
+eigenvalues of B^{-1} A for Hermitian A and positive definite B ("relative
+eigenvalues") are the eigenvalue-level view of the same pencils.
 
 Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
@@ -86,6 +87,22 @@ def _eliminate(a: np.ndarray, r: int):
             scaled = np.conj(col / pivot)
             work[k + 1 :, k + 1 :] -= col[:, np.newaxis] * scaled[np.newaxis, :]
     return ok, logdet, work[r:, r:]
+
+
+def _sweep(a: np.ndarray) -> np.ndarray:
+    """Sweep every index of a frequency-last (r, r, ...) Hermitian stack in place; returns log det.
+
+    Leaves -A^{-1} in a (Goodnight, 1979); both are meaningless where an LDL^H pivot is not positive.
+    """
+    logdet = np.zeros(a.shape[2:])
+    for k in range(a.shape[0]):
+        pivot = a[k, k].real.copy()
+        logdet += np.log(pivot)
+        scaled = a[:, k] / pivot
+        a -= a[:, k, np.newaxis] * np.conj(scaled)[np.newaxis, :]
+        a[:, k], a[k, :] = scaled, np.conj(scaled)
+        a[k, k] = -1.0 / pivot
+    return logdet
 
 
 def is_positive_definite(a):

@@ -39,8 +39,9 @@ from .spectral import SpectralSequence, WeightKernel
 
 FLAT_CU = 0.5
 FLAT_DU = 1.0 / 3.0
-# Sweeps covariance selection runs before it gives up on a matrix.
+# Sweeps covariance selection runs before it gives up on a matrix, and its default tolerance.
 SELECTION_MAX_SWEEPS = 1000
+SELECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float)
     return active
 
 
-def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10) -> np.ndarray:
+def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.ndarray:
     """Complete a Hermitian PD matrix so its inverse vanishes off the edge set.
 
     Keeps the diagonal and edge entries of the Hermitian part of h bit for
@@ -176,10 +177,16 @@ def covariance_selection(h, edges: EdgeSet, tol: float = 1e-10) -> np.ndarray:
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     g = as_hermitian(np.asarray(h, dtype=complex))
-    stack = g.reshape((-1,) + g.shape[-2:])
-    pd = is_positive_definite(stack)
-    if g.ndim == 2 and not pd[0]:
+    pd = is_positive_definite(g)
+    if g.ndim == 2 and not pd:
         raise NotPositiveDefinite("covariance selection needs a positive definite input")
+    return _complete(g, pd, edges, tol)
+
+
+def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.ndarray:
+    """covariance_selection on a Hermitian g with its PD flags pd, in place; returns g."""
+    stack = g.reshape((-1,) + g.shape[-2:])
+    pd = np.reshape(pd, -1)
     stack[~pd] = np.nan
     active = np.flatnonzero(pd)
     order = _elimination_order(edges)
@@ -357,8 +364,8 @@ class GraphicalModel:
         return np.empty(np.shape(values)[:-2] + (0,))
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
-        # Frequencies that fail covariance selection come back NaN and fail the PD screen.
-        mats = covariance_selection(f_unrestricted.matrices, self.edges)
+        # Already Hermitian and screened; frequencies it cannot complete come back NaN.
+        mats = _complete(f_unrestricted.matrices.copy(), f_unrestricted.pd, self.edges)
         return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:

@@ -24,9 +24,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .divergence import KL, QUADRATIC, Discrepancy, _terms
+from .divergence import KL, QUADRATIC, Discrepancy, _pencil_terms
 from .errors import AlignmentMismatch, DegenerateVariance
-from .hermitian import relative_eigenvalues_stack
+from .hermitian import relative_eigenvalues_stack  # noqa: F401 (bench/tracing.py wraps it)
 from .hypotheses import EtaSigma
 from .spectral import SpectralSequence, WeightKernel, cvll_select, dft, smoothed_periodogram, validate_sample
 
@@ -96,23 +96,22 @@ def raw_statistic(
 ) -> list[tuple[float, int]]:
     """Accumulate each variant's discrepancy over its own index set.
 
-    The relative eigenvalues are solved once, in one batched call, at every
-    index where both matrices passed the positive-definiteness screen, and
-    shared by all variants.  Indices that failed the screen contribute
-    nothing and are counted, per variant over its own index set; the
-    decision layer turns a nonzero count into a forced rejection.  Returns
-    one (raw value, non-PD count) pair per variant, in order; for stacked
-    sequences each is an array over the leading axes, and each sample's row
-    is summed on its own.
+    One call evaluates every variant's discrepancy family at every index, as
+    traces and log-dets of the pencil, shared by all variants.  Indices where
+    either matrix failed the positive-definiteness screen contribute nothing
+    and are counted, per variant over its own index set; the decision layer
+    turns a nonzero count into a forced rejection.  Returns one (raw value,
+    non-PD count) pair per variant, in order; for stacked sequences each is an
+    array over the leading axes, and each sample's row is summed on its own.
     """
     if (fU.n, fU.r) != (fR.n, fR.r):
         raise AlignmentMismatch(
             f"sequence mismatch: (n={fU.n}, r={fU.r}) vs (n={fR.n}, r={fR.r})"
         )
-    half, r = fU.half, fU.r
+    half = fU.half
     ok = fU.pd & fR.pd
-    eigs = np.full(ok.shape + (r,), np.nan)
-    eigs[ok] = relative_eigenvalues_stack(fU.matrices[ok], fR.matrices[ok])
+    kinds = dict.fromkeys(variant.effective_kind for variant in variants)
+    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)))
     results = []
     for variant in variants:
         if variant.form == "block":
@@ -121,13 +120,12 @@ def raw_statistic(
             positions = block_indices(half, m) - 1
         else:
             positions = np.arange(half)
-        kept = ok[..., positions]
-        lam = eigs[..., positions, :].reshape(-1, r)
-        terms = _terms(variant.effective_kind, lam).reshape(kept.shape)
+        terms = np.where(ok, table[variant.effective_kind], 0.0)[..., positions]
         if variant.form == "weighted":
             terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[positions]])
-        raw = np.sum(np.where(kept, terms, 0.0), axis=-1)
-        results.append((raw, positions.size - np.sum(kept, axis=-1)))
+        # a C-ordered copy, so each row is summed in the same order whatever the stack holds
+        raw = np.sum(np.ascontiguousarray(terms), axis=-1)
+        results.append((raw, positions.size - np.sum(ok[..., positions], axis=-1)))
     return results
 
 
@@ -190,9 +188,9 @@ def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float
 def _run_stack(samples, model, kernel: WeightKernel, variants, alpha_level: float) -> list[dict]:
     """The test pipeline on an (R, n, r) stack of samples: one report dict per sample.
 
-    Each stage runs once on the whole stack.  Every operation on it is
-    elementwise, a per-matrix LAPACK call or a per-row sum, so a sample's
-    reports have the same bits whatever else the stack holds.
+    Each stage runs once on the whole stack.  Every operation on it is elementwise,
+    a per-matrix BLAS or LAPACK call in a restriction, or a per-row FFT or sum,
+    so a sample's reports have the same bits whatever else the stack holds.
 
     The hypothesis constants are stated for the flat kernel (C = 1/2, D = 1/3);
     a general kernel rescales them by (2C, 3D), exactly, because the frequency
@@ -237,7 +235,7 @@ def run_many(
 
     kernel may be a WeightKernel, an even integer span (flat weights), or
     "cvll" to select the span by cross validation first.  The spectral
-    estimates and the relative eigenvalues are computed once and shared by
+    estimates and the pencil terms are computed once and shared by
     all variants.  This is the one-sample call of the stacked pipeline the
     Monte Carlo drivers run.
     """

@@ -35,7 +35,7 @@ from .inference import _run_stack, normal_quantile, run_many  # noqa: F401 (benc
 from .spectral import WeightKernel, _check_span, cvll_select
 
 # Elements (chunk * n * r^2) per stack: 22 replications at n = 201, r = 3.  It bounds peak
-# memory, about 140 KB per replication there; larger chunks save little time.
+# memory, about 135 KiB per replication there; larger chunks save little time.
 _CHUNK_ELEMENTS = 40_000
 
 

@@ -72,9 +72,9 @@ def dft(values) -> FourierFrame:
 def _periodogram_pairs(frame: FourierFrame, reach: int):
     """Yield I[t], then I[t - k] + I[t + k] for k = 1 .. reach, as (r, r, ..., n//2) stacks.
 
-    I[j] = w[j] w[j]^H is formed once for j = 1 - reach .. n//2 + reach (mod n),
-    in real arithmetic: a complex multiply may fuse multiply-adds, which would
-    break the exact Hermitian symmetry that sums with real weights keep.
+    I[j] = w[j] w[j]^H is formed once for j = 1 - reach .. n//2 + reach (mod n), in real
+    arithmetic: a complex multiply may fuse multiply-adds, which would break the exact Hermitian
+    symmetry that sums with real weights keep.  The pairs share one buffer, valid until the next yield.
     """
     half = frame.n // 2
     w = np.moveaxis(frame.w[..., np.arange(1 - reach, half + reach + 1) % frame.n, :], -1, 0)
@@ -83,8 +83,10 @@ def _periodogram_pairs(frame: FourierFrame, reach: int):
     per.real = x * w.real + y * w.imag
     per.imag = y * w.real - x * w.imag
     yield per[..., reach : reach + half]
+    pair = np.empty(per.shape[:-1] + (half,), dtype=complex)
     for k in range(1, reach + 1):
-        yield per[..., reach - k : reach - k + half] + per[..., reach + k : reach + k + half]
+        yield np.add(per[..., reach - k : reach - k + half], per[..., reach + k : reach + k + half],
+                     out=pair)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -251,10 +253,12 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     _check_span(m, r=r, n=n, centre=True)
     pairs = _periodogram_pairs(frame, m // 2)
     total = kernel.weights[m // 2] * next(pairs)
+    scaled = np.empty_like(total)
     # the weights are symmetric, so w_{-k} = w_k
     for weight, pair in zip(kernel.weights[m // 2 + 1 :], pairs):
-        total += weight * pair
-    smoothed = np.ascontiguousarray(np.moveaxis(total / kernel.wstar, (0, 1), (-2, -1)))
+        total += np.multiply(weight, pair, out=scaled)
+    total /= kernel.wstar
+    smoothed = np.ascontiguousarray(np.moveaxis(total, (0, 1), (-2, -1)))
     return SpectralSequence(
         kind="unrestricted", n=n, r=r, matrices=smoothed, pd=is_positive_definite(smoothed),
     )

@@ -28,6 +28,27 @@ def relative_eigenvalues(a, b):
     return scipy.linalg.eigh(a, b, eigvals_only=True)
 
 
+def eigenvalue_terms(kind, lam):
+    """Row-wise discrepancy values for a (t, r) array of relative eigenvalues.
+
+    Zero or negative eigenvalues give +inf, the limiting value.
+    """
+    r = lam.shape[1]
+    if kind.family == "quadratic":
+        return 0.5 * np.sum((lam - 1.0) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lam = np.log(lam)
+        if kind.family == "kl":
+            vals = np.sum(lam - log_lam, axis=1) - r
+        elif kind.family == "j":
+            vals = np.sum(lam + 1.0 / lam, axis=1) - 2.0 * r
+        else:
+            a = kind.alpha
+            # a*(lam-1)+1 rather than a*lam+1-a: exact zero at lam = 1
+            vals = np.sum(np.log(a * (lam - 1.0) + 1.0) - a * log_lam, axis=1)
+    return np.where(np.any(lam <= 0.0, axis=1), np.inf, vals)
+
+
 def column_screen(a, tol=1e-12):
     """PD verdicts from a column-by-column Cholesky over an (..., r, r) stack.
 

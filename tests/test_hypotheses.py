@@ -476,8 +476,12 @@ def test_graphical_restriction_zeroes_inverse():
     rng = np.random.default_rng(41)
     fu = white_noise_fu(rng, 128, 3)
     model = GraphicalModel(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    before = fu.matrices.copy()
     fr = model.restricted_estimate(fu)
     assert fr.pd.all()
+    # the model skips covariance_selection's checks, with the same bits and fu left alone
+    assert np.array_equal(fr.matrices, covariance_selection(before, model.edges))
+    assert np.array_equal(fu.matrices, before)
     for t in (0, 10, 40, 63):
         inv = inverse_pd(fr.matrices[t])
         assert abs(inv[0, 2]) <= 1e-8 * np.max(np.abs(inv))

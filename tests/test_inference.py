@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import eigenvalue_terms, relative_eigenvalues
 from scipy.special import ndtri
 
-from spectest.divergence import J, KL, QUADRATIC, chernoff
+from spectest.divergence import J, KL, QUADRATIC, _pencil_terms, chernoff
 from spectest.errors import AlignmentMismatch, DegenerateVariance
 from spectest.hypotheses import (
     EdgeSet,
@@ -129,6 +130,46 @@ def test_raw_statistic_counts_nonpd():
     assert raw == pytest.approx(raw_all - 4.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
     assert nonpd_b == 1
     assert raw_b == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    exponents=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+    eps=st.sampled_from([1.0, 1e-2, 1e-5, 1e-9]),
+    alpha=st.floats(0.05, 0.95),
+    bad=st.integers(0, 11),
+)
+def test_pencil_terms_match_the_eigenvalue_oracle(seed, r, exponents, eps, alpha, bad):
+    # Every family's trace and log-det form against its sum over the eigenvalues
+    # of the generalized Hermitian solver, on pencils A = B + eps (A0 - B) with
+    # per-column scales, and with one index where A is negative definite.  The
+    # statistic drops and counts that index and any the PD screen fails; wide
+    # scales can fail it, since its floor is relative to the trace.
+    rng = np.random.default_rng(seed)
+    half = 12
+    x = rng.standard_normal((2, half, r, r + 4)) + 1j * rng.standard_normal((2, half, r, r + 4))
+    b, a = x @ np.conj(np.swapaxes(x, -1, -2)) / (r + 4)
+    a = b + eps * (a - b)
+    scale = 10.0 ** np.array(exponents[:r])
+    a, b = (m * scale[:, np.newaxis] * scale[np.newaxis, :] for m in (a, b))
+    a[bad] *= -1.0
+    fu = SpectralSequence.from_matrices("unrestricted", 2 * half + 1, a)
+    fr = SpectralSequence.from_matrices("restricted", 2 * half + 1, b)
+    others = [t for t in range(half) if t != bad]
+    lam = np.array([relative_eigenvalues(fu.matrices[t], fr.matrices[t]) for t in others])
+    kept = (fu.pd & fr.pd)[others]
+    assert not fu.pd[bad]
+    kinds = (KL, J, QUADRATIC, chernoff(alpha))
+    pencil = (np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fu, fr))
+    variants = [StatisticVariant(form="full", kind=kind) for kind in kinds]
+    terms = _pencil_terms(kinds, *pencil)
+    for kind, (raw, nonpd) in zip(kinds, raw_statistic(fu, fr, variants)):
+        want = eigenvalue_terms(kind, lam)
+        assert terms[kind][others] == pytest.approx(want, rel=1e-9, abs=1e-11)
+        assert nonpd == half - np.sum(kept)
+        assert raw == pytest.approx(np.sum(want[kept]), rel=1e-9, abs=1e-11)
 
 
 def test_standardize_centering_and_frozen_example():
@@ -354,13 +395,13 @@ def test_run_many_solves_each_pencil_once(monkeypatch):
     import spectest.inference
 
     calls = []
-    original = spectest.inference.relative_eigenvalues_stack
+    original = spectest.inference._pencil_terms
 
-    def counted(a, b):
-        calls.append(len(a))
-        return original(a, b)
+    def counted(kinds, a, b):
+        calls.append(a.shape[-1])
+        return original(kinds, a, b)
 
-    monkeypatch.setattr(spectest.inference, "relative_eigenvalues_stack", counted)
+    monkeypatch.setattr(spectest.inference, "_pencil_terms", counted)
     z = np.random.default_rng(31).standard_normal((201, 3))
     reports = run_many(z, IndependenceModel(), 30, (FULL, QUAD, BLOCK))
     assert len(reports) == 3

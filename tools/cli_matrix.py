@@ -6,13 +6,14 @@ Each tree is a checkout holding src/spectest.  Every input CSV runs
 `spectest cvll` once and `spectest test` under independence, separable and
 two graphical nulls (--edges 1-2,2-3, a chain, and --edges 1-2, whose
 separator is empty) with --stat full, block and quadratic plus full with
---kind j, each with --m 40 and with --cvll: 33 runs per file, 330 on the ten
-CSV files the benchmark's cli_cvll workload writes to bench/out/.  Then 32
-Monte Carlo runs: `spectest simulate-null` and `simulate-power` (n = 64, 100
-replications, all three statistic forms) under the same four hypotheses, with
---m 8 and with --cvll, each with --threads 1 and --threads 2.  Last, one
-`spectest kernel-constants --kernel flat`, the one CLI path through the
-quadrature: 363 runs on the benchmark's ten files.
+--kind j and full with --kind chernoff --chernoff-alpha 0.3 (the one path
+through the Chernoff log-det), each with --m 40 and with --cvll: 41 runs per
+file, 410 on the ten CSV files the benchmark's cli_cvll workload writes to
+bench/out/.  Then 32 Monte Carlo runs: `spectest simulate-null` and
+`simulate-power` (n = 64, 100 replications, all three statistic forms) under
+the same four hypotheses, with --m 8 and with --cvll, each with --threads 1
+and --threads 2.  Last, one `spectest kernel-constants --kernel flat`, the one
+CLI path through the quadrature: 443 runs on the benchmark's ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -40,7 +41,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3"],
               ["graphical", "--edges", "1-2"])
-STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"])
+STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"],
+              ["--stat", "full", "--kind", "chernoff", "--chernoff-alpha", "0.3"])
 BANDWIDTHS = (["--m", "40"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
