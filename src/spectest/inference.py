@@ -18,6 +18,7 @@ test is one-sided: large positive values reject.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -163,6 +164,7 @@ def standardize(
     return math.sqrt(m / n) * (raw - (n / m) * eta_k) / sigma_k
 
 
+@functools.lru_cache
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (Wichura's AS 241, as in statistics.NormalDist)."""
     if not 0.0 < p < 1.0:
@@ -204,14 +206,14 @@ def _run_stack(samples, model, kernel: WeightKernel, variants, alpha_level: floa
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
     variants = tuple(variants)
     raws = raw_statistic(f_unrestricted, f_restricted, variants, m=kernel.m)
+    closed = [model.eta_sigma_closed(r, theta_k) for theta_k in theta]
     reports = [{} for _ in range(count)]
     for variant, (raw, nonpd) in zip(variants, raws):
         phi = [1.0]
         if variant.form == "weighted":
             phi = np.array([float(variant.phi(lam)) for lam in f_unrestricted.frequencies])
         eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
-        for k in range(count):
-            es = model.eta_sigma_closed(r, theta[k])
+        for k, es in enumerate(closed):
             es = EtaSigma(eta=es.eta * 2.0 * kernel.cu * eta_weight,
                           sigma2=es.sigma2 * 3.0 * kernel.du * sigma2_weight)
             standardized = standardize(

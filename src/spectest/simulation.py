@@ -15,9 +15,11 @@ standardized statistics over independent replications; power studies use
 the empirical null quantile as the critical value (size-adjusted power).
 
 Replication k of a run seeded with s draws from the dedicated stream
-SeedSequence(s, spawn_key=(k,)).  Replications run in fixed-size chunks, each
-simulated (burn-in included) and tested as one (R, n, r) stack.  No step mixes
-samples, so results are bit-identical for any chunk size or worker count.
+SeedSequence(s, spawn_key=(k,)).  Replications run in simulation blocks, each
+simulated (burn-in included) by one recursion that shares its per-step cost;
+the test pipeline then runs on slices of the block, in smaller chunks that
+bound its memory.  A worker task is one block.  No step mixes samples, so
+results are bit-identical for any block size, chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from .hermitian import is_positive_definite
 from .inference import _run_stack, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
 from .spectral import WeightKernel, _check_span, cvll_select
 
-# Elements (chunk * n * r^2) per stack: 22 replications at n = 201, r = 3.  It bounds peak
-# memory, about 135 KiB per replication there; larger chunks save little time.
+# Path elements (block * (burn_in + n) * r) per simulation block: about 110 replications and
+# a 3 MB path at n = 201, r = 3 and burn-in 1000.  Larger blocks save little time.
+_BLOCK_ELEMENTS = 400_000
+# Elements (chunk * n * r^2) per pipeline chunk within a block: 22 replications at n = 201,
+# r = 3.  It bounds the pipeline's peak memory, about 135 KiB per replication there.
 _CHUNK_ELEMENTS = 40_000
 
 
@@ -97,27 +102,27 @@ def _check_design(n: int, burn_in: int) -> None:
 
 
 def _simulate_stack(process: VarOneProcess, n: int, burn_in: int, seeds) -> np.ndarray:
-    """An (R, n, r) stack of samples, one per seed, from one recursion over an (R, r) state.
+    """An (R, n, r) stack of samples, one per seed, from one recursion over an (r, R) state.
 
     Each sample draws its (burn_in + n, r) innovations from default_rng(seed).
-    The update eps[t] + sum_j state[:, j] * a[:, j] is elementwise, so no
-    sample's values depend on the others.
+    The update eps[t] + sum_j a[:, j] * state[j], in ascending j, is elementwise
+    over contiguous R-long rows, so no sample's values depend on the others.
     """
     r, total = process.r, burn_in + n
     cov = process.innovation_cov
     factor = None if cov is None else np.linalg.cholesky(cov).T
-    path = np.empty((total, len(seeds), r))  # innovations, overwritten by the states
+    path = np.empty((total, r, len(seeds)))  # innovations, overwritten by the states
     for k, seed in enumerate(seeds):
         eps = np.random.default_rng(seed).standard_normal((total, r))
-        path[:, k] = eps if factor is None else eps @ factor
-    columns = process.a.T[:, np.newaxis, :]  # columns[j, 0] = a[:, j]
+        path[:, :, k] = eps if factor is None else eps @ factor
+    columns = process.a.T[:, :, np.newaxis]  # columns[j, i, 0] = a[i, j]
     previous, products = np.zeros(path.shape[1:]), np.empty((r,) + path.shape[1:])
     for state in path:
-        np.multiply(previous.T[:, :, np.newaxis], columns, out=products)
-        for product in products:  # product j = state[:, j:j+1] * a[:, j]
+        np.multiply(columns, previous[:, np.newaxis, :], out=products)
+        for product in products:  # product j = a[:, j] * state[j]
             state += product
         previous = state
-    return np.ascontiguousarray(path[burn_in:].transpose(1, 0, 2))
+    return np.ascontiguousarray(path[burn_in:].transpose(2, 0, 1))
 
 
 def simulate_var1(process: VarOneProcess, n: int, burn_in: int = 1000, seed=None) -> np.ndarray:
@@ -178,37 +183,43 @@ class McSummary:
     replications: int
 
 
-def _run_chunk(config: McConfig, ks: range) -> list[dict]:
-    """Reports per variant for replications ks, one stack per span ("cvll" picks each first)."""
-    seeds = [replication_seed(config.seed, k) for k in ks]
-    samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
+def _run_chunk(config: McConfig, samples: np.ndarray) -> list[dict]:
+    """Reports per variant for a stack of samples, one pipeline run per span ("cvll" picks each first)."""
     if config.bandwidth == "cvll":
         spans = np.array([cvll_select(sample, grid=config.cvll_grid)[0] for sample in samples])
     else:
-        spans = np.full(len(ks), int(config.bandwidth))
+        spans = np.full(len(samples), int(config.bandwidth))
     results = {}
     for span in np.unique(spans):
         group = np.flatnonzero(spans == span)
         kernel = WeightKernel.flat(int(span))
         reports = _run_stack(samples[group], config.model, kernel, config.variants, config.alpha_level)
         results.update(zip(group, reports))
-    return [results[k] for k in range(len(ks))]
+    return [results[k] for k in range(len(samples))]
+
+
+def _run_block(config: McConfig, ks: range) -> list[dict]:
+    """Reports per variant for replications ks: one simulated block, tested in pipeline chunks."""
+    seeds = [replication_seed(config.seed, k) for k in ks]
+    samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
+    size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
+    return [report for k in range(0, len(ks), size) for report in _run_chunk(config, samples[k : k + size])]
 
 
 def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Standardized values and forced flags per variant, ordered by replication."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    # at most _CHUNK_ELEMENTS / (n r^2) replications per chunk, and at least one chunk per worker
-    size = _CHUNK_ELEMENTS // (config.n * config.process.r**2)
+    # at most _BLOCK_ELEMENTS / ((burn_in + n) r) replications per block, and at least one block per worker
+    size = _BLOCK_ELEMENTS // ((config.burn_in + config.n) * config.process.r)
     size = max(1, min(size, -(-config.replications // threads)))
-    chunks = [range(k, min(k + size, config.replications)) for k in range(0, config.replications, size)]
+    blocks = [range(k, min(k + size, config.replications)) for k in range(0, config.replications, size)]
     if threads == 1:
-        results = [_run_chunk(config, ks) for ks in chunks]
+        results = [_run_block(config, ks) for ks in blocks]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_chunk, [config] * len(chunks), chunks))
-    reports = [report for chunk in results for report in chunk]
+            results = list(pool.map(_run_block, [config] * len(blocks), blocks))
+    reports = [report for block in results for report in block]
     return {
         label: (np.array([rep[label].standardized for rep in reports]),
                 np.array([rep[label].forced_reject for rep in reports], dtype=bool))

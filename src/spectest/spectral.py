@@ -252,11 +252,13 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     n, r, m = frame.n, frame.r, kernel.m
     _check_span(m, r=r, n=n, centre=True)
     pairs = _periodogram_pairs(frame, m // 2)
-    total = kernel.weights[m // 2] * next(pairs)
-    scaled = np.empty_like(total)
+    # flat weights skip the multiply (1.0 * x == x); the centre view is copied, as later pairs read it
+    flat = bool(np.all(kernel.weights == 1.0))
+    total = next(pairs).copy() if flat else kernel.weights[m // 2] * next(pairs)
+    scaled = None if flat else np.empty_like(total)
     # the weights are symmetric, so w_{-k} = w_k
     for weight, pair in zip(kernel.weights[m // 2 + 1 :], pairs):
-        total += np.multiply(weight, pair, out=scaled)
+        total += pair if flat else np.multiply(weight, pair, out=scaled)
     total /= kernel.wstar
     smoothed = np.ascontiguousarray(np.moveaxis(total, (0, 1), (-2, -1)))
     return SpectralSequence(

@@ -95,16 +95,31 @@ def is_chordal(edges):
 
 
 def simulate_var1(process, n, burn_in, seed):
-    """The serial VAR(1) recursion state = a @ state + eps[t], one sample at a time."""
+    """The serial VAR(1) recursion state = eps[t] + a @ state, one sample at a time.
+
+    a @ state is added column by column, eps[t] + a[:, 0] state[0] + a[:, 1] state[1] + ...,
+    left to right, so the rounding is fixed and a stacked simulator can match it bit for bit.
+    """
     eps = np.random.default_rng(seed).standard_normal((burn_in + n, process.r))
     if process.innovation_cov is not None:
         eps = eps @ np.linalg.cholesky(process.innovation_cov).T
     out = np.empty_like(eps)
     state = np.zeros(process.r)
     for t in range(eps.shape[0]):
-        state = process.a @ state + eps[t]
+        state = sum((process.a[:, j] * state[j] for j in range(process.r)), eps[t])
         out[t] = state
     return out[burn_in:]
+
+
+def smoothed_by_multiply(frame, kernel):
+    """Smoothed periodogram matrices from the window pair sums, each multiplied by its weight."""
+    from spectest.spectral import _periodogram_pairs
+
+    pairs = _periodogram_pairs(frame, kernel.m // 2)
+    total = kernel.weights[kernel.m // 2] * next(pairs)
+    for weight, pair in zip(kernel.weights[kernel.m // 2 + 1 :], pairs):
+        total += weight * pair
+    return np.moveaxis(total / kernel.wstar, (0, 1), (-2, -1))
 
 
 def replications(config):

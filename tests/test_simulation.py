@@ -13,7 +13,8 @@ from spectest.simulation import (
     McConfig,
     VarOneProcess,
     _collect,
-    _run_chunk,
+    _run_block,
+    _simulate_stack,
     _summarize,
     benchmark_process,
     config_manifest,
@@ -313,7 +314,7 @@ def test_collect_prefix_does_not_depend_on_the_replication_count():
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_batched_replications_match_the_serial_oracle(name):
     config = batch_config(name, reps=12)
-    batched = _run_chunk(config, range(config.replications))
+    batched = _run_block(config, range(config.replications))
     for k, (got, want) in enumerate(zip(batched, oracles.replications(config))):
         sample = simulate_var1(config.process, config.n, burn_in=config.burn_in,
                                seed=replication_seed(config.seed, k))
@@ -334,8 +335,27 @@ def test_batched_replications_match_the_serial_oracle(name):
 def test_simulator_matches_the_serial_recursion():
     correlated = VarOneProcess(a=benchmark_process(0.4).a, innovation_cov=np.array(
         [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 0.5]]))
+    seeds = [replication_seed(17, k) for k in range(30)]
     for process in (benchmark_process(0.4), correlated):
+        stack = _simulate_stack(process, 64, 200, seeds)
+        assert stack.shape == (30, 64, 3) and stack.flags.c_contiguous
+        for seed, got in zip(seeds, stack):
+            assert np.array_equal(got, oracles.simulate_var1(process, 64, 200, seed))
         for seed in range(5):
             got = simulate_var1(process, 64, burn_in=200, seed=seed)
-            want = oracles.simulate_var1(process, 64, 200, seed)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(got, oracles.simulate_var1(process, 64, 200, seed))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_collect_is_invariant_to_block_and_chunk_splits(name, monkeypatch):
+    config = batch_config(name)
+    default = _collect(config, threads=1)
+    monkeypatch.setattr(spectest.simulation, "_CHUNK_ELEMENTS", 3 * config.n * config.process.r**2)
+    for block in (1, 7, config.replications):
+        path = block * (config.burn_in + config.n) * config.process.r
+        monkeypatch.setattr(spectest.simulation, "_BLOCK_ELEMENTS", path)
+        for threads in (1, 2):
+            run = _collect(config, threads=threads)
+            for label, (values, forced) in default.items():
+                assert np.array_equal(run[label][0], values)
+                assert np.array_equal(run[label][1], forced)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import spectest.spectral
-from oracles import leave_out, logdet, periodogram
+from oracles import leave_out, logdet, periodogram, smoothed_by_multiply
 from spectest.errors import BandwidthTooLarge, EmptyGrid
 from spectest.hermitian import inverse_pd
 from spectest.spectral import (
@@ -204,6 +204,14 @@ def test_smoothed_periodogram_is_window_average():
     for t in (1, 31):
         window = sum(u * periodogram(frame, t + k) for u, k in zip(bump.weights, range(-3, 4)))
         assert np.allclose(est.matrices[t - 1], window / bump.wstar, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [101, 128])
+def test_flat_smoothing_skips_the_multiply_bit_for_bit(n):
+    frame = dft(np.random.default_rng(n).standard_normal((5, n, 3)))
+    bump = WeightKernel.from_function(lambda x: 1.0 + np.cos(math.pi * np.asarray(x, dtype=float)), 10)
+    for kernel in (WeightKernel.flat(2), WeightKernel.flat(10), WeightKernel.flat(30), bump):
+        assert np.array_equal(smoothed_periodogram(frame, kernel).matrices, smoothed_by_multiply(frame, kernel))
 
 
 def test_smoothed_periodogram_frequencies_and_pd():

@@ -12,8 +12,11 @@ file, 410 on the ten CSV files the benchmark's cli_cvll workload writes to
 bench/out/.  Then 32 Monte Carlo runs: `spectest simulate-null` and
 `simulate-power` (n = 64, 100 replications, all three statistic forms) under
 the same four hypotheses, with --m 8 and with --cvll, each with --threads 1
-and --threads 2.  Last, one `spectest kernel-constants --kernel flat`, the one
-CLI path through the quadrature: 443 runs on the benchmark's ten files.
+and --threads 2.  Then both commands once more at n = 201, --m 30 and 300
+replications under independence, with --threads 1 and 2: these span several
+simulation blocks and cross pipeline-chunk boundaries inside a block.  Last,
+one `spectest kernel-constants --kernel flat`, the one CLI path through the
+quadrature: 447 runs on the benchmark's ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -46,6 +49,7 @@ STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], 
 BANDWIDTHS = (["--m", "40"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
+BLOCK_DESIGN = ["--n", "201", "--m", "30", "--reps", "300", "--seed", "13"]
 
 
 def matrix(inputs: list[str]) -> list[list[str]]:
@@ -63,6 +67,8 @@ def matrix(inputs: list[str]) -> list[list[str]]:
                 for threads in ("1", "2"):
                     runs.append([*command, *SIMULATION_DESIGN, "--hypothesis", *hypothesis, *bandwidth,
                                  "--threads", threads])
+        for threads in ("1", "2"):
+            runs.append([*command, *BLOCK_DESIGN, "--threads", threads])
     runs.append(["kernel-constants", "--kernel", "flat"])
     return runs
 
