@@ -14,12 +14,14 @@ summaries estimate the moments, upper quantile, and rejection rate of the
 standardized statistics over independent replications; power studies use
 the empirical null quantile as the critical value (size-adjusted power).
 
-Replication k of a run seeded with s draws from the dedicated stream
-SeedSequence(s, spawn_key=(k,)).  Replications run in simulation blocks, each
-simulated (burn-in included) by one recursion that shares its per-step cost;
-the test pipeline then runs on slices of the block, in smaller chunks that
-bound its memory.  A worker task is one block.  No step mixes samples, so
-results are bit-identical for any block size, chunk size or worker count.
+Every path starts from the exact stationary law, Z_0 ~ N(0, Gamma_0) with
+Gamma_0 = A Gamma_0 A^T + Sigma, so no burn-in is needed.  Replication k of a
+run seeded with s draws from the dedicated stream SeedSequence(s, spawn_key=(k,)).
+Replications run in simulation blocks, each simulated by one recursion that
+shares its per-step cost; the test pipeline then runs on slices of the block,
+in smaller chunks that bound its memory.  A worker task is one block.  No step
+mixes samples, so results are bit-identical for any block size, chunk size or
+worker count.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .hermitian import is_positive_definite
 from .inference import _run_stack, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
 from .spectral import WeightKernel, _check_span, cvll_select
 
-# Path elements (block * (burn_in + n) * r) per simulation block: about 110 replications and
-# a 3 MB path at n = 201, r = 3 and burn-in 1000.  Larger blocks save little time.
+# Path elements (block * (burn_in + n) * r) per simulation block: 663 replications and a
+# 3.2 MB path at n = 201, r = 3 and no burn-in, so a run of 100 replications there is one
+# block per worker.  Larger blocks save little time.
 _BLOCK_ELEMENTS = 400_000
 # Elements (chunk * n * r^2) per pipeline chunk within a block: 22 replications at n = 201,
 # r = 3.  It bounds the pipeline's peak memory, about 135 KiB per replication there.
@@ -76,6 +79,14 @@ class VarOneProcess:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.a))))
 
+    @property
+    def stationary_cov(self) -> np.ndarray:
+        """Gamma_0 = Var Z_t, from vec Gamma_0 = (I - A (x) A)^{-1} vec Sigma (Sigma = I if unset)."""
+        r = self.r
+        sigma = np.eye(r) if self.innovation_cov is None else self.innovation_cov
+        gamma = np.linalg.solve(np.eye(r * r) - np.kron(self.a, self.a), sigma.ravel()).reshape(r, r)
+        return (gamma + gamma.T) / 2
+
 
 def benchmark_process(phi: float) -> VarOneProcess:
     """The built-in 3-series benchmark; independent components iff phi = 0."""
@@ -104,20 +115,23 @@ def _check_design(n: int, burn_in: int) -> None:
 def _simulate_stack(process: VarOneProcess, n: int, burn_in: int, seeds) -> np.ndarray:
     """An (R, n, r) stack of samples, one per seed, from one recursion over an (r, R) state.
 
-    Each sample draws its (burn_in + n, r) innovations from default_rng(seed).
-    The update eps[t] + sum_j a[:, j] * state[j], in ascending j, is elementwise
-    over contiguous R-long rows, so no sample's values depend on the others.
+    Each sample draws (burn_in + n, r) standard normals eps from default_rng(seed):
+    the stationary start is Z_0 = eps[0] @ chol(Gamma_0).T, and the innovations
+    follow.  The update eps[t] + sum_j a[:, j] * state[j], in ascending j, is
+    elementwise over contiguous R-long rows, so no sample's values depend on the others.
     """
     r, total = process.r, burn_in + n
     cov = process.innovation_cov
     factor = None if cov is None else np.linalg.cholesky(cov).T
-    path = np.empty((total, r, len(seeds)))  # innovations, overwritten by the states
+    start = np.linalg.cholesky(process.stationary_cov).T
+    path = np.empty((total, r, len(seeds)))  # Z_0 and innovations, overwritten by the states
     for k, seed in enumerate(seeds):
         eps = np.random.default_rng(seed).standard_normal((total, r))
         path[:, :, k] = eps if factor is None else eps @ factor
+        path[0, :, k] = eps[0] @ start
     columns = process.a.T[:, :, np.newaxis]  # columns[j, i, 0] = a[i, j]
-    previous, products = np.zeros(path.shape[1:]), np.empty((r,) + path.shape[1:])
-    for state in path:
+    previous, products = path[0], np.empty((r,) + path.shape[1:])
+    for state in path[1:]:
         np.multiply(columns, previous[:, np.newaxis, :], out=products)
         for product in products:  # product j = a[:, j] * state[j]
             state += product
@@ -125,8 +139,8 @@ def _simulate_stack(process: VarOneProcess, n: int, burn_in: int, seeds) -> np.n
     return np.ascontiguousarray(path[burn_in:].transpose(2, 0, 1))
 
 
-def simulate_var1(process: VarOneProcess, n: int, burn_in: int = 1000, seed=None) -> np.ndarray:
-    """Simulate n observations after discarding burn_in steps from Z_0 = 0."""
+def simulate_var1(process: VarOneProcess, n: int, burn_in: int = 0, seed=None) -> np.ndarray:
+    """Simulate n observations from the stationary law, after discarding burn_in steps."""
     _check_design(n, burn_in)
     return _simulate_stack(process, n, burn_in, [seed])[0]
 
@@ -142,7 +156,7 @@ class McConfig:
     variants: tuple
     replications: int
     seed: int
-    burn_in: int = 1000
+    burn_in: int = 0  # steps run after the stationary start and discarded
     alpha_level: float = 0.05
     cvll_grid: tuple | None = None
 

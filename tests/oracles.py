@@ -97,15 +97,16 @@ def is_chordal(edges):
 def simulate_var1(process, n, burn_in, seed):
     """The serial VAR(1) recursion state = eps[t] + a @ state, one sample at a time.
 
-    a @ state is added column by column, eps[t] + a[:, 0] state[0] + a[:, 1] state[1] + ...,
-    left to right, so the rounding is fixed and a stacked simulator can match it bit for bit.
+    The state starts at the stationary draw normals[0] @ chol(Gamma_0).T.  a @ state is
+    added column by column, eps[t] + a[:, 0] state[0] + a[:, 1] state[1] + ..., left to
+    right, so the rounding is fixed and a stacked simulator can match it bit for bit.
     """
-    eps = np.random.default_rng(seed).standard_normal((burn_in + n, process.r))
-    if process.innovation_cov is not None:
-        eps = eps @ np.linalg.cholesky(process.innovation_cov).T
+    normals = np.random.default_rng(seed).standard_normal((burn_in + n, process.r))
+    cov = process.innovation_cov
+    eps = normals if cov is None else normals @ np.linalg.cholesky(cov).T
     out = np.empty_like(eps)
-    state = np.zeros(process.r)
-    for t in range(eps.shape[0]):
+    state = out[0] = normals[0] @ np.linalg.cholesky(process.stationary_cov).T
+    for t in range(1, eps.shape[0]):
         state = sum((process.a[:, j] * state[j] for j in range(process.r)), eps[t])
         out[t] = state
     return out[burn_in:]

@@ -1,5 +1,7 @@
 """Tests for the VAR simulator and the Monte Carlo calibration layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -336,14 +338,38 @@ def test_simulator_matches_the_serial_recursion():
     correlated = VarOneProcess(a=benchmark_process(0.4).a, innovation_cov=np.array(
         [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 0.5]]))
     seeds = [replication_seed(17, k) for k in range(30)]
-    for process in (benchmark_process(0.4), correlated):
-        stack = _simulate_stack(process, 64, 200, seeds)
+    # burn-in 0 checks the stationary start itself; 200 steps wash any start out to the last bit
+    for process, burn_in in itertools.product((benchmark_process(0.4), correlated), (0, 200)):
+        stack = _simulate_stack(process, 64, burn_in, seeds)
         assert stack.shape == (30, 64, 3) and stack.flags.c_contiguous
         for seed, got in zip(seeds, stack):
-            assert np.array_equal(got, oracles.simulate_var1(process, 64, 200, seed))
+            assert np.array_equal(got, oracles.simulate_var1(process, 64, burn_in, seed))
         for seed in range(5):
-            got = simulate_var1(process, 64, burn_in=200, seed=seed)
-            assert np.array_equal(got, oracles.simulate_var1(process, 64, 200, seed))
+            got = simulate_var1(process, 64, burn_in=burn_in, seed=seed)
+            assert np.array_equal(got, oracles.simulate_var1(process, 64, burn_in, seed))
+
+
+STATIONARY_PROCESSES = {
+    "benchmark": benchmark_process(0.4),
+    "correlated 2-series": VarOneProcess(a=np.array([[0.5, 0.4], [-0.3, 0.8]]),
+                                         innovation_cov=np.array([[1.0, 0.6], [0.6, 2.0]])),
+    "near unit root": VarOneProcess(a=np.array([[0.99, 0.5], [0.0, -0.9]])),  # spectral radius 0.99
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_PROCESSES))
+def test_paths_start_from_the_stationary_law(name):
+    process = STATIONARY_PROCESSES[name]
+    sigma = np.eye(process.r) if process.innovation_cov is None else process.innovation_cov
+    gamma = process.stationary_cov
+    lyapunov = process.a @ gamma @ process.a.T + sigma
+    assert np.linalg.norm(gamma - lyapunov) <= 1e-12 * np.linalg.norm(gamma)
+    stack = _simulate_stack(process, 16, 0, [replication_seed(5, k) for k in range(20_000)])
+    assert np.all(np.isfinite(stack))
+    for t in (0, 15):  # Z_0 and Z_{n-1}
+        sample_cov = stack[:, t].T @ stack[:, t] / len(stack)
+        assert np.linalg.norm(sample_cov - gamma) <= 0.05 * np.linalg.norm(gamma)
+
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
