@@ -12,6 +12,8 @@ Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
 eigenvalue scale, so the verdict is scale free.  The screen, the inverse and
 the Hermitian check take one (r, r) matrix or an (..., r, r) stack alike.
+That check runs once, where matrix input enters the library; the pipeline's
+own estimates are exactly Hermitian by construction and skip it.
 """
 
 from __future__ import annotations

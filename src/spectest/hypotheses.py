@@ -296,7 +296,7 @@ class IndependenceModel:
         mats = np.zeros_like(f_unrestricted.matrices)
         idx = np.arange(f_unrestricted.r)
         mats[..., idx, idx] = np.real(f_unrestricted.matrices[..., idx, idx])
-        return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         return EtaSigma(eta=(r * r - r) / 4.0, sigma2=(r * r - r) / 6.0)
@@ -323,12 +323,12 @@ class SeparableModel:
         return sigma
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta) -> SpectralSequence:
-        sigma = np.asarray(theta, dtype=float)
+        sigma = as_hermitian(np.asarray(theta, dtype=float))
         diag = np.real(np.diagonal(f_unrestricted.matrices, axis1=-2, axis2=-1))
         scale = np.diagonal(sigma, axis1=-2, axis2=-1)[..., np.newaxis, :]
         shape = np.mean(diag / scale, axis=-1)
         mats = shape[..., np.newaxis, np.newaxis] * sigma[..., np.newaxis, :, :].astype(complex)
-        return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
         sigma = np.asarray(theta, dtype=float)
@@ -366,7 +366,7 @@ class GraphicalModel:
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         # Already Hermitian and screened; frequencies it cannot complete come back NaN.
         mats = _complete(f_unrestricted.matrices.copy(), f_unrestricted.pd, self.edges)
-        return SpectralSequence.from_matrices("restricted", f_unrestricted.n, mats)
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         m_absent = self.edges.missing_count

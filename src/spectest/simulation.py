@@ -164,8 +164,6 @@ class McConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "cvll":
                 raise ValueError(f"bandwidth must be an even integer or 'cvll', got {self.bandwidth!r}")
-        elif int(self.bandwidth) % 2 != 0:
-            raise ValueError(f"bandwidth must be even, got {self.bandwidth}")
         else:
             _check_span(int(self.bandwidth), r=self.process.r, n=self.n, centre=True)
         _check_design(self.n, self.burn_in)
@@ -297,50 +295,24 @@ def size_adjusted_power(
     return powers
 
 
+def _row(config: McConfig, label: str, moments, rate_column: str, rate: float) -> dict:
+    """One CSV row: the variant's design columns, the moment columns, then the rate."""
+    variant = {v.label: v for v in config.variants}[label]
+    row = {"variant": variant.form, "n": config.n, "m": config.bandwidth, "stat": variant.kind_label}
+    row.update(zip(("mean", "var", "skew", "kurt", "q95"), moments))
+    row[rate_column] = rate
+    return row
+
+
 def summary_rows(config: McConfig, summaries: dict[str, McSummary], rate_column: str) -> list[dict]:
     """Flatten summaries to the CSV row schema (one row per variant)."""
-    rows = []
-    by_label = {v.label: v for v in config.variants}
-    for label, summary in summaries.items():
-        variant = by_label[label]
-        rows.append(
-            {
-                "variant": variant.form,
-                "n": config.n,
-                "m": config.bandwidth,
-                "stat": variant.kind_label,
-                "mean": summary.mean,
-                "var": summary.variance,
-                "skew": summary.skewness,
-                "kurt": summary.kurtosis,
-                "q95": summary.q95,
-                rate_column: summary.rejection_rate,
-            }
-        )
-    return rows
+    return [_row(config, label, (s.mean, s.variance, s.skewness, s.kurtosis, s.q95), rate_column,
+                 s.rejection_rate) for label, s in summaries.items()]
 
 
 def power_rows(config: McConfig, powers: dict[str, float]) -> list[dict]:
     """CSV rows for a power study (moment columns left empty)."""
-    rows = []
-    by_label = {v.label: v for v in config.variants}
-    for label, power in powers.items():
-        variant = by_label[label]
-        rows.append(
-            {
-                "variant": variant.form,
-                "n": config.n,
-                "m": config.bandwidth,
-                "stat": variant.kind_label,
-                "mean": "",
-                "var": "",
-                "skew": "",
-                "kurt": "",
-                "q95": "",
-                "power": power,
-            }
-        )
-    return rows
+    return [_row(config, label, [""] * 5, "power", power) for label, power in powers.items()]
 
 
 def write_summary_csv(rows: list[dict], stream) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import _check_hermitian, _eliminate, is_positive_definite
+from .hermitian import _check_hermitian, _eliminate, as_hermitian, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 QUADRATURE_PANELS = 2048
@@ -193,10 +193,13 @@ class WeightKernel:
 class SpectralSequence:
     """Spectral matrices at lambda_t = 2*pi*t/n for t = 1 .. n//2.
 
-    matrices[..., t - 1, :, :] holds the value at index t; pd[..., t - 1]
-    records whether it passed the positive-definiteness screen at
-    construction.  Leading axes, if any, index a stack of samples.  kind is
-    "unrestricted" or "restricted".
+    matrices[..., t - 1, :, :] holds the value at index t, and pd[..., t - 1]
+    the positive-definiteness screen's verdict on it.  Leading axes, if any,
+    index a stack of samples.  kind is "unrestricted" or "restricted".  The
+    constructor checks its input, Hermitian to 1e-10, and takes pd as given;
+    from_matrices takes the Hermitian part after the same check and screens
+    it.  The pipeline's own estimates are exactly Hermitian by construction
+    and skip both.
     """
 
     kind: str
@@ -228,15 +231,15 @@ class SpectralSequence:
 
     @classmethod
     def from_matrices(cls, kind, n, matrices) -> "SpectralSequence":
-        matrices = np.asarray(matrices, dtype=complex)
-        matrices = (matrices + np.swapaxes(matrices.conj(), -1, -2)) / 2.0
-        return cls(
-            kind=kind,
-            n=n,
-            r=matrices.shape[-1],
-            matrices=matrices,
-            pd=is_positive_definite(matrices),
-        )
+        matrices = as_hermitian(np.asarray(matrices, dtype=complex), tol=1e-10)
+        return cls(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=is_positive_definite(matrices))
+
+    @classmethod
+    def _trusted(cls, kind, n, matrices, pd) -> "SpectralSequence":
+        """A sequence the pipeline built exactly Hermitian and screened itself, stored unchecked."""
+        seq = object.__new__(cls)
+        seq.__dict__.update(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=pd)
+        return seq
 
 
 def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
@@ -261,9 +264,7 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
         total += pair if flat else np.multiply(weight, pair, out=scaled)
     total /= kernel.wstar
     smoothed = np.ascontiguousarray(np.moveaxis(total, (0, 1), (-2, -1)))
-    return SpectralSequence(
-        kind="unrestricted", n=n, r=r, matrices=smoothed, pd=is_positive_definite(smoothed),
-    )
+    return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(total, r)[0])
 
 
 def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:

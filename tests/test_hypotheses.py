@@ -27,7 +27,7 @@ from spectest.hypotheses import (
     parse_edge_list,
 )
 from spectest.inference import StatisticVariant, run_many
-from spectest.spectral import SpectralSequence, WeightKernel
+from spectest.spectral import SpectralSequence, WeightKernel, smoothed_periodogram
 
 
 def random_hpd(rng, r, shift=1.0):
@@ -422,8 +422,6 @@ def test_eta_sigma_validation():
 
 
 def white_noise_fu(rng, n, r, m=16):
-    from spectest.spectral import smoothed_periodogram
-
     z = rng.standard_normal((n, r))
     return smoothed_periodogram(z, WeightKernel.flat(m))
 
@@ -470,6 +468,9 @@ def test_separable_restriction_structure():
         ratio = np.real(fr.matrices[t]) / sigma
         assert np.allclose(ratio, ratio[0, 0], atol=1e-12)
         assert ratio[0, 0] > 0
+    # theta enters from outside, so it is checked like any other matrix input
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        SeparableModel().restricted_estimate(fu, np.array([[1.0, 0.3], [0.0, 2.0]]))
 
 
 def test_graphical_restriction_zeroes_inverse():
@@ -486,6 +487,35 @@ def test_graphical_restriction_zeroes_inverse():
         inv = inverse_pd(fr.matrices[t])
         assert abs(inv[0, 2]) <= 1e-8 * np.max(np.abs(inv))
         assert fr.matrices[t][0, 1] == pytest.approx(fu.matrices[t][0, 1], abs=1e-12)
+
+
+def tent(x):
+    return 1.0 - np.abs(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(4, 5),
+    n=st.integers(17, 90),
+    m=st.sampled_from([4, 6, 8]),
+    weighted=st.booleans(),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pipeline_sequences_are_exactly_hermitian_and_screened(r, n, m, weighted, stacked, seed):
+    # the pipeline builds its sequences unchecked, so they must come out exactly Hermitian
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(2, 4)), n, r) if stacked else (n, r)
+    z = rng.standard_normal(shape) @ rng.standard_normal((r, r))
+    kernel = WeightKernel.from_function(tent, m) if weighted else WeightKernel.flat(m)
+    fu = smoothed_periodogram(z, kernel)
+    chain = EdgeSet.from_pairs(r, [(a, a + 1) for a in range(r - 1)])
+    ring = EdgeSet.from_pairs(r, [(a, (a + 1) % r) for a in range(r)])
+    models = [IndependenceModel(), SeparableModel(), GraphicalModel(chain), GraphicalModel(ring)]
+    sequences = [fu] + [model.restricted_estimate(fu, model.estimate_theta(z)) for model in models]
+    for seq in sequences:
+        assert np.array_equal(seq.matrices, np.conj(np.swapaxes(seq.matrices, -1, -2)), equal_nan=True)
+        assert np.array_equal(seq.pd, is_positive_definite(seq.matrices))
 
 
 def test_graphical_rejects_complete_edge_set():

@@ -264,6 +264,8 @@ def test_mcconfig_validates_the_design_before_any_draw():
         config(bandwidth=60)
     with pytest.raises(ValueError, match="span m must be even and >= 2, got 0"):
         config(bandwidth=0)
+    with pytest.raises(ValueError, match="span m must be even and >= 2, got 7"):
+        config(bandwidth=7)
     five = VarOneProcess(a=0.5 * np.eye(5))
     with pytest.raises(ValueError, match="span m = 2 too small for dimension r = 5; need m \\+ 1 >= r"):
         config(process=five, bandwidth=2)

@@ -422,6 +422,9 @@ def test_spectral_sequence_validation():
         SpectralSequence(kind="restricted", n=2, r=2, matrices=100.0 * drift - 99.0 * np.eye(2), pd=np.array([True]))
     with pytest.raises(ValueError):
         SpectralSequence.from_matrices("banana", 4, mats)
+    # from_matrices checks before it takes the Hermitian part, as covariance_selection does
+    with pytest.raises(ValueError, match="matrix is not Hermitian: max asymmetry 5.000e"):
+        SpectralSequence.from_matrices("restricted", 4, np.stack([np.array([[1.0, 5.0], [0.0, 1.0]])] * 2))
 
 
 def test_frame_reuse_matches_sample_entry():

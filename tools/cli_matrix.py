@@ -9,14 +9,18 @@ separator is empty) with --stat full, block and quadratic plus full with
 --kind j and full with --kind chernoff --chernoff-alpha 0.3 (the one path
 through the Chernoff log-det), each with --m 40 and with --cvll: 41 runs per
 file, 410 on the ten CSV files the benchmark's cli_cvll workload writes to
-bench/out/.  Then 32 Monte Carlo runs: `spectest simulate-null` and
+bench/out/.  Every 3-series graph is chordal, so none of those runs reaches the
+covariance-selection sweeps: the tool also writes one fixed 4-column CSV
+(stdlib random, seed 7) and runs `spectest test --hypothesis graphical --edges
+1-2,2-3,3-4,1-4`, a 4-cycle, with the same five statistics and two
+bandwidths, 10 runs.  Then 32 Monte Carlo runs: `spectest simulate-null` and
 `simulate-power` (n = 64, 100 replications, all three statistic forms) under
-the same four hypotheses, with --m 8 and with --cvll, each with --threads 1
-and --threads 2.  Then both commands once more at n = 201, --m 30 and 300
+the four nulls of the per-file runs, with --m 8 and with --cvll, each with
+--threads 1 and --threads 2.  Then both commands once more at n = 201, --m 30 and 300
 replications under independence, with --threads 1 and 2: these span several
 simulation blocks and cross pipeline-chunk boundaries inside a block.  Last,
 one `spectest kernel-constants --kernel flat`, the one CLI path through the
-quadrature: 447 runs on the benchmark's ten files.
+quadrature: 457 runs on the benchmark's ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -38,12 +42,15 @@ import glob
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3"],
               ["graphical", "--edges", "1-2"])
+CYCLE = ["graphical", "--edges", "1-2,2-3,3-4,1-4"]
 STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"],
               ["--stat", "full", "--kind", "chernoff", "--chernoff-alpha", "0.3"])
 BANDWIDTHS = (["--m", "40"], ["--cvll"])
@@ -52,7 +59,16 @@ SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 BLOCK_DESIGN = ["--n", "201", "--m", "30", "--reps", "300", "--seed", "13"]
 
 
-def matrix(inputs: list[str]) -> list[list[str]]:
+def write_cycle_input(path: str) -> None:
+    """A fixed 600 x 4 CSV of standard normals for the 4-cycle runs."""
+    rng = random.Random(7)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("a,b,c,d\n")
+        for _ in range(600):
+            handle.write(",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(4)) + "\n")
+
+
+def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
     """Every argv of the comparison, in a fixed order."""
     runs = []
     for path in inputs:
@@ -61,6 +77,9 @@ def matrix(inputs: list[str]) -> list[list[str]]:
             for statistic in STATISTICS:
                 for bandwidth in BANDWIDTHS:
                     runs.append(["test", "--input", path, "--hypothesis", *hypothesis, *statistic, *bandwidth])
+    for statistic in STATISTICS:
+        for bandwidth in BANDWIDTHS:
+            runs.append(["test", "--input", cycle_input, "--hypothesis", *CYCLE, *statistic, *bandwidth])
     for command in SIMULATIONS:
         for hypothesis in HYPOTHESES:
             for bandwidth in (["--m", "8"], ["--cvll"]):
@@ -201,9 +220,12 @@ def main() -> int:
     inputs = sorted(os.path.abspath(path) for path in glob.glob(args.inputs))
     if not inputs:
         parser.error(f"no input CSV files match {args.inputs}")
-    runs = matrix(inputs)
-    base = collect(os.path.abspath(args.base), runs)
-    head = collect(os.path.abspath(args.head), runs)
+    with tempfile.TemporaryDirectory() as scratch:
+        cycle_input = os.path.join(scratch, "cycle_input.csv")
+        write_cycle_input(cycle_input)
+        runs = matrix(inputs, cycle_input)
+        base = collect(os.path.abspath(args.base), runs)
+        head = collect(os.path.abspath(args.head), runs)
     return compare(runs, base, head)
 
 
