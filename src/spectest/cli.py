@@ -115,102 +115,35 @@ def _even_int(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """--threads, else SPECTEST_THREADS (read at each run), else 1."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("SPECTEST_THREADS", "").strip()
     if env.isdigit() and int(env) >= 1:
         return int(env)
     return 1
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="spectest", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    test = sub.add_parser("test", help="run one hypothesis test on a CSV sample")
-    test.add_argument("--input", required=True, help="CSV file: header row + numeric rows")
-    test.add_argument(
-        "--hypothesis",
-        default="independence",
-        choices=["independence", "separable", "graphical"],
-    )
-    test.add_argument("--edges", default=None, help="graphical edge list, 1-based, e.g. 1-2,2-3")
-    test.add_argument("--stat", default="full", choices=["full", "quadratic", "block"])
-    test.add_argument("--kind", default="kl", choices=["kl", "j", "chernoff"])
-    test.add_argument("--chernoff-alpha", type=float, default=0.5)
-    test.add_argument("--m", type=_even_int, default=None, help="smoothing span (even)")
-    test.add_argument("--cvll", action="store_true", help="select the span by cross validation")
-    test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--output", default=None)
-    test.add_argument("--no-demean", action="store_true", help="skip column mean removal")
-
-    for name, needs_two_phi in (("simulate-null", False), ("simulate-power", True)):
-        sim = sub.add_parser(name, help=f"{name.split('-')[1]} study on the benchmark process")
-        if needs_two_phi:
-            sim.add_argument("--phi0", type=float, default=0.0, help="coupling under the null")
-            sim.add_argument("--phi1", type=float, required=True, help="coupling under the alternative")
-        else:
-            sim.add_argument("--phi", type=float, default=0.0)
-        sim.add_argument("--n", type=int, required=True)
-        sim.add_argument("--m", type=_even_int, default=None)
-        sim.add_argument("--cvll", action="store_true")
-        sim.add_argument(
-            "--stat",
-            default="full,quadratic,block",
-            help="comma-separated subset of full,quadratic,block",
-        )
-        sim.add_argument("--kind", default="kl", choices=["kl", "j", "chernoff"])
-        sim.add_argument("--chernoff-alpha", type=float, default=0.5)
-        sim.add_argument(
-            "--hypothesis",
-            default="independence",
-            choices=["independence", "separable", "graphical"],
-        )
-        sim.add_argument("--edges", default=None)
-        sim.add_argument("--alpha", type=float, default=0.05)
-        sim.add_argument("--reps", type=int, default=1000)
-        sim.add_argument("--seed", type=int, default=0)
-        sim.add_argument("--threads", type=int, default=None)
-        sim.add_argument("--output", default=None)
-
-    cv = sub.add_parser("cvll", help="cross-validated bandwidth selection for a CSV sample")
-    cv.add_argument("--input", required=True)
-    cv.add_argument("--output", default=None)
-    cv.add_argument("--no-demean", action="store_true")
-
-    kc = sub.add_parser("kernel-constants", help="print the weight-function constants")
-    kc.add_argument("--kernel", default="flat", choices=["flat"])
-    return parser
+_KINDS = {"kl": lambda alpha: KL, "j": lambda alpha: J, "chernoff": chernoff}
 
 
 def _resolve_kind(args) -> Discrepancy:
-    if args.kind == "kl":
-        return KL
-    if args.kind == "j":
-        return J
-    return chernoff(args.chernoff_alpha)
+    return _KINDS[args.kind](args.chernoff_alpha)
 
 
-def _resolve_bandwidth(args, parser: _Parser):
-    if args.cvll and args.m is not None:
-        parser.error("--m and --cvll are mutually exclusive")
-    if not args.cvll and args.m is None:
-        parser.error("one of --m or --cvll is required")
-    return "cvll" if args.cvll else args.m
-
-
-def _build_model(args, parser: _Parser, r: int):
+def _build_model(args, r: int):
     try:
         return model_from_name(args.hypothesis, r=r, edges=args.edges)
     except ValueError as exc:
-        parser.error(str(exc))
+        PARSER.error(str(exc))
 
 
-def _cmd_test(args, parser: _Parser) -> int:
-    bandwidth = _resolve_bandwidth(args, parser)
+def _cmd_test(args) -> int:
     sample = ingest_csv(args.input, demean=not args.no_demean)
-    model = _build_model(args, parser, sample.shape[1])
+    model = _build_model(args, sample.shape[1])
     variant = StatisticVariant(form=args.stat, kind=_resolve_kind(args))
-    report = run_test(sample, model, bandwidth, variant, alpha_level=args.alpha)
+    report = run_test(sample, model, args.bandwidth, variant, alpha_level=args.alpha)
     document = {
         "command": "test",
         "input": args.input,
@@ -218,7 +151,7 @@ def _cmd_test(args, parser: _Parser) -> int:
         "edges": args.edges,
         "variant": variant.form,
         "kind": variant.kind_label,
-        "bandwidth": bandwidth,
+        "bandwidth": args.bandwidth,
         "demean": not args.no_demean,
     }
     document.update(asdict(report))
@@ -233,7 +166,7 @@ def _cmd_test(args, parser: _Parser) -> int:
     return 2 if report.forced_reject else 0
 
 
-def _variants_from(args, parser: _Parser) -> tuple:
+def _variants_from(args) -> tuple:
     kind = _resolve_kind(args)
     variants = []
     for token in args.stat.split(","):
@@ -241,22 +174,22 @@ def _variants_from(args, parser: _Parser) -> tuple:
         if not token:
             continue
         if token not in ("full", "quadratic", "block"):
-            parser.error(f"unknown statistic form {token!r}")
+            PARSER.error(f"unknown statistic form {token!r}")
         variants.append(StatisticVariant(form=token, kind=kind))
     if not variants:
-        parser.error("at least one statistic form is required")
+        PARSER.error("at least one statistic form is required")
     return tuple(variants)
 
 
-def _mc_config(args, parser: _Parser, phi: float) -> McConfig:
+def _mc_config(args, phi: float) -> McConfig:
     process = benchmark_process(phi)
-    model = _build_model(args, parser, process.r)
+    model = _build_model(args, process.r)
     return McConfig(
         process=process,
         n=args.n,
-        bandwidth=_resolve_bandwidth(args, parser),
+        bandwidth=args.bandwidth,
         model=model,
-        variants=_variants_from(args, parser),
+        variants=_variants_from(args),
         replications=args.reps,
         seed=args.seed,
         alpha_level=args.alpha,
@@ -275,20 +208,18 @@ def _emit_table(rows, manifest: dict, output: str | None) -> None:
             handle.write(manifest_text + "\n")
 
 
-def _cmd_simulate_null(args, parser: _Parser) -> int:
-    config = _mc_config(args, parser, args.phi)
-    threads = args.threads if args.threads is not None else _default_threads()
-    summaries = null_summary(config, threads=threads)
+def _cmd_simulate_null(args) -> int:
+    config = _mc_config(args, args.phi)
+    summaries = null_summary(config, threads=_threads(args))
     rows = summary_rows(config, summaries, rate_column="size")
     _emit_table(rows, config_manifest(config, "simulate-null"), args.output)
     return 0
 
 
-def _cmd_simulate_power(args, parser: _Parser) -> int:
-    null_config = _mc_config(args, parser, args.phi0)
-    alt_config = _mc_config(args, parser, args.phi1)
-    threads = args.threads if args.threads is not None else _default_threads()
-    powers = size_adjusted_power(null_config, alt_config, threads=threads)
+def _cmd_simulate_power(args) -> int:
+    null_config = _mc_config(args, args.phi0)
+    alt_config = _mc_config(args, args.phi1)
+    powers = size_adjusted_power(null_config, alt_config, threads=_threads(args))
     rows = power_rows(alt_config, powers)
     manifest = config_manifest(alt_config, "simulate-power")
     manifest["null_phi"] = args.phi0
@@ -313,22 +244,57 @@ def _cmd_kernel_constants(args) -> int:
     return 0
 
 
+def _build_parser() -> _Parser:
+    """The spectest parser; options that several subcommands take are declared once, in parents."""
+    design = _Parser(add_help=False)
+    design.add_argument("--hypothesis", default="independence", choices=["independence", "separable", "graphical"])
+    design.add_argument("--edges", default=None, help="graphical edge list, 1-based, e.g. 1-2,2-3")
+    design.add_argument("--kind", default="kl", choices=_KINDS)
+    design.add_argument("--chernoff-alpha", type=float, default=0.5)
+    span = design.add_mutually_exclusive_group(required=True)
+    span.add_argument("--m", dest="bandwidth", metavar="M", type=_even_int, help="smoothing span (even)")
+    span.add_argument("--cvll", dest="bandwidth", action="store_const", const="cvll",
+                      help="select the span by cross validation")
+    design.add_argument("--alpha", type=float, default=0.05)
+    csv_input = _Parser(add_help=False)
+    csv_input.add_argument("--input", required=True, help="CSV file: header row + numeric rows")
+    csv_input.add_argument("--output", default=None)
+    csv_input.add_argument("--no-demean", action="store_true", help="skip column mean removal")
+    study = _Parser(add_help=False)
+    study.add_argument("--n", type=int, required=True)
+    study.add_argument("--stat", default="full,quadratic,block", help="comma-separated subset of full,quadratic,block")
+    study.add_argument("--reps", type=int, default=1000)
+    study.add_argument("--seed", type=int, default=0)
+    study.add_argument("--threads", type=int, default=None)
+    study.add_argument("--output", default=None)
+
+    parser = _Parser(prog="spectest", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    test = sub.add_parser("test", parents=[csv_input, design], help="run one hypothesis test on a CSV sample")
+    test.add_argument("--stat", default="full", choices=["full", "quadratic", "block"])
+    test.set_defaults(run=_cmd_test)
+    null = sub.add_parser("simulate-null", parents=[design, study], help="null study on the benchmark process")
+    null.add_argument("--phi", type=float, default=0.0)
+    null.set_defaults(run=_cmd_simulate_null)
+    power = sub.add_parser("simulate-power", parents=[design, study], help="power study on the benchmark process")
+    power.add_argument("--phi0", type=float, default=0.0, help="coupling under the null")
+    power.add_argument("--phi1", type=float, required=True, help="coupling under the alternative")
+    power.set_defaults(run=_cmd_simulate_power)
+    cv = sub.add_parser("cvll", parents=[csv_input], help="cross-validated bandwidth selection for a CSV sample")
+    cv.set_defaults(run=_cmd_cvll)
+    kc = sub.add_parser("kernel-constants", help="print the weight-function constants")
+    kc.add_argument("--kernel", default="flat", choices=["flat"])
+    kc.set_defaults(run=_cmd_kernel_constants)
+    return parser
+
+
+PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError:
-        return USAGE_EXIT
-    try:
-        if args.command == "test":
-            return _cmd_test(args, parser)
-        if args.command == "simulate-null":
-            return _cmd_simulate_null(args, parser)
-        if args.command == "simulate-power":
-            return _cmd_simulate_power(args, parser)
-        if args.command == "cvll":
-            return _cmd_cvll(args)
-        return _cmd_kernel_constants(args)
+        args = PARSER.parse_args(argv)
+        return args.run(args)
     except _UsageError:
         return USAGE_EXIT
     except (SpectestError, OSError, ValueError) as exc:

@@ -172,6 +172,11 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def _check_alpha(alpha_level: float) -> None:
+    if not 0.0 < alpha_level < 1.0:
+        raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
+
+
 def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float, bool]:
     """One-sided upper-tail p-value and decision.
 
@@ -179,8 +184,7 @@ def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float
     forced call (non-PD estimate somewhere) rejects with p = 0
     regardless of the statistic's value.
     """
-    if not 0.0 < alpha_level < 1.0:
-        raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
+    _check_alpha(alpha_level)
     if forced:
         return 0.0, True
     p = 0.5 * math.erfc(standardized / math.sqrt(2.0))
@@ -244,6 +248,7 @@ def run_many(
     arr = validate_sample(sample)
     if arr.shape[0] < 8:
         raise ValueError(f"need at least 8 observations, got {arr.shape[0]}")
+    _check_alpha(alpha_level)
     if isinstance(kernel, WeightKernel):
         kern = kernel
     elif kernel == "cvll":

@@ -26,6 +26,7 @@ worker count.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import NonStationary
 from .hermitian import is_positive_definite
-from .inference import _run_stack, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
+from .inference import _check_alpha, _run_stack, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
 from .spectral import WeightKernel, _check_span, cvll_select
 
 # Path elements (block * (burn_in + n) * r) per simulation block: 663 replications and a
@@ -171,6 +172,7 @@ class McConfig:
             raise ValueError("replications must be positive")
         if not self.variants:
             raise ValueError("at least one statistic variant is required")
+        _check_alpha(self.alpha_level)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -195,27 +197,29 @@ class McSummary:
     replications: int
 
 
-def _run_chunk(config: McConfig, samples: np.ndarray) -> list[dict]:
-    """Reports per variant for a stack of samples, one pipeline run per span ("cvll" picks each first)."""
+def _run_block(config: McConfig, ks: range) -> list[dict]:
+    """Reports per variant for replications ks: one simulated block, tested per span in pipeline chunks.
+
+    With "cvll" each sample's span is selected first; the samples sharing a span are then
+    cut into chunks of at most _CHUNK_ELEMENTS elements, one pipeline run each.
+    """
+    seeds = [replication_seed(config.seed, k) for k in ks]
+    samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
     if config.bandwidth == "cvll":
         spans = np.array([cvll_select(sample, grid=config.cvll_grid)[0] for sample in samples])
     else:
         spans = np.full(len(samples), int(config.bandwidth))
-    results = {}
-    for span in np.unique(spans):
-        group = np.flatnonzero(spans == span)
-        kernel = WeightKernel.flat(int(span))
-        reports = _run_stack(samples[group], config.model, kernel, config.variants, config.alpha_level)
-        results.update(zip(group, reports))
-    return [results[k] for k in range(len(samples))]
-
-
-def _run_block(config: McConfig, ks: range) -> list[dict]:
-    """Reports per variant for replications ks: one simulated block, tested in pipeline chunks."""
-    seeds = [replication_seed(config.seed, k) for k in ks]
-    samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
     size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
-    return [report for k in range(0, len(ks), size) for report in _run_chunk(config, samples[k : k + size])]
+    reports = [None] * len(samples)
+    for span in np.unique(spans):
+        kernel = WeightKernel.flat(int(span))
+        group = np.flatnonzero(spans == span)
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            stack = _run_stack(samples[chunk], config.model, kernel, config.variants, config.alpha_level)
+            for k, report in zip(chunk, stack):
+                reports[k] = report
+    return reports
 
 
 def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -316,20 +320,13 @@ def power_rows(config: McConfig, powers: dict[str, float]) -> list[dict]:
 
 
 def write_summary_csv(rows: list[dict], stream) -> None:
-    """Write rows with 6-significant-digit numbers; schema from the first row."""
+    """Write rows with 6-significant-digit floats; schema from the first row."""
     if not rows:
         return
-    columns = list(rows[0].keys())
-    stream.write(",".join(columns) + "\n")
+    writer = csv.DictWriter(stream, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
     for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            if isinstance(value, float):
-                cells.append(f"{value:.6g}")
-            else:
-                cells.append(str(value))
-        stream.write(",".join(cells) + "\n")
+        writer.writerow({col: f"{value:.6g}" if isinstance(value, float) else value for col, value in row.items()})
 
 
 def config_manifest(config: McConfig, command: str) -> dict:

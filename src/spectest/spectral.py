@@ -34,6 +34,10 @@ def validate_sample(values) -> np.ndarray:
         raise ValueError(f"sample must be 2-d (n, r), got {arr.ndim}-d")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"sample must be nonempty, got shape {arr.shape}")
+    return _check_finite(arr)
+
+
+def _check_finite(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample contains non-finite values")
     return arr
@@ -55,7 +59,7 @@ class FourierFrame:
 
 def dft(values) -> FourierFrame:
     """Transform an (n, r) real sample, or an (R, n, r) stack of finite ones, to its DFT frame."""
-    arr = np.asarray(values, dtype=float) if np.ndim(values) == 3 else validate_sample(values)
+    arr = _check_finite(np.asarray(values, dtype=float)) if np.ndim(values) == 3 else validate_sample(values)
     n, r = arr.shape[-2:]
     # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * n * ifft(Z)[j]
     spectrum = n * np.fft.ifft(arr, axis=-2)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import spectest.simulation
 from spectest.cli import ingest_csv, main
 from spectest.errors import NonNumeric, RaggedRows, TooShort
 
@@ -212,10 +213,27 @@ def test_cli_usage_errors_exit_64(tmp_path, capsys):
         ["test", "--input", str(csv_path), "--m", "8", "--stat", "banana"],
         ["test", "--input", str(csv_path), "--m", "8", "--hypothesis", "graphical"],  # no edges
         ["frobnicate"],
+        ["simulate-null", "--n", "64"],  # neither --m nor --cvll
+        ["simulate-null", "--n", "64", "--m", "8", "--cvll"],  # both
+        ["simulate-power", "--phi1", "0.3", "--n", "64"],
+        ["simulate-power", "--phi1", "0.3", "--n", "64", "--m", "8", "--cvll"],
+        ["simulate-null", "--n", "64", "--m", "7"],  # odd span
+        ["simulate-null", "--n", "64", "--m", "8", "--stat", "banana"],
+        ["simulate-null", "--n", "64", "--m", "8", "--stat", ","],  # no form at all
+        ["simulate-null", "--n", "64", "--m", "8", "--hypothesis", "graphical"],  # no edges
+        ["simulate-power", "--n", "64", "--m", "8"],  # no --phi1
+        ["cvll"],  # no --input
+        ["cvll", "--input", str(csv_path), "--m", "8"],  # cvll takes no span
     ]
     for argv in cases:
         assert main(argv) == 64, argv
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert "error: " in err, argv
+    main(["test", "--input", str(csv_path)])
+    assert capsys.readouterr().err.endswith("error: one of the arguments --m --cvll is required\n")
+    main(["simulate-null", "--n", "64", "--m", "8", "--cvll"])
+    assert capsys.readouterr().err.endswith("error: argument --cvll: not allowed with argument --m\n")
 
 
 # ---------------------------------------------------------------- others
@@ -311,7 +329,11 @@ def test_cli_threads_env_default(tmp_path, capsys, monkeypatch):
     assert out == out_serial
 
 
-def test_cli_simulate_rejects_a_bad_design_before_any_work(capsys):
+def test_cli_simulate_rejects_a_bad_design_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a replication was simulated before the design was checked")
+
+    monkeypatch.setattr(spectest.simulation, "_simulate_stack", refuse)
     code = main(["simulate-null", "--n", "101", "--m", "60", "--reps", "100", "--threads", "2"])
     out, err = capsys.readouterr()
     assert code == 1
@@ -320,3 +342,6 @@ def test_cli_simulate_rejects_a_bad_design_before_any_work(capsys):
     code = main(["simulate-power", "--phi1", "0.3", "--n", "6", "--cvll", "--reps", "100", "--threads", "2"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "error: need n >= 8, got 6\n")
+    code = main(["simulate-null", "--n", "64", "--m", "8", "--reps", "100", "--alpha", "1.5", "--threads", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: alpha_level must lie in (0, 1), got 1.5\n")

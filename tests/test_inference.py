@@ -413,6 +413,19 @@ def test_run_many_rejects_short_samples():
         run_many(np.zeros((6, 2)), IndependenceModel(), 2, (FULL,))
 
 
+def test_run_many_checks_alpha_before_any_work(monkeypatch):
+    import spectest.inference
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CVLL search ran before alpha_level was checked")
+
+    monkeypatch.setattr(spectest.inference, "cvll_select", refuse)
+    z = np.random.default_rng(37).standard_normal((64, 2))
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match=rf"alpha_level must lie in \(0, 1\), got {alpha}"):
+            run_many(z, IndependenceModel(), "cvll", (FULL,), alpha_level=alpha)
+
+
 def test_chernoff_variant_end_to_end():
     rng = np.random.default_rng(29)
     z = rng.standard_normal((200, 2))

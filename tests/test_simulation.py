@@ -1,5 +1,6 @@
 """Tests for the VAR simulator and the Monte Carlo calibration layer."""
 
+import io
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 import spectest.simulation
-from spectest.divergence import J
+from spectest.divergence import J, chernoff
 from spectest.errors import BandwidthTooLarge, NonStationary
 from spectest.hypotheses import EdgeSet, GraphicalModel, IndependenceModel, SeparableModel
 from spectest.inference import StatisticVariant, run_many
@@ -218,13 +219,29 @@ def test_summary_rows_and_csv_schema():
     assert rows[0]["stat"] == "kl"
     assert rows[1]["stat"] == "quadratic"
 
-    import io
-
     buf = io.StringIO()
     write_summary_csv(rows, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "variant,n,m,stat,mean,var,skew,kurt,q95,size"
     assert len(lines) == 4
+
+    # floats are written with .6g, everything else as str; rows end in a bare newline
+    table = [
+        {"variant": "full", "n": 101, "m": "cvll", "stat": "chernoff(0.3)", "mean": 0.123456789,
+         "var": 2.0, "skew": -1.5e-07, "kurt": 3, "q95": 1234567.0, "size": 0.05},
+        {"variant": "quadratic", "n": 101, "m": 16, "stat": "quadratic", "mean": -0.0,
+         "var": 1.0000004, "skew": 0.5, "kurt": 2.999999, "q95": 1e-300, "size": 0.0},
+    ]
+    buf = io.StringIO()
+    write_summary_csv(table, buf)
+    assert buf.getvalue() == (
+        "variant,n,m,stat,mean,var,skew,kurt,q95,size\n"
+        "full,101,cvll,chernoff(0.3),0.123457,2,-1.5e-07,3,1.23457e+06,0.05\n"
+        "quadratic,101,16,quadratic,-0,1,0.5,3,1e-300,0\n"
+    )
+    buf = io.StringIO()
+    write_summary_csv([], buf)
+    assert buf.getvalue() == ""
 
 
 def test_power_rows_schema():
@@ -233,6 +250,17 @@ def test_power_rows_schema():
     assert rows[0]["power"] == 0.42
     assert rows[0]["mean"] == ""
     assert list(rows[0].keys())[-1] == "power"
+
+    chernoff_full = StatisticVariant(form="full", kind=chernoff(0.3))
+    cfg = McConfig(process=benchmark_process(0.0), n=101, bandwidth="cvll", model=IndependenceModel(),
+                   variants=(chernoff_full, BLOCK), replications=120, seed=0)
+    buf = io.StringIO()
+    write_summary_csv(power_rows(cfg, {"full-chernoff(0.3)": 5 / 12, "block-kl": 1.0}), buf)
+    assert buf.getvalue() == (
+        "variant,n,m,stat,mean,var,skew,kurt,q95,power\n"
+        "full,101,cvll,chernoff(0.3),,,,,,0.416667\n"
+        "block,101,cvll,kl,,,,,,1\n"
+    )
 
 
 def test_config_manifest_hash_tracks_content():
@@ -270,6 +298,10 @@ def test_mcconfig_validates_the_design_before_any_draw():
     with pytest.raises(ValueError, match="span m = 2 too small for dimension r = 5; need m \\+ 1 >= r"):
         config(process=five, bandwidth=2)
     assert config(process=five, bandwidth=4).n == 101
+    for alpha in (1.5, 0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha_level must lie in \(0, 1\), got "):
+            config(alpha_level=alpha)
+    assert config(alpha_level=0.01).alpha_level == 0.01
 
 
 def ramp(lam):

@@ -406,6 +406,17 @@ def test_validate_sample_shapes():
         validate_sample(np.array([[1.0], [np.nan]]))
 
 
+def test_stacked_samples_must_be_finite():
+    # an (R, n, r) stack gets the same finiteness check as one (n, r) sample
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        dft(np.full((2, 16, 2), np.nan))
+    stack = np.random.default_rng(3).standard_normal((2, 16, 2))
+    stack[1, 5, 0] = np.inf
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        smoothed_periodogram(stack, WeightKernel.flat(4))
+    assert dft(stack[:1]).w.shape == (1, 16, 2)
+
+
 def test_spectral_sequence_validation():
     mats = np.stack([np.eye(2), np.eye(2)])
     seq = SpectralSequence.from_matrices("restricted", 4, mats)

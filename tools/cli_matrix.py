@@ -18,9 +18,13 @@ bandwidths, 10 runs.  Then 32 Monte Carlo runs: `spectest simulate-null` and
 the four nulls of the per-file runs, with --m 8 and with --cvll, each with
 --threads 1 and --threads 2.  Then both commands once more at n = 201, --m 30 and 300
 replications under independence, with --threads 1 and 2: these span several
-simulation blocks and cross pipeline-chunk boundaries inside a block.  Last,
-one `spectest kernel-constants --kernel flat`, the one CLI path through the
-quadrature: 457 runs on the benchmark's ten files.
+simulation blocks and cross pipeline-chunk boundaries inside a block.  Then
+`simulate-null --kind j` and `simulate-power --kind chernoff --chernoff-alpha
+0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
+CLI path through the quadrature.  Last, 16 usage errors (a missing or doubled
+--m/--cvll, an odd span, an unknown statistic, a graphical null without edges,
+a missing --phi1 or --input, an unknown command): 475 runs on the benchmark's
+ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -30,8 +34,10 @@ the others, and every flip of a decision (reject), of a selected span (m) or
 of an exit code.  A simulate run's CSV table and manifest (stderr) are compared
 byte for byte; each differing table cell is listed, and one in the size or
 power column counts as a flip, as does a table that changes with --threads
-within one tree.  It exits 1 when anything flipped.  Uses only the standard
-library.
+within one tree.  A usage error is compared by exit code and stdout only, as
+argparse words its stderr; one that does not exit 64 with empty stdout in either
+tree counts as a flip.  It exits 1 when anything flipped.  Uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ BANDWIDTHS = (["--m", "40"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 BLOCK_DESIGN = ["--n", "201", "--m", "30", "--reps", "300", "--seed", "13"]
+KINDS = (["simulate-null", "--kind", "j"], ["simulate-power", "--phi1", "0.3", "--kind", "chernoff",
+                                            "--chernoff-alpha", "0.3"])
 
 
 def write_cycle_input(path: str) -> None:
@@ -88,8 +96,23 @@ def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
                                  "--threads", threads])
         for threads in ("1", "2"):
             runs.append([*command, *BLOCK_DESIGN, "--threads", threads])
+    for command in KINDS:
+        runs.append([*command, *SIMULATION_DESIGN, "--m", "8", "--threads", "1"])
     runs.append(["kernel-constants", "--kernel", "flat"])
     return runs
+
+
+def usage_errors(path: str) -> list[list[str]]:
+    """Argvs that must exit 64 with empty stdout; path is any readable CSV."""
+    test = ["test", "--input", path]
+    null = ["simulate-null", "--n", "64"]
+    return [
+        [], ["test"], ["frobnicate"], ["cvll"], test, [*test, "--m", "7"], [*test, "--m", "8", "--cvll"],
+        [*test, "--m", "8", "--stat", "banana"], [*test, "--m", "8", "--hypothesis", "graphical"],
+        null, [*null, "--m", "8", "--cvll"], [*null, "--m", "7"], [*null, "--m", "8", "--stat", "banana"],
+        [*null, "--m", "8", "--hypothesis", "graphical"], ["simulate-power", "--n", "64", "--m", "8"],
+        ["simulate-power", "--phi1", "0.3", "--n", "64", "--cvll", "--m", "8"],
+    ]
 
 
 def work(tree: str, runs: list[list[str]]) -> list[dict]:
@@ -148,7 +171,7 @@ def thread_flips(runs: list[list[str]], results: list[dict], tree: str) -> list[
     """Simulate runs whose output changes with --threads alone."""
     first, flips = {}, []
     for argv, result in zip(runs, results):
-        if argv[0].startswith("simulate"):
+        if argv[-2:-1] == ["--threads"]:
             key = tuple(argv[:-1])  # the argv without the thread count
             if key in first and first[key] != result:
                 flips.append(f"{tree}: output depends on --threads: {' '.join(argv)}")
@@ -156,8 +179,9 @@ def thread_flips(runs: list[list[str]], results: list[dict], tree: str) -> list[
     return flips
 
 
-def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
-    identical, worst, cells, flips = {argv[0]: 0 for argv in runs}, {}, [], []
+def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: list[list[str]]) -> int:
+    groups = ["usage" if argv in usage else argv[0] for argv in runs]
+    identical, worst, cells, flips = dict.fromkeys(groups, 0), {}, [], []
     flips += thread_flips(runs, base, "base") + thread_flips(runs, head, "head")
 
     def note(field: str, a: float, b: float, argv: list[str]) -> None:
@@ -165,11 +189,17 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
         if diff > worst.get(field, (-1.0, None))[0]:
             worst[field] = (diff, argv)
 
-    for argv, old, new in zip(runs, base, head):
-        if old == new:
-            identical[argv[0]] += 1
-            continue
+    for argv, group, old, new in zip(runs, groups, base, head):
         label = " ".join(argv)
+        if group == "usage":
+            for tree, result in (("base", old), ("head", new)):
+                if (result["code"], result["stdout"]) != (64, ""):
+                    flips.append(f"{tree}: usage error exits {result['code']} or writes stdout: {label}")
+            identical[group] += (old["code"], old["stdout"]) == (new["code"], new["stdout"])
+            continue
+        if old == new:
+            identical[group] += 1
+            continue
         if old["code"] != new["code"]:
             flips.append(f"exit code {old['code']} -> {new['code']}: {label}")
         if selected_span(old) != selected_span(new):
@@ -193,9 +223,9 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict]) -> int:
             if old["stderr"] != new["stderr"]:
                 cells.append(f"manifest differs: {label}")
 
-    for command, count in sorted(identical.items()):
-        total = sum(argv[0] == command for argv in runs)
-        print(f"spectest {command}: {total} runs, {count} identical, {total - count} differing")
+    for group, count in sorted(identical.items()):
+        total = groups.count(group)
+        print(f"spectest {group}: {total} runs, {count} identical, {total - count} differing")
     for field, (diff, argv) in sorted(worst.items()):
         where = f" ({' '.join(argv)})" if diff else ""
         print(f"  {field}: largest relative difference {diff:.3g}{where}")
@@ -223,10 +253,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         cycle_input = os.path.join(scratch, "cycle_input.csv")
         write_cycle_input(cycle_input)
-        runs = matrix(inputs, cycle_input)
+        usage = usage_errors(cycle_input)
+        runs = matrix(inputs, cycle_input) + usage
         base = collect(os.path.abspath(args.base), runs)
         head = collect(os.path.abspath(args.head), runs)
-    return compare(runs, base, head)
+    return compare(runs, base, head, usage)
 
 
 if __name__ == "__main__":
