@@ -22,7 +22,7 @@ import numpy as np
 
 from .divergence import KL, J, Discrepancy, chernoff
 from .errors import NonNumeric, ParseError, RaggedRows, SpectestError, TooShort
-from .hypotheses import model_from_name
+from .hypotheses import _edge_tokens, model_from_name
 from .inference import StatisticVariant, run_test
 from .simulation import (
     McConfig,
@@ -136,10 +136,23 @@ def _build_model(args, r: int):
     try:
         return model_from_name(args.hypothesis, r=r, edges=args.edges)
     except ValueError as exc:
-        PARSER.error(str(exc))
+        args.error(str(exc))
+
+
+def _check_edges(args) -> None:
+    """The --edges usage errors that need no data; only the range check waits for r."""
+    if args.hypothesis != "graphical":
+        return
+    if args.edges is None:
+        args.error("graphical hypothesis needs an edge list")
+    try:
+        _edge_tokens(args.edges)
+    except ValueError as exc:
+        args.error(str(exc))
 
 
 def _cmd_test(args) -> int:
+    _check_edges(args)  # before the file is read, so a usage error never waits on it
     sample = ingest_csv(args.input, demean=not args.no_demean)
     model = _build_model(args, sample.shape[1])
     variant = StatisticVariant(form=args.stat, kind=_resolve_kind(args))
@@ -174,10 +187,10 @@ def _variants_from(args) -> tuple:
         if not token:
             continue
         if token not in ("full", "quadratic", "block"):
-            PARSER.error(f"unknown statistic form {token!r}")
+            args.error(f"unknown statistic form {token!r}")
         variants.append(StatisticVariant(form=token, kind=kind))
     if not variants:
-        PARSER.error("at least one statistic form is required")
+        args.error("at least one statistic form is required")
     return tuple(variants)
 
 
@@ -285,6 +298,8 @@ def _build_parser() -> _Parser:
     kc = sub.add_parser("kernel-constants", help="print the weight-function constants")
     kc.add_argument("--kernel", default="flat", choices=["flat"])
     kc.set_defaults(run=_cmd_kernel_constants)
+    for command in sub.choices.values():  # a usage error found after parsing prints its command's usage
+        command.set_defaults(error=command.error)
     return parser
 
 

@@ -109,7 +109,9 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.n
         scale = scale[:, np.newaxis] * scale[np.newaxis, :]
         a, b, d = (np.multiply(x, scale, dtype=np.result_type(x, float), order="C") for x in (a, b, a - b))
         mixed = {k.alpha: _eliminate(b + k.alpha * d, r)[1] for k in kinds if k.family == "chernoff"}
-        logdet_b, logdet_a = _sweep(b), _sweep(a)  # a and b now hold -A^{-1} and -B^{-1}
+        # the sweep leaves -B^{-1} in b; only j needs -A^{-1}, and elimination has the sweep's pivots
+        logdet_b = _sweep(b)
+        logdet_a = _sweep(a) if any(k.family == "j" for k in kinds) else _eliminate(a, r)[1]
         e = -sum(b[:, k, np.newaxis] * d[k] for k in range(r))
         trace_e = sum(e[i, i].real for i in range(r))
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"

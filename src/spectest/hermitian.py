@@ -10,8 +10,10 @@ eigenvalues") are the eigenvalue-level view of the same pencils.
 
 Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
-eigenvalue scale, so the verdict is scale free.  The screen, the inverse and
-the Hermitian check take one (r, r) matrix or an (..., r, r) stack alike.
+eigenvalue scale, so the verdict is scale free.  The elimination reads and
+updates the lower triangle only, so the strict upper one may hold anything.
+The screen, the inverse and the Hermitian check take one (r, r) matrix or an
+(..., r, r) stack alike.
 That check runs once, where matrix input enters the library; the pipeline's
 own estimates are exactly Hermitian by construction and skip it.
 """
@@ -70,9 +72,10 @@ def as_hermitian(a, tol: float = 1e-12) -> np.ndarray:
 def _eliminate(a: np.ndarray, r: int):
     """LDL^H elimination of the first r columns of a frequency-last (s, s, ...) stack.
 
-    Results depend only on the lower triangle.  Returns (ok, logdet, rest): ok
+    Reads and updates only the lower triangle.  Returns (ok, logdet, rest): ok
     where the leading r x r block has trace > 0 and every pivot above
-    DEFAULT_PD_TOL * trace / r, its sum of log pivots, and A22 - A21 A11^{-1} A12.
+    DEFAULT_PD_TOL * trace / r, its sum of log pivots, and A22 - A21 A11^{-1} A12,
+    valid on and below its diagonal only.
     """
     work = np.array(a, dtype=np.result_type(a.dtype, float), order="C")
     trace = np.trace(work[:r, :r]).real
@@ -87,7 +90,8 @@ def _eliminate(a: np.ndarray, r: int):
             logdet += np.log(pivot)
             col = work[k + 1 :, k]
             scaled = np.conj(col / pivot)
-            work[k + 1 :, k + 1 :] -= col[:, np.newaxis] * scaled[np.newaxis, :]
+            for i in range(k + 1, work.shape[0]):
+                work[i, k + 1 : i + 1] -= col[i - k - 1] * scaled[: i - k]
     return ok, logdet, work[r:, r:]
 
 

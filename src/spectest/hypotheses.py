@@ -96,9 +96,9 @@ class EdgeSet:
         ]
 
 
-def parse_edge_list(text: str, r: int) -> EdgeSet:
-    """Parse the CLI edge syntax "1-2,2-3" (1-based indices) into an EdgeSet."""
-    pairs = []
+def _edge_tokens(text: str) -> list[tuple[str, int, int]]:
+    """(token, a, b) per token of the CLI edge syntax "1-2,2-3"; a and b are 1-based, not range checked."""
+    tokens = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -107,9 +107,16 @@ def parse_edge_list(text: str, r: int) -> EdgeSet:
         if len(parts) != 2:
             raise ValueError(f"bad edge token {token!r}, expected like '1-2'")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            tokens.append((token, int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ValueError(f"bad edge token {token!r}: indices must be integers") from exc
+    return tokens
+
+
+def parse_edge_list(text: str, r: int) -> EdgeSet:
+    """Parse the CLI edge syntax "1-2,2-3" (1-based indices) into an EdgeSet."""
+    pairs = []
+    for token, a, b in _edge_tokens(text):
         if not (1 <= a <= r and 1 <= b <= r) or a == b:
             raise ValueError(f"edge {token!r} out of range for r = {r}")
         pairs.append((a - 1, b - 1))

@@ -71,6 +71,28 @@ def column_screen(a, tol=1e-12):
     return ok if a.ndim > 2 else bool(ok)
 
 
+def block_eliminate(a, r, tol=1e-12):
+    """(ok, logdet, rest) of an LDL^H elimination of the first r columns of a frequency-last stack.
+
+    Each step subtracts the full outer product from the trailing block, upper
+    triangle included, in the arithmetic of the lower-triangle kernel.
+    """
+    work = np.array(a, dtype=np.result_type(a.dtype, float), order="C")
+    trace = np.trace(work[:r, :r]).real
+    ok = trace > 0.0
+    floor = tol * trace / r
+    logdet = np.zeros_like(trace)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(r):
+            pivot = work[k, k].real
+            ok &= pivot > floor
+            logdet += np.log(pivot)
+            col = work[k + 1 :, k]
+            scaled = np.conj(col / pivot)
+            work[k + 1 :, k + 1 :] -= col[:, np.newaxis] * scaled[np.newaxis, :]
+    return ok, logdet, work[r:, r:]
+
+
 def is_chordal(edges):
     """True unless some set of four or more vertices induces a cycle, by brute force over subsets.
 

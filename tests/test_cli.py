@@ -236,6 +236,30 @@ def test_cli_usage_errors_exit_64(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: argument --cvll: not allowed with argument --m\n")
 
 
+def test_cli_edge_usage_errors_come_before_the_file(tmp_path, capsys):
+    # --edges errors that need no data exit 64 whether or not the file can be read;
+    # the range check needs r, so it waits for the file
+    missing = str(tmp_path / "missing.csv")
+    readable = tmp_path / "w.csv"
+    write_noise_csv(readable, n=64, r=3)
+    for path in (missing, str(readable)):
+        for edges, message in (([], "graphical hypothesis needs an edge list"),
+                               (["--edges", "1-x"], "bad edge token '1-x': indices must be integers"),
+                               (["--edges", "1-2-3"], "bad edge token '1-2-3', expected like '1-2'")):
+            assert main(["test", "--input", path, "--m", "8", "--hypothesis", "graphical", *edges]) == 64
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("usage: spectest test ")
+            assert err.endswith(f"spectest test: error: {message}\n")
+    argv = ["--m", "8", "--hypothesis", "graphical", "--edges", "1-4"]
+    assert main(["test", "--input", str(readable), *argv]) == 64
+    assert capsys.readouterr().err.endswith("error: edge '1-4' out of range for r = 3\n")
+    assert main(["test", "--input", missing, *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert main(["simulate-null", "--n", "64", "--m", "8", "--stat", "banana"]) == 64
+    assert capsys.readouterr().err.startswith("usage: spectest simulate-null ")
+
+
 # ---------------------------------------------------------------- others
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import column_screen, logdet, relative_eigenvalues
+from oracles import block_eliminate, column_screen, logdet, relative_eigenvalues
 from spectest.errors import NotPositiveDefinite
 from spectest.hermitian import (
+    _eliminate,
     as_hermitian,
     inverse_pd,
     is_positive_definite,
@@ -187,6 +190,41 @@ def test_is_positive_definite_matches_column_screen(r):
     assert np.array_equal(is_positive_definite(complex_stack), flags)
     twice = np.stack([stack, stack[::-1]])
     assert np.array_equal(is_positive_definite(twice), column_screen(twice))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 5),
+    data=st.data(),
+    is_complex=st.booleans(),
+    garbage=st.sampled_from(["random", "nan"]),
+)
+def test_eliminate_ignores_the_strict_upper_triangle(seed, s, data, is_complex, garbage):
+    # The kernel reads and updates the lower triangle only: with garbage above
+    # the diagonal it gives the full-block kernel's bits on the Hermitian stack.
+    r = data.draw(st.integers(1, s))
+    rng = np.random.default_rng(seed)
+    shape = (s, s, 3, 7)
+    lower = np.tril(np.moveaxis(rng.standard_normal(shape), (0, 1), (-2, -1)), -1) + np.eye(s)
+    if is_complex:
+        lower = lower + 1j * np.tril(np.moveaxis(rng.standard_normal(shape), (0, 1), (-2, -1)), -1)
+    # pivots of both signs, zero, and tiny ones near the floor, so some verdicts fail
+    pivots = rng.choice([2.0, 1.0, 0.5, 1e-13, 0.0, -1.0], size=shape[2:] + (s,),
+                        p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.05])
+    product = (lower * pivots[..., np.newaxis, :]) @ np.conj(np.swapaxes(lower, -1, -2))
+    hermitian = np.moveaxis(product, (-2, -1), (0, 1))
+    noisy = hermitian.copy()
+    upper = np.triu_indices(s, 1)
+    noisy[upper] = np.nan if garbage == "nan" else rng.standard_normal(noisy[upper].shape) * 1e3
+    ok, logdet_, rest = _eliminate(noisy, r)
+    ok_ref, logdet_ref, rest_ref = block_eliminate(hermitian, r)
+    assert ok.dtype == bool and np.array_equal(ok, ok_ref)
+    assert logdet_.tobytes() == logdet_ref.tobytes()
+    kept = np.tril_indices(s - r)
+    assert rest[kept].tobytes() == rest_ref[kept].tobytes()
+    screened = is_positive_definite(np.moveaxis(noisy, (0, 1), (-2, -1)))
+    assert np.array_equal(screened, block_eliminate(hermitian, s)[0])
 
 
 def test_as_hermitian_symmetrizes_and_validates():

@@ -10,12 +10,13 @@ from scipy.integrate import quad, simpson
 
 import spectest.spectral
 from oracles import leave_out, logdet, periodogram, smoothed_by_multiply
-from spectest.errors import BandwidthTooLarge, EmptyGrid
+from spectest.errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
 from spectest.hermitian import inverse_pd
 from spectest.spectral import (
     FourierFrame,
     SpectralSequence,
     WeightKernel,
+    _cvll_curve,
     _simpson,
     cvll_score,
     cvll_select,
@@ -301,6 +302,48 @@ def test_cvll_curve_matches_per_span_oracle():
         cvll_select(frame, grid=[12, 8, 2])
     with pytest.raises(BandwidthTooLarge, match="m = 32 must satisfy"):
         cvll_select(frame, grid=[32, 4, 8])
+
+
+def harmonics(n, step, rng):
+    """Two series of cosines at every step-th Fourier index plus noise far below the PD floor.
+
+    A leave-out estimate is singular, so the span scores +inf, until its window
+    reaches two of those indices around every frequency: m >= 4 step.
+    """
+    t = np.arange(n)[:, np.newaxis]
+    z = sum(rng.standard_normal(2) * np.cos(2 * np.pi * f * t / n + rng.uniform(0, 2 * np.pi, 2))
+            for f in range(step, n // 2, step))
+    return z + 1e-9 * rng.standard_normal(z.shape)
+
+
+@pytest.mark.parametrize("case", ["default grid", "one span", "inf inside a block", "collinear"])
+def test_cvll_curve_is_the_same_in_any_block_size(monkeypatch, case):
+    # Spans are eliminated a block at a time; the block size must not move a score.
+    rng = np.random.default_rng(97)
+    z = rng.standard_normal((201, 3)) @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+    grid = default_cvll_grid(201, 3)
+    if case == "one span":
+        grid = [grid[4]]
+    elif case == "inf inside a block":
+        z, grid = harmonics(400, 10, rng), list(range(2, 62, 2))
+    elif case == "collinear":
+        z = np.column_stack([z[:, :2], z[:, 0] - 2.0 * z[:, 1]])
+    frame = dft(z)
+    per_span = (frame.r + 1) ** 2 * (frame.n // 2)
+    curves = [_cvll_curve(frame, grid)]
+    for spans in (1, 3, len(grid)):
+        monkeypatch.setattr(spectest.spectral, "_CVLL_BLOCK_ELEMENTS", spans * per_span)
+        curves.append(_cvll_curve(frame, grid))
+    assert all(curve == curves[0] for curve in curves) and len(curves[0]) == len(grid)
+    if case == "inf inside a block":
+        # m = 38 scores +inf and m = 40 does not; every block size above one span puts both in one block
+        assert curves[0][:19] == [math.inf] * 19 and all(math.isfinite(score) for score in curves[0][19:])
+    if case == "collinear":
+        assert curves[0] == [math.inf] * len(grid)
+        with pytest.raises(NoUsableSpan):
+            cvll_select(frame, grid=grid)
+    else:
+        assert math.isfinite(min(curves[0]))
 
 
 def test_running_sums_keep_accuracy_over_wide_dynamic_range():

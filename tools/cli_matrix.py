@@ -13,17 +13,19 @@ bench/out/.  Every 3-series graph is chordal, so none of those runs reaches the
 covariance-selection sweeps: the tool also writes one fixed 4-column CSV
 (stdlib random, seed 7) and runs `spectest test --hypothesis graphical --edges
 1-2,2-3,3-4,1-4`, a 4-cycle, with the same five statistics and two
-bandwidths, 10 runs.  Then 32 Monte Carlo runs: `spectest simulate-null` and
-`simulate-power` (n = 64, 100 replications, all three statistic forms) under
-the four nulls of the per-file runs, with --m 8 and with --cvll, each with
---threads 1 and --threads 2.  Then both commands once more at n = 201, --m 30 and 300
-replications under independence, with --threads 1 and 2: these span several
-simulation blocks and cross pipeline-chunk boundaries inside a block.  Then
+bandwidths, 10 runs, plus `spectest cvll` on it, the one 5 x 5 bordered CVLL
+elimination, whose 77 spans end in a partial block.  Then 32 Monte Carlo runs:
+`spectest simulate-null` and `simulate-power` (n = 64, 100 replications, all
+three statistic forms) under the four nulls of the per-file runs, with --m 8
+and with --cvll, each with --threads 1 and --threads 2.  Then both commands
+once more at n = 201, --m 30 and 300 replications under independence, with
+--threads 1 and 2: these span several simulation blocks and cross
+pipeline-chunk boundaries inside a block.  Then
 `simulate-null --kind j` and `simulate-power --kind chernoff --chernoff-alpha
 0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
 CLI path through the quadrature.  Last, 16 usage errors (a missing or doubled
 --m/--cvll, an odd span, an unknown statistic, a graphical null without edges,
-a missing --phi1 or --input, an unknown command): 475 runs on the benchmark's
+a missing --phi1 or --input, an unknown command): 476 runs on the benchmark's
 ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
@@ -88,6 +90,7 @@ def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
     for statistic in STATISTICS:
         for bandwidth in BANDWIDTHS:
             runs.append(["test", "--input", cycle_input, "--hypothesis", *CYCLE, *statistic, *bandwidth])
+    runs.append(["cvll", "--input", cycle_input])
     for command in SIMULATIONS:
         for hypothesis in HYPOTHESES:
             for bandwidth in (["--m", "8"], ["--cvll"]):
