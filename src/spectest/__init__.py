@@ -7,6 +7,8 @@ measures the gap with eigenvalue-based discrepancies whose null mean and
 variance are known, yielding standard normal test statistics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .divergence import J, KL, QUADRATIC, Discrepancy, chernoff, discrepancy
 from .errors import (
     AlignmentMismatch,
@@ -82,70 +84,6 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentMismatch",
-    "BandwidthTooLarge",
-    "DegenerateVariance",
-    "Discrepancy",
-    "EdgeSet",
-    "EmptyGrid",
-    "EtaSigma",
-    "FourierFrame",
-    "GraphicalModel",
-    "IndependenceModel",
-    "J",
-    "KL",
-    "McConfig",
-    "McSummary",
-    "NoConvergence",
-    "NoUsableSpan",
-    "NonNumeric",
-    "NonPositiveEigenvalue",
-    "NonStationary",
-    "NotPositiveDefinite",
-    "ParseError",
-    "QUADRATIC",
-    "RaggedRows",
-    "SeparableModel",
-    "SingularCovariance",
-    "SpectestError",
-    "SpectralSequence",
-    "StatisticVariant",
-    "TestReport",
-    "TooShort",
-    "VarOneProcess",
-    "WeightKernel",
-    "as_hermitian",
-    "benchmark_process",
-    "block_indices",
-    "chernoff",
-    "config_manifest",
-    "covariance_selection",
-    "cvll_score",
-    "cvll_select",
-    "decide",
-    "default_cvll_grid",
-    "dft",
-    "discrepancy",
-    "eta_sigma_generic",
-    "inverse_pd",
-    "is_positive_definite",
-    "kernel_constants",
-    "model_from_name",
-    "mu_tensor",
-    "normal_quantile",
-    "null_summary",
-    "parse_edge_list",
-    "power_rows",
-    "raw_statistic",
-    "relative_eigenvalues_stack",
-    "replication_seed",
-    "run_many",
-    "run_test",
-    "simulate_var1",
-    "size_adjusted_power",
-    "smoothed_periodogram",
-    "standardize",
-    "summary_rows",
-    "write_summary_csv",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

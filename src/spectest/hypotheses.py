@@ -46,15 +46,18 @@ SELECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EtaSigma:
-    """Centering constant eta and variance constant sigma^2 (both per frequency)."""
+    """Centering constant eta and variance constant sigma^2 (both per frequency).
+
+    Floats, or arrays over a stack of samples, each checked alike.
+    """
 
     eta: float
     sigma2: float
 
     def __post_init__(self):
-        if not np.isfinite(self.eta):
+        if not np.all(np.isfinite(self.eta)):
             raise ValueError(f"eta must be finite, got {self.eta}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
+        if not np.all(np.isfinite(self.sigma2) & (np.asarray(self.sigma2) > 0.0)):
             raise DegenerateVariance(f"sigma2 must be positive, got {self.sigma2}")
 
 
@@ -338,13 +341,11 @@ class SeparableModel:
         return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
+        """The constants for one theta, or arrays of them over a stack of theta."""
         sigma = np.asarray(theta, dtype=float)
-        d = np.diag(sigma)
-        tau = float(np.sum(sigma**2 / np.outer(d, d)))
-        return EtaSigma(
-            eta=(tau / r - 2.0 + r * r) / 4.0,
-            sigma2=(tau**2 / r**2 - 2.0 + r * r) / 6.0,
-        )
+        d = np.diagonal(sigma, axis1=-2, axis2=-1)
+        tau = np.sum(sigma**2 / (d[..., :, np.newaxis] * d[..., np.newaxis, :]), axis=(-2, -1))
+        return EtaSigma(eta=(tau / r - 2.0 + r * r) / 4.0, sigma2=(tau**2 / r**2 - 2.0 + r * r) / 6.0)
 
     def derivative_provider(self, r: int, theta):
         sigma = np.asarray(theta, dtype=complex)

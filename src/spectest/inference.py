@@ -130,29 +130,23 @@ def raw_statistic(
     return results
 
 
-def standardize(
-    raw: float,
-    n: int,
-    m: int,
-    es: EtaSigma,
-    curvature: float,
-    variant: StatisticVariant,
-    du: float | None = None,
-    bu: float | None = None,
-) -> float:
+def standardize(raw, n: int, m: int, es: EtaSigma, curvature: float, variant: StatisticVariant,
+                du: float | None = None, bu: float | None = None):
     """Center and scale a raw statistic to its standard normal limit.
 
     The hypothesis constants are stated for the unit-curvature discrepancy;
     a family with curvature c shifts eta by c and sigma by c (sigma^2 by
     c^2).  The block form additionally deflates by sqrt(B/D) and uses the
-    block count L = floor(n//2 / (m+1)) in place of n.
+    block count L = floor(n//2 / (m+1)) in place of n.  raw, es.eta and
+    es.sigma2 may be arrays over a stack of samples; the result is then the
+    array of each sample's value.
     """
-    if es.sigma2 <= 0.0:
+    if np.any(np.asarray(es.sigma2) <= 0.0):
         raise DegenerateVariance(f"sigma2 must be positive, got {es.sigma2}")
     if curvature <= 0.0:
         raise ValueError(f"curvature must be positive, got {curvature}")
     eta_k = curvature * es.eta
-    sigma_k = curvature * math.sqrt(es.sigma2)
+    sigma_k = curvature * np.sqrt(es.sigma2)
     if variant.form == "block":
         if du is None or bu is None:
             raise ValueError("block standardization needs the kernel constants D and B")
@@ -160,8 +154,10 @@ def standardize(
         if count < 1:
             raise ValueError(f"span m = {m} leaves no block index for n = {n}")
         deflator = math.sqrt(bu / du)
-        return (m / math.sqrt(count)) * (raw - (2.0 * count / m) * eta_k) / (deflator * sigma_k)
-    return math.sqrt(m / n) * (raw - (n / m) * eta_k) / sigma_k
+        value = (m / math.sqrt(count)) * (raw - (2.0 * count / m) * eta_k) / (deflator * sigma_k)
+    else:
+        value = math.sqrt(m / n) * (raw - (n / m) * eta_k) / sigma_k
+    return value if np.ndim(value) else float(value)
 
 
 @functools.lru_cache
@@ -191,12 +187,15 @@ def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float
     return p, standardized > normal_quantile(1.0 - alpha_level)
 
 
-def _run_stack(samples, model, kernel: WeightKernel, variants, alpha_level: float) -> list[dict]:
-    """The test pipeline on an (R, n, r) stack of samples: one report dict per sample.
+def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict[str, np.ndarray]]:
+    """The test pipeline on an (R, n, r) stack of samples: per variant label, arrays over the stack.
 
-    Each stage runs once on the whole stack.  Every operation on it is elementwise,
-    a per-matrix BLAS or LAPACK call in a restriction, or a per-row FFT or sum,
-    so a sample's reports have the same bits whatever else the stack holds.
+    Each label maps raw, standardized, nonpd (the non-PD count), eta and sigma2
+    to an (R,) array.  Each stage runs once on the whole stack, the model's theta
+    and closed-form constants included.  Every operation on it is elementwise, a
+    per-matrix BLAS or LAPACK call in a restriction, or a per-row FFT or sum, so
+    a sample's values have the same bits whatever else the stack holds, and a
+    stack raises the errors any of its samples raises alone.
 
     The hypothesis constants are stated for the flat kernel (C = 1/2, D = 1/3);
     a general kernel rescales them by (2C, 3D), exactly, because the frequency
@@ -204,34 +203,27 @@ def _run_stack(samples, model, kernel: WeightKernel, variants, alpha_level: floa
     a weight phi multiplies eta by its grid mean and sigma^2 by the mean of
     its square.
     """
-    count, n, r = samples.shape
+    n, r = samples.shape[1:]
     f_unrestricted = smoothed_periodogram(dft(samples), kernel)
     theta = model.estimate_theta(samples)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
     variants = tuple(variants)
     raws = raw_statistic(f_unrestricted, f_restricted, variants, m=kernel.m)
-    closed = [model.eta_sigma_closed(r, theta_k) for theta_k in theta]
-    reports = [{} for _ in range(count)]
+    closed = model.eta_sigma_closed(r, theta)  # arrays over the stack, or floats shared by it
+    results = {}
     for variant, (raw, nonpd) in zip(variants, raws):
         phi = [1.0]
         if variant.form == "weighted":
             phi = np.array([float(variant.phi(lam)) for lam in f_unrestricted.frequencies])
         eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
-        for k, es in enumerate(closed):
-            es = EtaSigma(eta=es.eta * 2.0 * kernel.cu * eta_weight,
-                          sigma2=es.sigma2 * 3.0 * kernel.du * sigma2_weight)
-            standardized = standardize(
-                float(raw[k]), n, kernel.m, es, variant.effective_kind.curvature, variant,
-                du=kernel.du, bu=kernel.bu,
-            )
-            forced = bool(nonpd[k] > 0)
-            p_value, reject = decide(standardized, alpha_level, forced)
-            reports[k][variant.label] = TestReport(
-                raw=float(raw[k]), m=kernel.m, n=n, eta_hat=es.eta, sigma2_hat=es.sigma2,
-                standardized=standardized, p_value=p_value, reject=reject,
-                alpha_level=alpha_level, nonpd_count=int(nonpd[k]), forced_reject=forced,
-            )
-    return reports
+        es = EtaSigma(eta=closed.eta * 2.0 * kernel.cu * eta_weight,
+                      sigma2=closed.sigma2 * 3.0 * kernel.du * sigma2_weight)
+        standardized = standardize(raw, n, kernel.m, es, variant.effective_kind.curvature, variant,
+                                   du=kernel.du, bu=kernel.bu)
+        results[variant.label] = {"raw": raw, "standardized": standardized, "nonpd": nonpd,
+                                  "eta": np.broadcast_to(es.eta, raw.shape),
+                                  "sigma2": np.broadcast_to(es.sigma2, raw.shape)}
+    return results
 
 
 def run_many(
@@ -243,7 +235,8 @@ def run_many(
     "cvll" to select the span by cross validation first.  The spectral
     estimates and the pencil terms are computed once and shared by
     all variants.  This is the one-sample call of the stacked pipeline the
-    Monte Carlo drivers run.
+    Monte Carlo drivers run: each report is row 0 of its label's arrays,
+    plus the p-value and decision.
     """
     arr = validate_sample(sample)
     if arr.shape[0] < 8:
@@ -255,7 +248,16 @@ def run_many(
         kern = WeightKernel.flat(cvll_select(arr, grid=cvll_grid)[0])
     else:
         kern = WeightKernel.flat(int(kernel))
-    return _run_stack(arr[np.newaxis], model, kern, variants, alpha_level)[0]
+    reports = {}
+    for label, row in _run_stack(arr[np.newaxis], model, kern, variants).items():
+        standardized, nonpd = float(row["standardized"][0]), int(row["nonpd"][0])
+        p_value, reject = decide(standardized, alpha_level, nonpd > 0)
+        reports[label] = TestReport(
+            raw=float(row["raw"][0]), m=kern.m, n=arr.shape[0], eta_hat=float(row["eta"][0]),
+            sigma2_hat=float(row["sigma2"][0]), standardized=standardized, p_value=p_value, reject=reject,
+            alpha_level=alpha_level, nonpd_count=nonpd, forced_reject=nonpd > 0,
+        )
+    return reports
 
 
 def run_test(

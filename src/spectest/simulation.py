@@ -197,11 +197,12 @@ class McSummary:
     replications: int
 
 
-def _run_block(config: McConfig, ks: range) -> list[dict]:
-    """Reports per variant for replications ks: one simulated block, tested per span in pipeline chunks.
+def _run_block(config: McConfig, ks: range) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Standardized values and forced flags per variant for replications ks, in their order.
 
-    With "cvll" each sample's span is selected first; the samples sharing a span are then
-    cut into chunks of at most _CHUNK_ELEMENTS elements, one pipeline run each.
+    One simulated block, tested per span in pipeline chunks: with "cvll" each sample's span
+    is selected first; the samples sharing a span are then cut into chunks of at most
+    _CHUNK_ELEMENTS elements, one pipeline run each, written straight into the arrays.
     """
     seeds = [replication_seed(config.seed, k) for k in ks]
     samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
@@ -210,16 +211,17 @@ def _run_block(config: McConfig, ks: range) -> list[dict]:
     else:
         spans = np.full(len(samples), int(config.bandwidth))
     size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
-    reports = [None] * len(samples)
+    out = {label: (np.empty(len(samples)), np.empty(len(samples), dtype=bool)) for label in config.labels}
     for span in np.unique(spans):
         kernel = WeightKernel.flat(int(span))
         group = np.flatnonzero(spans == span)
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            stack = _run_stack(samples[chunk], config.model, kernel, config.variants, config.alpha_level)
-            for k, report in zip(chunk, stack):
-                reports[k] = report
-    return reports
+            stack = _run_stack(samples[chunk], config.model, kernel, config.variants)
+            for label, (values, forced) in out.items():
+                values[chunk] = stack[label]["standardized"]
+                forced[chunk] = stack[label]["nonpd"] > 0
+    return out
 
 
 def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -235,12 +237,12 @@ def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.n
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_block, [config] * len(blocks), blocks))
-    reports = [report for block in results for report in block]
-    return {
-        label: (np.array([rep[label].standardized for rep in reports]),
-                np.array([rep[label].forced_reject for rep in reports], dtype=bool))
-        for label in config.labels
-    }
+    collected = {label: (np.empty(config.replications), np.empty(config.replications, dtype=bool))
+                 for label in config.labels}
+    for ks, block in zip(blocks, results):
+        for label, (values, forced) in collected.items():
+            values[ks.start : ks.stop], forced[ks.start : ks.stop] = block[label]
+    return collected
 
 
 def _summarize(values: np.ndarray, forced: np.ndarray, alpha_level: float) -> McSummary:

@@ -7,12 +7,17 @@ and every indexed quantity is treated as periodic in j with period n, which
 for real data is the same as reflecting conjugate-transposed ordinates
 through zero.  Smoothing uses an even positive weight function u on
 [-1/2, 1/2] sampled at j/m; bandwidth selection minimizes a leave-one-out
-Whittle-type cross validation score.  Both add up pairs I[t - k] + I[t + k]
-on frequency-last (r, r, n//2) stacks; CVLL adds one LDL^H elimination per block of spans.
+Whittle-type cross validation score.  Both read the periodogram as real
+lower-triangle planes, frequency last.  Flat smoothing sums each window from
+two within-block sums, at a cost that does not grow with m; other weights and
+the CVLL running sum add pairs I[t - k] + I[t + k].  Smoothing mirrors the
+planes into exactly Hermitian matrices; CVLL writes them into the lower
+triangle of a bordered stack and adds one LDL^H elimination per block of spans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,24 +81,70 @@ def dft(values) -> FourierFrame:
     return FourierFrame(w=w, n=n, r=r)
 
 
-def _periodogram_pairs(frame: FourierFrame, reach: int):
-    """Yield I[t], then I[t - k] + I[t + k] for k = 1 .. reach, as (r, r, ..., n//2) stacks.
+def _periodogram_planes(frame: FourierFrame, reach: int, block: int = 1) -> np.ndarray:
+    """Real lower-triangle planes of I[j] = w[j] w[j]^H for j = 1 - reach .. n//2 + reach (mod n).
 
-    I[j] = w[j] w[j]^H is formed once for j = 1 - reach .. n//2 + reach (mod n), in real
-    arithmetic: a complex multiply may fuse multiply-adds, which would break the exact Hermitian
-    symmetry that sums with real weights keep.  The pairs share one buffer, valid until the next yield.
+    A contiguous (r^2, ..., J) float array, frequency last: Re I_ab for the pairs a >= b in
+    np.tril_indices order, then Im I_ab for a > b.  With w = x + iy they are x_a x_b + y_a y_b
+    and y_a x_b - x_a y_b in real arithmetic, as a complex multiply may fuse multiply-adds;
+    Im I_aa is exactly zero.  Zeros pad J up to a multiple of block.
     """
-    half = frame.n // 2
+    half, r = frame.n // 2, frame.r
+    count = half + 2 * reach
     w = np.moveaxis(frame.w[..., np.arange(1 - reach, half + reach + 1) % frame.n, :], -1, 0)
-    x, y = w.real[:, np.newaxis], w.imag[:, np.newaxis]
-    per = np.empty((frame.r,) + w.shape, dtype=complex)
-    per.real = x * w.real + y * w.imag
-    per.imag = y * w.real - x * w.imag
-    yield per[..., reach : reach + half]
-    pair = np.empty(per.shape[:-1] + (half,), dtype=complex)
+    x, y = w.real, w.imag
+    (a, b), (c, d) = np.tril_indices(r), np.tril_indices(r, -1)
+    planes = np.zeros((r * r,) + w.shape[1:-1] + (-(-count // block) * block,))
+    real, imag = planes[: a.size, ..., :count], planes[a.size :, ..., :count]
+    np.multiply(x[a], x[b], out=real)
+    real += y[a] * y[b]
+    np.multiply(y[c], x[d], out=imag)
+    imag -= x[c] * y[d]
+    return planes
+
+
+@functools.lru_cache
+def _plane_entries(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, part) of each plane of _periodogram_planes; part 0 is real, 1 imaginary."""
+    (a, b), (c, d) = np.tril_indices(r), np.tril_indices(r, -1)
+    return np.concatenate([a, c]), np.concatenate([b, d]), np.repeat([0, 1], [a.size, c.size])
+
+
+def _write_planes(out: np.ndarray, planes: np.ndarray, mirror: bool = False) -> None:
+    """Write the planes into the lower triangle of the leading r x r block of a frequency-last
+    complex stack, in one gathered assignment; mirror writes their conjugates above it too."""
+    r = math.isqrt(len(planes))
+    rows, cols, part = _plane_entries(r)
+    parts = out.view(float).reshape(out.shape + (2,))
+    parts[rows, cols, ..., part] = planes
+    if mirror:
+        tri = r * (r + 1) // 2
+        parts[cols[:tri], rows[:tri], ..., 0], parts[cols[tri:], rows[tri:], ..., 1] = planes[:tri], -planes[tri:]
+
+
+def _pair_sums(planes: np.ndarray, reach: int):
+    """Yield planes[t - k] + planes[t + k] for k = 1 .. reach and t = reach .. J - reach - 1, in one buffer."""
+    half = planes.shape[-1] - 2 * reach
+    pair = np.empty(planes.shape[:-1] + (half,))
     for k in range(1, reach + 1):
-        yield np.add(per[..., reach - k : reach - k + half], per[..., reach + k : reach + k + half],
-                     out=pair)
+        yield np.add(planes[..., reach - k : reach - k + half], planes[..., reach + k : reach + k + half], out=pair)
+
+
+def _window_sums(planes: np.ndarray, m: int, count: int) -> np.ndarray:
+    """planes[s] + planes[s + 1] + ... + planes[s + m] for s = 0 .. count - 1, from two-block sums.
+
+    The frequency axis is cut into blocks of m + 1.  A window that starts a block is that block's
+    suffix sum; any other is suffix[s] + prefix[s + m] over two blocks (van Herk 1992; Gil &
+    Werman 1993).  Every term is added and none subtracted, so the sums keep the direct sum's
+    accuracy at any dynamic range, at a cost that does not grow with m.
+    """
+    blocks = planes.reshape(planes.shape[:-1] + (-1, m + 1))
+    prefix = np.cumsum(blocks, axis=-1).reshape(planes.shape)
+    suffix = np.empty_like(planes)
+    np.cumsum(blocks[..., ::-1], axis=-1, out=suffix.reshape(blocks.shape)[..., ::-1])
+    sums = suffix[..., :count] + prefix[..., m : m + count]
+    sums[..., :: m + 1] = suffix[..., : count : m + 1]
+    return sums
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -261,17 +312,20 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     n, r, m = frame.n, frame.r, kernel.m
     _check_span(m, r=r, n=n, centre=True)
-    pairs = _periodogram_pairs(frame, m // 2)
-    # flat weights skip the multiply (1.0 * x == x); the centre view is copied, as later pairs read it
-    flat = bool(np.all(kernel.weights == 1.0))
-    total = next(pairs).copy() if flat else kernel.weights[m // 2] * next(pairs)
-    scaled = None if flat else np.empty_like(total)
-    # the weights are symmetric, so w_{-k} = w_k
-    for weight, pair in zip(kernel.weights[m // 2 + 1 :], pairs):
-        total += pair if flat else np.multiply(weight, pair, out=scaled)
-    total /= kernel.wstar
-    smoothed = np.ascontiguousarray(np.moveaxis(total, (0, 1), (-2, -1)))
-    return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(total, r)[0])
+    half, h = n // 2, m // 2
+    if np.all(kernel.weights == 1.0):
+        total = _window_sums(_periodogram_planes(frame, h, block=m + 1), m, half)
+    else:
+        planes = _periodogram_planes(frame, h)
+        total = kernel.weights[h] * planes[..., h : h + half]
+        # the weights are symmetric, so w_{-k} = w_k
+        for weight, pair in zip(kernel.weights[h + 1 :], _pair_sums(planes, h)):
+            total += np.multiply(weight, pair, out=pair)
+    total *= 1.0 / kernel.wstar  # the bits of a complex sum divided by wstar
+    stack = np.zeros((r, r) + total.shape[1:], dtype=complex)
+    _write_planes(stack, total, mirror=True)
+    smoothed = np.ascontiguousarray(np.moveaxis(stack, (0, 1), (-2, -1)))
+    return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(stack, r)[0])
 
 
 def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
@@ -286,19 +340,21 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
     n, r, half = frame.n, frame.r, frame.n // 2
     for m in grid:
         _check_span(m, r=r, n=n)
-    pairs = _periodogram_pairs(frame, grid[-1] // 2)
-    total = np.zeros_like(next(pairs))  # the centre I[t] is left out
+    reach = grid[-1] // 2
+    planes = _periodogram_planes(frame, reach)
+    pairs = _pair_sums(planes, reach)
+    total = np.zeros(planes.shape[:-1] + (half,))  # the centre I[t] is left out
     size = max(1, min(len(grid), _CVLL_BLOCK_ELEMENTS // ((r + 1) ** 2 * half)))
     bordered = np.zeros((r + 1, r + 1, size, half), dtype=complex)
     bordered[r, :r] = np.conj(frame.w[1 : half + 1]).T[:, np.newaxis]  # only the lower triangle is read
     h, scores = 0, []
     for start in range(0, len(grid), size):
         block = grid[start : start + size]
-        for b, m in enumerate(block):
+        for slot, m in enumerate(block):
             for _ in range(h + 1, m // 2 + 1):
                 total += next(pairs)
             h = m // 2
-            np.multiply(total, 1.0 / m, out=bordered[:r, :r, b])  # the bits of total / m
+            _write_planes(bordered[:, :, slot], total * (1.0 / m))  # the bits of a complex total / m
         ok, logdet, corner = _eliminate(bordered[:, :, : len(block)], r)
         with np.errstate(invalid="ignore"):  # a failed span's log det may be non-finite
             fits = (np.sum(logdet, axis=-1) - np.sum(corner[0, 0].real, axis=-1)) / n

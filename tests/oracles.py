@@ -135,13 +135,20 @@ def simulate_var1(process, n, burn_in, seed):
 
 
 def smoothed_by_multiply(frame, kernel):
-    """Smoothed periodogram matrices from the window pair sums, each multiplied by its weight."""
-    from spectest.spectral import _periodogram_pairs
+    """Smoothed periodogram matrices from complex window pair sums I[t - k] + I[t + k], each times its weight.
 
-    pairs = _periodogram_pairs(frame, kernel.m // 2)
-    total = kernel.weights[kernel.m // 2] * next(pairs)
-    for weight, pair in zip(kernel.weights[kernel.m // 2 + 1 :], pairs):
-        total += weight * pair
+    I[j] = w[j] w[j]^H is formed as a complex (r, r, ..., n//2 + m) stack, in real arithmetic as
+    the library forms its planes, so the weighted sums share their rounding.
+    """
+    h, half = kernel.m // 2, frame.n // 2
+    w = np.moveaxis(frame.w[..., np.arange(1 - h, half + h + 1) % frame.n, :], -1, 0)
+    x, y = w.real[:, np.newaxis], w.imag[:, np.newaxis]
+    per = np.empty((frame.r,) + w.shape, dtype=complex)
+    per.real = x * w.real + y * w.imag
+    per.imag = y * w.real - x * w.imag
+    total = kernel.weights[h] * per[..., h : h + half]
+    for k, weight in enumerate(kernel.weights[h + 1 :], 1):
+        total += weight * (per[..., h - k : h - k + half] + per[..., h + k : h + k + half])
     return np.moveaxis(total / kernel.wstar, (0, 1), (-2, -1))
 
 

@@ -1,6 +1,7 @@
 """Tests for the raw statistics, standardization, and the full test pipeline."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spectest.hypotheses import (
 )
 from spectest.inference import (
     StatisticVariant,
+    _run_stack,
     block_indices,
     decide,
     normal_quantile,
@@ -205,6 +207,43 @@ def test_standardize_block_deflator():
 def test_standardize_rejects_degenerate_variance():
     with pytest.raises(DegenerateVariance):
         EtaSigma(eta=1.0, sigma2=-1.0)
+
+
+def test_standardize_takes_arrays_over_a_stack():
+    rng = np.random.default_rng(5)
+    raw, eta, sigma2 = rng.normal(10.0, 3.0, 7), rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7)
+    for variant, curvature in ((FULL, 1.0), (BLOCK, 1.0), (StatisticVariant(form="full", kind=J), 2.0)):
+        stacked = standardize(raw, 1001, 120, EtaSigma(eta=eta, sigma2=sigma2), curvature, variant,
+                              du=1.0 / 3.0, bu=1.0)
+        assert stacked.shape == raw.shape
+        for k in range(raw.size):
+            single = standardize(float(raw[k]), 1001, 120, EtaSigma(eta=float(eta[k]), sigma2=float(sigma2[k])),
+                                 curvature, variant, du=1.0 / 3.0, bu=1.0)
+            assert type(single) is float and stacked[k] == single
+
+
+def test_a_stack_raises_what_one_sample_raises():
+    bad = ((math.inf, 1.0, ValueError), (math.nan, 1.0, ValueError),
+           (1.0, 0.0, DegenerateVariance), (1.0, -1.0, DegenerateVariance), (1.0, math.nan, DegenerateVariance))
+    for eta, sigma2, error in bad:
+        with pytest.raises(error):
+            EtaSigma(eta=eta, sigma2=sigma2)
+        with pytest.raises(error):
+            EtaSigma(eta=np.array([1.0, eta, 1.0]), sigma2=np.array([1.0, sigma2, 1.0]))
+    # standardize checks sigma^2 itself, for constants that do not come as an EtaSigma
+    with pytest.raises(DegenerateVariance):
+        standardize(1.0, 101, 8, SimpleNamespace(eta=1.0, sigma2=0.0), 1.0, FULL)
+    with pytest.raises(DegenerateVariance):
+        standardize(np.ones(3), 101, 8, SimpleNamespace(eta=np.ones(3), sigma2=np.array([1.0, 0.0, 1.0])), 1.0, FULL)
+    # in the pipeline, an infinite weight phi makes eta non-finite and a zero one makes sigma^2 vanish
+    samples = np.random.default_rng(6).standard_normal((3, 64, 2))
+    for phi, error in ((lambda lam: math.inf, ValueError), (lambda lam: 0.0, DegenerateVariance)):
+        variant = StatisticVariant(form="weighted", phi=phi)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(error):
+                run_many(samples[0], IndependenceModel(), 8, [variant])
+            with pytest.raises(error):
+                _run_stack(samples, IndependenceModel(), WeightKernel.flat(8), [variant])
 
 
 def test_normal_quantile_matches_ndtri():

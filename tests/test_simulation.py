@@ -351,21 +351,22 @@ def test_collect_prefix_does_not_depend_on_the_replication_count():
 def test_batched_replications_match_the_serial_oracle(name):
     config = batch_config(name, reps=12)
     batched = _run_block(config, range(config.replications))
-    for k, (got, want) in enumerate(zip(batched, oracles.replications(config))):
+    assert list(batched) == list(config.labels)
+    for k, want in enumerate(oracles.replications(config)):
         sample = simulate_var1(config.process, config.n, burn_in=config.burn_in,
                                seed=replication_seed(config.seed, k))
         direct = run_many(sample, config.model, config.bandwidth, config.variants,
                           cvll_grid=config.cvll_grid)
-        assert list(got) == list(want) == list(direct)
-        for label in got:
+        assert list(want) == list(direct) == list(config.labels)
+        for label, (values, forced) in batched.items():
             # the bench regenerates replications this way, so they must be the study's bits
-            assert got[label] == direct[label]
-            assert got[label].m == want[label].m
-            assert got[label].forced_reject == want[label].forced_reject
-            assert got[label].nonpd_count == want[label].nonpd_count
-            assert got[label].raw == pytest.approx(want[label].raw, rel=1e-12)
+            assert values[k] == direct[label].standardized
+            assert forced[k] == direct[label].forced_reject == want[label].forced_reject
+            assert direct[label].m == want[label].m
+            assert direct[label].nonpd_count == want[label].nonpd_count
+            assert direct[label].raw == pytest.approx(want[label].raw, rel=1e-12)
             # standardized values are centred, so near zero only an absolute bound means anything
-            assert got[label].standardized == pytest.approx(want[label].standardized, rel=1e-12, abs=1e-12)
+            assert values[k] == pytest.approx(want[label].standardized, rel=1e-12, abs=1e-12)
 
 
 def test_simulator_matches_the_serial_recursion():

@@ -11,7 +11,7 @@ from scipy.integrate import quad, simpson
 import spectest.spectral
 from oracles import leave_out, logdet, periodogram, smoothed_by_multiply
 from spectest.errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from spectest.hermitian import inverse_pd
+from spectest.hermitian import inverse_pd, is_positive_definite
 from spectest.spectral import (
     FourierFrame,
     SpectralSequence,
@@ -207,12 +207,64 @@ def test_smoothed_periodogram_is_window_average():
         assert np.allclose(est.matrices[t - 1], window / bump.wstar, atol=1e-13)
 
 
+def relative_error(est, want):
+    """Largest entrywise |est - want| / sqrt(f_aa f_bb), with f the diagonal of want."""
+    diag = np.sqrt(np.real(np.diagonal(want, axis1=-2, axis2=-1)))
+    return np.max(np.abs(est - want) / (diag[..., :, np.newaxis] * diag[..., np.newaxis, :]))
+
+
+def is_exactly_hermitian(matrices):
+    return np.array_equal(matrices, np.conj(np.swapaxes(matrices, -1, -2)))
+
+
 @pytest.mark.parametrize("n", [101, 128])
-def test_flat_smoothing_skips_the_multiply_bit_for_bit(n):
+def test_smoothing_matches_the_complex_pair_sum_oracle(n):
     frame = dft(np.random.default_rng(n).standard_normal((5, n, 3)))
     bump = WeightKernel.from_function(lambda x: 1.0 + np.cos(math.pi * np.asarray(x, dtype=float)), 10)
-    for kernel in (WeightKernel.flat(2), WeightKernel.flat(10), WeightKernel.flat(30), bump):
-        assert np.array_equal(smoothed_periodogram(frame, kernel).matrices, smoothed_by_multiply(frame, kernel))
+    # other weights keep the weighted pair sums, bit for bit
+    assert np.array_equal(smoothed_periodogram(frame, bump).matrices, smoothed_by_multiply(frame, bump))
+    # flat weights take two-block sums, which add the same terms in another order
+    for kernel in (WeightKernel.flat(2), WeightKernel.flat(10), WeightKernel.flat(30)):
+        est = smoothed_periodogram(frame, kernel).matrices
+        assert is_exactly_hermitian(est)
+        assert relative_error(est, smoothed_by_multiply(frame, kernel)) < 1e-14
+
+
+def near_unit_root(seed, count, n, r):
+    """(count, n, r) samples: AR(1) with coefficient 0.999 at power 1e4, beside white noise at 1e-4."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((count, n, r))
+    ar = np.empty((count, n))
+    ar[:, 0] = e[:, 0, 0] / math.sqrt(1.0 - 0.999**2)  # the stationary start
+    for t in range(1, n):
+        ar[:, t] = 0.999 * ar[:, t - 1] + e[:, t, 0]
+    return np.concatenate([1e2 * ar[..., np.newaxis], 1e-2 * e[..., 1:]], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "n, r, m",
+    [
+        (99, 1, 2),  # n//2 + m = 51, seventeen whole blocks of m + 1 = 3
+        (101, 1, 2),  # 52, a partial last block
+        (112, 5, 10),  # 66 = 6 x 11
+        (128, 5, 10),  # 74, a partial last block
+        (601, 3, 22),  # 322 = 14 x 23
+        (600, 5, 22),  # 322 again, with an even n
+    ],
+)
+def test_two_block_window_sums_match_the_direct_sum(n, r, m):
+    # The AR(1) series' smoothed spectrum falls by up to 4e4 from its peak, and the white
+    # series lie 1e8 below it in power.  A window sum taken as a difference of running
+    # sums misses the quiet frequencies here by about 1e-11 of their scale.
+    samples = near_unit_root(n + r + m, 3, n, r)
+    kernel = WeightKernel.flat(m)
+    stacked = smoothed_periodogram(samples, kernel)
+    assert is_exactly_hermitian(stacked.matrices)
+    assert np.array_equal(stacked.pd, is_positive_definite(stacked.matrices))
+    assert relative_error(stacked.matrices, smoothed_by_multiply(dft(samples), kernel)) < 1e-14
+    for sample, matrices, pd in zip(samples, stacked.matrices, stacked.pd):
+        single = smoothed_periodogram(sample, kernel)
+        assert np.array_equal(single.matrices, matrices) and np.array_equal(single.pd, pd)
 
 
 def test_smoothed_periodogram_frequencies_and_pd():

@@ -7,14 +7,15 @@ Each tree is a checkout holding src/spectest.  Every input CSV runs
 two graphical nulls (--edges 1-2,2-3, a chain, and --edges 1-2, whose
 separator is empty) with --stat full, block and quadratic plus full with
 --kind j and full with --kind chernoff --chernoff-alpha 0.3 (the one path
-through the Chernoff log-det), each with --m 40 and with --cvll: 41 runs per
-file, 410 on the ten CSV files the benchmark's cli_cvll workload writes to
-bench/out/.  Every 3-series graph is chordal, so none of those runs reaches the
-covariance-selection sweeps: the tool also writes one fixed 4-column CSV
-(stdlib random, seed 7) and runs `spectest test --hypothesis graphical --edges
-1-2,2-3,3-4,1-4`, a 4-cycle, with the same five statistics and two
-bandwidths, 10 runs, plus `spectest cvll` on it, the one 5 x 5 bordered CVLL
-elimination, whose 77 spans end in a partial block.  Then 32 Monte Carlo runs:
+through the Chernoff log-det), each with --m 40, --m 2 (the shortest span)
+and --cvll: 61 runs per file, 610 on the ten CSV files the benchmark's
+cli_cvll workload writes to bench/out/.  Every 3-series graph is chordal, so
+none of those runs reaches the covariance-selection sweeps: the tool also
+writes one fixed 600 x 4 CSV (stdlib random, seed 7) and runs `spectest test
+--hypothesis graphical --edges 1-2,2-3,3-4,1-4`, a 4-cycle, with the same five
+statistics and --m 40, --m 22 (whose smoothing blocks of 23 frequencies tile
+the grid exactly) and --cvll, 15 runs, plus `spectest cvll` on it, the one
+5 x 5 bordered CVLL elimination, whose 77 spans end in a partial block.  Then 32 Monte Carlo runs:
 `spectest simulate-null` and `simulate-power` (n = 64, 100 replications, all
 three statistic forms) under the four nulls of the per-file runs, with --m 8
 and with --cvll, each with --threads 1 and --threads 2.  Then both commands
@@ -25,7 +26,7 @@ pipeline-chunk boundaries inside a block.  Then
 0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
 CLI path through the quadrature.  Last, 16 usage errors (a missing or doubled
 --m/--cvll, an odd span, an unknown statistic, a graphical null without edges,
-a missing --phi1 or --input, an unknown command): 476 runs on the benchmark's
+a missing --phi1 or --input, an unknown command): 681 runs on the benchmark's
 ten files.
 
 One fresh interpreter per tree imports that tree's package and calls
@@ -61,7 +62,10 @@ HYPOTHESES = (["independence"], ["separable"], ["graphical", "--edges", "1-2,2-3
 CYCLE = ["graphical", "--edges", "1-2,2-3,3-4,1-4"]
 STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], ["--stat", "full", "--kind", "j"],
               ["--stat", "full", "--kind", "chernoff", "--chernoff-alpha", "0.3"])
-BANDWIDTHS = (["--m", "40"], ["--cvll"])
+# --m 2 is the shortest span, the smallest block of the flat window sums
+BANDWIDTHS = (["--m", "40"], ["--m", "2"], ["--cvll"])
+# n//2 + m = 300 + 22 = 14 x 23, so the window sums' blocks tile the 600-row CSV's grid exactly
+CYCLE_BANDWIDTHS = (["--m", "40"], ["--m", "22"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 BLOCK_DESIGN = ["--n", "201", "--m", "30", "--reps", "300", "--seed", "13"]
@@ -88,7 +92,7 @@ def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
                 for bandwidth in BANDWIDTHS:
                     runs.append(["test", "--input", path, "--hypothesis", *hypothesis, *statistic, *bandwidth])
     for statistic in STATISTICS:
-        for bandwidth in BANDWIDTHS:
+        for bandwidth in CYCLE_BANDWIDTHS:
             runs.append(["test", "--input", cycle_input, "--hypothesis", *CYCLE, *statistic, *bandwidth])
     runs.append(["cvll", "--input", cycle_input])
     for command in SIMULATIONS:
