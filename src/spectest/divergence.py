@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveEigenvalue
-from .hermitian import _eliminate, _sweep
+from .hermitian import _eliminate, _lower, _sweep
 
 VALID_FAMILIES = ("kl", "j", "chernoff", "quadratic")
 
@@ -108,10 +108,10 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.n
         scale = 1.0 / np.sqrt(np.moveaxis(np.diagonal(b).real, -1, 0))
         scale = scale[:, np.newaxis] * scale[np.newaxis, :]
         a, b, d = (np.multiply(x, scale, dtype=np.result_type(x, float), order="C") for x in (a, b, a - b))
-        mixed = {k.alpha: _eliminate(b + k.alpha * d, r)[1] for k in kinds if k.family == "chernoff"}
+        mixed = {k.alpha: _eliminate(_lower(b + k.alpha * d), r)[1] for k in kinds if k.family == "chernoff"}
         # the sweep leaves -B^{-1} in b; only j needs -A^{-1}, and elimination has the sweep's pivots
         logdet_b = _sweep(b)
-        logdet_a = _sweep(a) if any(k.family == "j" for k in kinds) else _eliminate(a, r)[1]
+        logdet_a = _sweep(a) if any(k.family == "j" for k in kinds) else _eliminate(_lower(a), r)[1]
         e = -sum(b[:, k, np.newaxis] * d[k] for k in range(r))
         trace_e = sum(e[i, i].real for i in range(r))
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"

@@ -11,8 +11,8 @@ Whittle-type cross validation score.  Both read the periodogram as real
 lower-triangle planes, frequency last.  Flat smoothing sums each window from
 two within-block sums, at a cost that does not grow with m; other weights and
 the CVLL running sum add pairs I[t - k] + I[t + k].  Smoothing mirrors the
-planes into exactly Hermitian matrices; CVLL writes them into the lower
-triangle of a bordered stack and adds one LDL^H elimination per block of spans.
+planes into exactly Hermitian matrices; CVLL writes them into the packed lower
+triangle of a bordered stack and eliminates it in place, a block of spans at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import _check_hermitian, _eliminate, as_hermitian, is_positive_definite
+from .hermitian import _check_hermitian, _eliminate, _lower, as_hermitian, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 QUADRATURE_PANELS = 2048
-# Complex elements (r + 1)^2 * spans * n//2 per bordered block of CVLL spans: 4 spans, 512 KiB, at
-# n = 1001, r = 3.  It bounds the curve's peak memory; blocks of 8 spans there were no faster.
-_CVLL_BLOCK_ELEMENTS = 32_768
+# Packed complex elements (r + 1)(r + 2)/2 * spans * n//2 per bordered CVLL block, bounding its memory:
+# 16 spans, 1.25 MiB, at n = 1001, r = 3, where 12-24 of 4-32 spans ran alike and 4 or 32 about 25% slower.
+_CVLL_BLOCK_ELEMENTS = 80_000
 
 
 def validate_sample(values) -> np.ndarray:
@@ -110,16 +110,15 @@ def _plane_entries(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([a, c]), np.concatenate([b, d]), np.repeat([0, 1], [a.size, c.size])
 
 
-def _write_planes(out: np.ndarray, planes: np.ndarray, mirror: bool = False) -> None:
-    """Write the planes into the lower triangle of the leading r x r block of a frequency-last
-    complex stack, in one gathered assignment; mirror writes their conjugates above it too."""
+def _write_planes(out: np.ndarray, planes: np.ndarray) -> None:
+    """Write the planes and their conjugates into a frequency-last complex (r, r, ...) stack, in one
+    gathered assignment each, so the stack is exactly Hermitian."""
     r = math.isqrt(len(planes))
     rows, cols, part = _plane_entries(r)
     parts = out.view(float).reshape(out.shape + (2,))
     parts[rows, cols, ..., part] = planes
-    if mirror:
-        tri = r * (r + 1) // 2
-        parts[cols[:tri], rows[:tri], ..., 0], parts[cols[tri:], rows[tri:], ..., 1] = planes[:tri], -planes[tri:]
+    tri = r * (r + 1) // 2
+    parts[cols[:tri], rows[:tri], ..., 0], parts[cols[tri:], rows[tri:], ..., 1] = planes[:tri], -planes[tri:]
 
 
 def _pair_sums(planes: np.ndarray, reach: int):
@@ -323,19 +322,19 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
             total += np.multiply(weight, pair, out=pair)
     total *= 1.0 / kernel.wstar  # the bits of a complex sum divided by wstar
     stack = np.zeros((r, r) + total.shape[1:], dtype=complex)
-    _write_planes(stack, total, mirror=True)
+    _write_planes(stack, total)
     smoothed = np.ascontiguousarray(np.moveaxis(stack, (0, 1), (-2, -1)))
-    return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(stack, r)[0])
+    return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(_lower(stack), r)[0])
 
 
 def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
     """Scores for an ascending list of spans, each checked, from one running sum.
 
-    The leave-out sum S[t] = sum_{0 < |k| <= h} I[t + k] only gains PSD terms
-    as h grows, so the grid costs one O(n r^2) pass.  Per span, eliminating G
-    = S / m in the bordered matrix [[G, w], [w^H, 0]] screens G, gives log det G
-    from the pivots and leaves -w^H G^{-1} w in the corner.  Spans are bordered
-    and eliminated a block at a time, each block at most _CVLL_BLOCK_ELEMENTS.
+    The leave-out sum S[t] = sum_{0 < |k| <= h} I[t + k] only gains PSD terms as h grows, so the
+    grid costs one O(n r^2) pass.  Per span, eliminating G = S / m in the bordered matrix
+    [[G, w], [w^H, 0]] screens G, gives log det G from the pivots and leaves -w^H G^{-1} w in the
+    corner.  Spans are written into the packed lower triangle of a bordered block, whose upper
+    one is never stored or read, and eliminated in place, at most _CVLL_BLOCK_ELEMENTS at a time.
     """
     n, r, half = frame.n, frame.r, frame.n // 2
     for m in grid:
@@ -344,9 +343,11 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
     planes = _periodogram_planes(frame, reach)
     pairs = _pair_sums(planes, reach)
     total = np.zeros(planes.shape[:-1] + (half,))  # the centre I[t] is left out
-    size = max(1, min(len(grid), _CVLL_BLOCK_ELEMENTS // ((r + 1) ** 2 * half)))
-    bordered = np.zeros((r + 1, r + 1, size, half), dtype=complex)
-    bordered[r, :r] = np.conj(frame.w[1 : half + 1]).T[:, np.newaxis]  # only the lower triangle is read
+    packed = np.zeros((r + 1, r + 1), dtype=int)
+    packed[np.triu_indices(r + 1)[::-1]] = np.arange((r + 1) * (r + 2) // 2)  # where (i, j), j <= i, sits
+    rows, cols, part = _plane_entries(r)
+    size = max(1, min(len(grid), _CVLL_BLOCK_ELEMENTS // (packed[r, r] + 1) // half))
+    parts = np.zeros((packed[r, r] + 1, size, half, 2))  # the bordered block's real and imaginary parts
     h, scores = 0, []
     for start in range(0, len(grid), size):
         block = grid[start : start + size]
@@ -354,10 +355,12 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
             for _ in range(h + 1, m // 2 + 1):
                 total += next(pairs)
             h = m // 2
-            _write_planes(bordered[:, :, slot], total * (1.0 / m))  # the bits of a complex total / m
-        ok, logdet, corner = _eliminate(bordered[:, :, : len(block)], r)
+            parts[packed[rows, cols], slot, :, part] = total * (1.0 / m)  # the bits of a complex total / m
+        work = parts[:, : len(block)].view(complex)[..., 0]  # elimination overwrites border and corner
+        work[packed[r, :r]], work[-1] = np.conj(frame.w[1 : half + 1]).T[:, np.newaxis], 0.0
+        ok, logdet = _eliminate(work, r)
         with np.errstate(invalid="ignore"):  # a failed span's log det may be non-finite
-            fits = (np.sum(logdet, axis=-1) - np.sum(corner[0, 0].real, axis=-1)) / n
+            fits = (np.sum(logdet, axis=-1) - np.sum(work[-1].real, axis=-1)) / n
         # any frequency failing the screen sends the score to +inf
         scores += [float(fit) if good else math.inf for fit, good in zip(fits, ok.all(axis=-1))]
     return scores

@@ -1,9 +1,12 @@
 """Direct per-matrix reference computations the tests compare the batched paths to."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+
+from spectest.spectral import _pair_sums, _periodogram_planes
 
 
 def periodogram(frame, j):
@@ -91,6 +94,35 @@ def block_eliminate(a, r, tol=1e-12):
             scaled = np.conj(col / pivot)
             work[k + 1 :, k + 1 :] -= col[:, np.newaxis] * scaled[np.newaxis, :]
     return ok, logdet, work[r:, r:]
+
+
+def bordered_cvll_curve(frame, grid):
+    """CVLL scores for an ascending grid, one full complex (r + 1) x (r + 1) bordered stack per span.
+
+    The same running pair sums as the library give G = S / m, written into both triangles beside
+    the border w, w^H and a zero corner, and each span's stack is eliminated by block_eliminate.
+    """
+    n, r, half = frame.n, frame.r, frame.n // 2
+    reach = grid[-1] // 2
+    planes = _periodogram_planes(frame, reach)
+    pairs = _pair_sums(planes, reach)
+    total = np.zeros(planes.shape[:-1] + (half,))
+    (a, b), (c, d) = np.tril_indices(r), np.tril_indices(r, -1)
+    h, scores = 0, []
+    for m in grid:
+        for _ in range(h + 1, m // 2 + 1):
+            total += next(pairs)
+        h = m // 2
+        g = total * (1.0 / m)
+        bordered = np.zeros((r + 1, r + 1, half), dtype=complex)
+        bordered.real[a, b] = bordered.real[b, a] = g[: a.size]
+        bordered.imag[c, d], bordered.imag[d, c] = g[a.size :], -g[a.size :]
+        bordered[:r, r], bordered[r, :r] = frame.w[1 : half + 1].T, np.conj(frame.w[1 : half + 1]).T
+        ok, logdet_, rest = block_eliminate(bordered, r)
+        with np.errstate(invalid="ignore"):
+            fit = (np.sum(logdet_) - np.sum(rest[0, 0].real)) / n
+        scores.append(float(fit) if ok.all() else math.inf)
+    return scores
 
 
 def is_chordal(edges):

@@ -9,6 +9,7 @@ from oracles import block_eliminate, column_screen, logdet, relative_eigenvalues
 from spectest.errors import NotPositiveDefinite
 from spectest.hermitian import (
     _eliminate,
+    _lower,
     as_hermitian,
     inverse_pd,
     is_positive_definite,
@@ -201,8 +202,8 @@ def test_is_positive_definite_matches_column_screen(r):
     garbage=st.sampled_from(["random", "nan"]),
 )
 def test_eliminate_ignores_the_strict_upper_triangle(seed, s, data, is_complex, garbage):
-    # The kernel reads and updates the lower triangle only: with garbage above
-    # the diagonal it gives the full-block kernel's bits on the Hermitian stack.
+    # _lower packs the lower triangle only: with garbage above the diagonal the
+    # packed kernel gives the full-block kernel's bits on the Hermitian stack.
     r = data.draw(st.integers(1, s))
     rng = np.random.default_rng(seed)
     shape = (s, s, 3, 7)
@@ -217,12 +218,14 @@ def test_eliminate_ignores_the_strict_upper_triangle(seed, s, data, is_complex, 
     noisy = hermitian.copy()
     upper = np.triu_indices(s, 1)
     noisy[upper] = np.nan if garbage == "nan" else rng.standard_normal(noisy[upper].shape) * 1e3
-    ok, logdet_, rest = _eliminate(noisy, r)
+    packed = _lower(noisy)
+    ok, logdet_ = _eliminate(packed, r)
     ok_ref, logdet_ref, rest_ref = block_eliminate(hermitian, r)
     assert ok.dtype == bool and np.array_equal(ok, ok_ref)
     assert logdet_.tobytes() == logdet_ref.tobytes()
-    kept = np.tril_indices(s - r)
-    assert rest[kept].tobytes() == rest_ref[kept].tobytes()
+    # the trailing columns hold the Schur complement's lower triangle, column by column
+    tail = packed[len(packed) - (s - r) * (s - r + 1) // 2 :]
+    assert tail.tobytes() == b"".join(rest_ref[j:, j].tobytes() for j in range(s - r))
     screened = is_positive_definite(np.moveaxis(noisy, (0, 1), (-2, -1)))
     assert np.array_equal(screened, block_eliminate(hermitian, s)[0])
 

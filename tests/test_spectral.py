@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import spectest.spectral
-from oracles import leave_out, logdet, periodogram, smoothed_by_multiply
+from oracles import bordered_cvll_curve, leave_out, logdet, periodogram, smoothed_by_multiply
 from spectest.errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
 from spectest.hermitian import inverse_pd, is_positive_definite
 from spectest.spectral import (
@@ -396,6 +396,24 @@ def test_cvll_curve_is_the_same_in_any_block_size(monkeypatch, case):
             cvll_select(frame, grid=grid)
     else:
         assert math.isfinite(min(curves[0]))
+
+
+@pytest.mark.parametrize("case", ["r = 1", "r = 2", "r = 3", "r = 4", "harmonics", "collinear"])
+def test_cvll_curve_matches_full_bordered_stacks(case):
+    # The packed in-place elimination keeps the bits of one full bordered stack per span;
+    # at n = 1001 the default grid spans several blocks and ends in a partial one.
+    rng = np.random.default_rng(101)
+    r = int(case[-1]) if case.startswith("r =") else 3
+    z = rng.standard_normal((1001, r)) @ np.triu(rng.uniform(0.2, 1.0, (r, r)))
+    grid = default_cvll_grid(1001, r)
+    if case == "harmonics":
+        z, grid = harmonics(400, 10, rng), list(range(2, 62, 2))
+    elif case == "collinear":
+        z = np.column_stack([z[:, :2], z[:, 0] - 2.0 * z[:, 1]])
+    frame = dft(z)
+    curve = _cvll_curve(frame, grid)
+    assert curve == bordered_cvll_curve(frame, grid) and len(curve) == len(grid)
+    assert any(math.isinf(score) for score in curve) == (case in ("harmonics", "collinear"))
 
 
 def test_running_sums_keep_accuracy_over_wide_dynamic_range():

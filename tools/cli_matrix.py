@@ -1,17 +1,21 @@
 """Run the spectest CLI matrix from two source trees and compare the outputs.
 
-    python3 tools/cli_matrix.py --base OLD_TREE --head NEW_TREE [--inputs 'bench/out/cli_input_*.csv']
+    python3 tools/cli_matrix.py --base OLD_TREE --head NEW_TREE [--inputs 'GLOB']
 
-Each tree is a checkout holding src/spectest.  Every input CSV runs
-`spectest cvll` once and `spectest test` under independence, separable and
-two graphical nulls (--edges 1-2,2-3, a chain, and --edges 1-2, whose
-separator is empty) with --stat full, block and quadratic plus full with
+Each tree is a checkout holding src/spectest.  The tool writes ten fixed input
+CSVs to a temporary directory, drawn with stdlib random at fixed seeds: nine
+1001 x 3 samples of the VAR(1) process of the benchmark's cli_cvll workload,
+three each at phi = 0, 0.1 and 0.2, and one collinear file (c = a + b, the
+others at phi = 0); --inputs names other CSV files by a glob instead.  Every
+input CSV runs `spectest cvll` once and `spectest test` under independence,
+separable and two graphical nulls (--edges 1-2,2-3, a chain, and --edges 1-2,
+whose separator is empty) with --stat full, block and quadratic plus full with
 --kind j and full with --kind chernoff --chernoff-alpha 0.3 (the one path
 through the Chernoff log-det), each with --m 40, --m 2 (the shortest span)
-and --cvll: 61 runs per file, 610 on the ten CSV files the benchmark's
-cli_cvll workload writes to bench/out/.  Every 3-series graph is chordal, so
-none of those runs reaches the covariance-selection sweeps: the tool also
-writes one fixed 600 x 4 CSV (stdlib random, seed 7) and runs `spectest test
+and --cvll: 61 runs per file, 610 on the ten fixed files.  Every 3-series
+graph is chordal, so none of those runs reaches the covariance-selection
+sweeps: the tool also writes one fixed 600 x 4 CSV (stdlib random, seed 7)
+and runs `spectest test
 --hypothesis graphical --edges 1-2,2-3,3-4,1-4`, a 4-cycle, with the same five
 statistics and --m 40, --m 22 (whose smoothing blocks of 23 frequencies tile
 the grid exactly) and --cvll, 15 runs, plus `spectest cvll` on it, the one
@@ -26,8 +30,8 @@ pipeline-chunk boundaries inside a block.  Then
 0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
 CLI path through the quadrature.  Last, 16 usage errors (a missing or doubled
 --m/--cvll, an odd span, an unknown statistic, a graphical null without edges,
-a missing --phi1 or --input, an unknown command): 681 runs on the benchmark's
-ten files.
+a missing --phi1 or --input, an unknown command): 681 runs on the ten fixed
+files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -73,13 +77,39 @@ KINDS = (["simulate-null", "--kind", "j"], ["simulate-power", "--phi1", "0.3", "
                                             "--chernoff-alpha", "0.3"])
 
 
+def write_csv(path: str, rows: list[list[float]]) -> None:
+    """A CSV with columns a, b, ... and every value written by repr, so it reads back exactly."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join("abcdefgh"[: len(rows[0])]) + "\n")
+        for row in rows:
+            handle.write(",".join(repr(value) for value in row) + "\n")
+
+
 def write_cycle_input(path: str) -> None:
     """A fixed 600 x 4 CSV of standard normals for the 4-cycle runs."""
     rng = random.Random(7)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("a,b,c,d\n")
-        for _ in range(600):
-            handle.write(",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(4)) + "\n")
+    write_csv(path, [[rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(600)])
+
+
+def var1_rows(phi: float, seed: int, n: int = 1001, burn_in: int = 500) -> list[list[float]]:
+    """The last n of burn_in + n steps of x[t] = A x[t - 1] + e[t] from x = 0, e standard normal and
+    A = [[0.7, phi, 0], [0, -0.5, phi], [0, 0, 0.6]], the cli_cvll benchmark's process."""
+    rng = random.Random(seed)
+    a = ((0.7, phi, 0.0), (0.0, -0.5, phi), (0.0, 0.0, 0.6))
+    state, rows = [0.0, 0.0, 0.0], []
+    for _ in range(burn_in + n):
+        state = [sum(coef * x for coef, x in zip(row, state)) + rng.gauss(0.0, 1.0) for row in a]
+        rows.append(state)
+    return rows[burn_in:]
+
+
+def write_inputs(folder: str) -> list[str]:
+    """The ten fixed 1001 x 3 input CSVs: VAR(1) at phi = 0, 0.1, 0.2 (seeds 1-9) and one collinear file."""
+    paths = [os.path.join(folder, f"cli_input_{i}.csv") for i in range(10)]
+    for i, path in enumerate(paths[:9]):
+        write_csv(path, var1_rows((0.0, 0.1, 0.2)[i % 3], seed=i + 1))
+    write_csv(paths[9], [[a, b, a + b] for a, b, _ in var1_rows(0.0, seed=10)])
+    return paths
 
 
 def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
@@ -252,12 +282,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="source tree of the reference version")
     parser.add_argument("--head", required=True, help="source tree of the version under test")
-    parser.add_argument("--inputs", default=os.path.join(ROOT, "bench", "out", "cli_input_*.csv"))
+    parser.add_argument("--inputs", help="glob of input CSV files to run instead of the ten fixed ones")
     args = parser.parse_args()
-    inputs = sorted(os.path.abspath(path) for path in glob.glob(args.inputs))
-    if not inputs:
-        parser.error(f"no input CSV files match {args.inputs}")
     with tempfile.TemporaryDirectory() as scratch:
+        if args.inputs is None:
+            inputs = write_inputs(scratch)
+        else:
+            inputs = sorted(os.path.abspath(path) for path in glob.glob(args.inputs))
+            if not inputs:
+                parser.error(f"no input CSV files match {args.inputs}")
         cycle_input = os.path.join(scratch, "cycle_input.csv")
         write_cycle_input(cycle_input)
         usage = usage_errors(cycle_input)
