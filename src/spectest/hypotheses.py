@@ -37,8 +37,6 @@ from .errors import (
 from .hermitian import as_hermitian, inverse_pd, is_positive_definite
 from .spectral import SpectralSequence, WeightKernel
 
-FLAT_CU = 0.5
-FLAT_DU = 1.0 / 3.0
 # Sweeps covariance selection runs before it gives up on a matrix, and its default tolerance.
 SELECTION_MAX_SWEEPS = 1000
 SELECTION_TOL = 1e-10
@@ -250,7 +248,6 @@ def eta_sigma_generic(
     dg_provider,
     kernel: WeightKernel | None = None,
     phi=None,
-    imag_tol: float = 1e-10,
 ) -> EtaSigma:
     """eta and sigma^2 by direct contraction over a frequency grid.
 
@@ -259,12 +256,11 @@ def eta_sigma_generic(
     are Riemann sums over the grid; with a weight function phi the eta
     integrand picks up phi(lambda) and the sigma^2 integrand phi(lambda)^2.
     kernel supplies the weight-function constants; None means the flat
-    kernel's exact values.
+    kernel's exact values, which do not depend on m.
     """
     if not np.all(g_grid.pd):
         raise NotPositiveDefinite("eta_sigma_generic needs a PD matrix at every grid point")
-    cu = kernel.cu if kernel is not None else FLAT_CU
-    du = kernel.du if kernel is not None else FLAT_DU
+    kernel = WeightKernel.flat(2) if kernel is None else kernel
     freqs = g_grid.frequencies
     mats = g_grid.matrices
     half, r = mats.shape[0], mats.shape[-1]
@@ -286,10 +282,10 @@ def eta_sigma_generic(
         phi_vals = np.array([float(phi(lam)) for lam in freqs])
         eta_terms = eta_terms * phi_vals
         sigma_terms = sigma_terms * phi_vals**2
-    eta_c = cu * np.mean(eta_terms)
-    sigma_c = du * np.mean(sigma_terms)
+    eta_c = kernel.cu * np.mean(eta_terms)
+    sigma_c = kernel.du * np.mean(sigma_terms)
     for name, value in (("eta", eta_c), ("sigma2", sigma_c)):
-        if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
+        if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
             raise ValueError(f"{name} has a non-negligible imaginary part {value.imag:.3e}")
     return EtaSigma(eta=float(eta_c.real), sigma2=float(sigma_c.real))
 

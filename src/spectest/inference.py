@@ -247,7 +247,7 @@ def run_many(
     elif kernel == "cvll":
         kern = WeightKernel.flat(cvll_select(arr, grid=cvll_grid)[0])
     else:
-        kern = WeightKernel.flat(int(kernel))
+        kern = WeightKernel.flat(kernel)
     reports = {}
     for label, row in _run_stack(arr[np.newaxis], model, kern, variants).items():
         standardized, nonpd = float(row["standardized"][0]), int(row["nonpd"][0])

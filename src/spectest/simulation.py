@@ -18,10 +18,10 @@ Every path starts from the exact stationary law, Z_0 ~ N(0, Gamma_0) with
 Gamma_0 = A Gamma_0 A^T + Sigma, so no burn-in is needed.  Replication k of a
 run seeded with s draws from the dedicated stream SeedSequence(s, spawn_key=(k,)).
 Replications run in simulation blocks, each simulated by one recursion that
-shares its per-step cost; the test pipeline then runs on slices of the block,
-in smaller chunks that bound its memory.  A worker task is one block.  No step
-mixes samples, so results are bit-identical for any block size, chunk size or
-worker count.
+shares its per-step cost; the test pipeline, CVLL span selection included,
+then runs on stacked slices of the block, in smaller chunks that bound its
+memory.  A worker task is one block.  No step mixes samples, so results are
+bit-identical for any block size, chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -162,11 +162,8 @@ class McConfig:
     cvll_grid: tuple | None = None
 
     def __post_init__(self):
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "cvll":
-                raise ValueError(f"bandwidth must be an even integer or 'cvll', got {self.bandwidth!r}")
-        else:
-            _check_span(int(self.bandwidth), r=self.process.r, n=self.n, centre=True)
+        if self.bandwidth != "cvll":
+            _check_span(self.bandwidth, r=self.process.r, n=self.n, centre=True)
         _check_design(self.n, self.burn_in)
         if self.replications < 1:
             raise ValueError("replications must be positive")
@@ -200,17 +197,18 @@ class McSummary:
 def _run_block(config: McConfig, ks: range) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Standardized values and forced flags per variant for replications ks, in their order.
 
-    One simulated block, tested per span in pipeline chunks: with "cvll" each sample's span
-    is selected first; the samples sharing a span are then cut into chunks of at most
-    _CHUNK_ELEMENTS elements, one pipeline run each, written straight into the arrays.
+    One simulated block, cut into pipeline chunks of at most _CHUNK_ELEMENTS elements: with
+    "cvll" each chunk's spans are selected in one stacked call first; the samples sharing a span
+    are then cut into such chunks again, one pipeline run each, written straight into the arrays.
     """
     seeds = [replication_seed(config.seed, k) for k in ks]
     samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
+    size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
     if config.bandwidth == "cvll":
-        spans = np.array([cvll_select(sample, grid=config.cvll_grid)[0] for sample in samples])
+        spans = np.concatenate([cvll_select(samples[start : start + size], grid=config.cvll_grid)[0]
+                                for start in range(0, len(samples), size)])
     else:
         spans = np.full(len(samples), int(config.bandwidth))
-    size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
     out = {label: (np.empty(len(samples)), np.empty(len(samples), dtype=bool)) for label in config.labels}
     for span in np.unique(spans):
         kernel = WeightKernel.flat(int(span))

@@ -11,14 +11,15 @@ Whittle-type cross validation score.  Both read the periodogram as real
 lower-triangle planes, frequency last.  Flat smoothing sums each window from
 two within-block sums, at a cost that does not grow with m; other weights and
 the CVLL running sum add pairs I[t - k] + I[t + k].  Smoothing mirrors the
-planes into exactly Hermitian matrices; CVLL writes them into the packed lower
-triangle of a bordered stack and eliminates it in place, a block of spans at a time.
+planes into exactly Hermitian matrices; CVLL writes them, for one sample or a stack,
+into the packed lower triangle of a bordered block of spans and eliminates it in place.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .hermitian import _check_hermitian, _eliminate, _lower, as_hermitian, is_po
 
 TWO_PI = 2.0 * math.pi
 QUADRATURE_PANELS = 2048
-# Packed complex elements (r + 1)(r + 2)/2 * spans * n//2 per bordered CVLL block, bounding its memory:
+# Packed complex elements (r + 1)(r + 2)/2 * spans * samples * n//2 per bordered CVLL block, bounding its memory:
 # 16 spans, 1.25 MiB, at n = 1001, r = 3, where 12-24 of 4-32 spans ran alike and 4 or 32 about 25% slower.
 _CVLL_BLOCK_ELEMENTS = 80_000
 
@@ -180,8 +181,10 @@ def kernel_constants(u) -> tuple[float, float, float]:
     return 0.5 * second / norm**2, _simpson(rho**2, z) / norm**4, second**2 / fourth
 
 
-def _check_span(m: int, r: int | None = None, n: int | None = None, centre: bool = False) -> None:
-    """Validate a span: even, >= 2, and when given, m + centre >= r ordinates and m < n/2."""
+def _check_span(m, r: int | None = None, n: int | None = None, centre: bool = False) -> int:
+    """Check a span and return it as an int: integral, even, >= 2, and when given, m + centre >= r, m < n/2."""
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"span m must be an integer, got {m!r}")
     if m < 2 or m % 2 != 0:
         raise ValueError(f"span m must be even and >= 2, got {m}")
     if r is not None and m + centre < r:
@@ -189,6 +192,7 @@ def _check_span(m: int, r: int | None = None, n: int | None = None, centre: bool
         raise ValueError(f"span m = {m} too small for dimension r = {r}{need}")
     if n is not None and 2 * m >= n:
         raise BandwidthTooLarge(f"span m = {m} must satisfy m < n/2 = {n / 2}")
+    return int(m)
 
 
 def _eval_weight(u, x: np.ndarray) -> np.ndarray:
@@ -228,7 +232,7 @@ class WeightKernel:
 
     @classmethod
     def from_function(cls, u, m: int) -> "WeightKernel":
-        _check_span(m)
+        m = _check_span(m)
         offsets = np.arange(-(m // 2), m // 2 + 1)
         weights = _eval_weight(u, offsets / m)
         cu, du, bu = kernel_constants(u)
@@ -241,7 +245,7 @@ class WeightKernel:
         The constants are exact for the flat weight function, so no
         quadrature is involved.
         """
-        _check_span(m)
+        m = _check_span(m)
         weights = np.ones(m + 1)
         return cls(m=m, weights=weights, wstar=float(m + 1), cu=0.5, du=1.0 / 3.0, bu=1.0)
 
@@ -327,8 +331,9 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(_lower(stack), r)[0])
 
 
-def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
-    """Scores for an ascending list of spans, each checked, from one running sum.
+def _cvll_curve(frame: FourierFrame, grid: list[int]) -> np.ndarray:
+    """Scores for an ascending list of checked spans, from one running sum: (len(grid),) for one
+    sample and (len(grid), R) for a stack, each sample's scores the bits of its own call.
 
     The leave-out sum S[t] = sum_{0 < |k| <= h} I[t + k] only gains PSD terms as h grows, so the
     grid costs one O(n r^2) pass.  Per span, eliminating G = S / m in the bordered matrix
@@ -337,8 +342,6 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
     one is never stored or read, and eliminated in place, at most _CVLL_BLOCK_ELEMENTS at a time.
     """
     n, r, half = frame.n, frame.r, frame.n // 2
-    for m in grid:
-        _check_span(m, r=r, n=n)
     reach = grid[-1] // 2
     planes = _periodogram_planes(frame, reach)
     pairs = _pair_sums(planes, reach)
@@ -346,23 +349,24 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> list[float]:
     packed = np.zeros((r + 1, r + 1), dtype=int)
     packed[np.triu_indices(r + 1)[::-1]] = np.arange((r + 1) * (r + 2) // 2)  # where (i, j), j <= i, sits
     rows, cols, part = _plane_entries(r)
-    size = max(1, min(len(grid), _CVLL_BLOCK_ELEMENTS // (packed[r, r] + 1) // half))
-    parts = np.zeros((packed[r, r] + 1, size, half, 2))  # the bordered block's real and imaginary parts
-    h, scores = 0, []
+    size = max(1, min(len(grid), _CVLL_BLOCK_ELEMENTS // (packed[r, r] + 1) // total[0].size))
+    parts = np.zeros((packed[r, r] + 1, size) + total.shape[1:] + (2,))  # the bordered block's re and im parts
+    border = np.moveaxis(np.conj(frame.w[..., 1 : half + 1, :]), -1, 0)[:, np.newaxis]
+    h, scores = 0, np.empty((len(grid),) + total.shape[1:-1])
     for start in range(0, len(grid), size):
         block = grid[start : start + size]
         for slot, m in enumerate(block):
             for _ in range(h + 1, m // 2 + 1):
                 total += next(pairs)
             h = m // 2
-            parts[packed[rows, cols], slot, :, part] = total * (1.0 / m)  # the bits of a complex total / m
+            parts[packed[rows, cols], slot, ..., part] = total * (1.0 / m)  # the bits of a complex total / m
         work = parts[:, : len(block)].view(complex)[..., 0]  # elimination overwrites border and corner
-        work[packed[r, :r]], work[-1] = np.conj(frame.w[1 : half + 1]).T[:, np.newaxis], 0.0
+        work[packed[r, :r]], work[-1] = border, 0.0
         ok, logdet = _eliminate(work, r)
         with np.errstate(invalid="ignore"):  # a failed span's log det may be non-finite
             fits = (np.sum(logdet, axis=-1) - np.sum(work[-1].real, axis=-1)) / n
         # any frequency failing the screen sends the score to +inf
-        scores += [float(fit) if good else math.inf for fit, good in zip(fits, ok.all(axis=-1))]
+        scores[start : start + size] = np.where(ok.all(axis=-1), fits, math.inf)
     return scores
 
 
@@ -377,7 +381,7 @@ def cvll_score(sample, m: int) -> float:
     It is the one-span case of the curve function cvll_select runs.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
-    return _cvll_curve(frame, [m])[0]
+    return float(_cvll_curve(frame, [_check_span(m, r=frame.r, n=frame.n)])[0])
 
 
 def default_cvll_grid(n: int, r: int) -> list[int]:
@@ -391,24 +395,25 @@ def default_cvll_grid(n: int, r: int) -> list[int]:
     return grid
 
 
-def cvll_select(sample, grid=None) -> tuple[int, list[tuple[int, float]]]:
+def cvll_select(sample, grid=None):
     """Pick the span minimizing the cross validation score; ties go small.
 
-    Returns (best span, [(span, score), ...] over the full grid).  Raises
-    NoUsableSpan when every span scores +inf.
+    Returns (best span, [(span, score), ...] over the full grid) for one sample, and for an
+    (R, n, r) stack or its frame the (R,) best spans and (len(grid), R) scores, each sample's the
+    bits of its own call.  Raises NoUsableSpan when every span of some sample scores +inf.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     if grid is None:
         grid = default_cvll_grid(frame.n, frame.r)
-    grid = sorted(int(m) for m in grid)
+    grid = sorted(_check_span(m, r=frame.r, n=frame.n) for m in grid)
     if not grid:
         raise EmptyGrid("candidate grid is empty")
-    scores = list(zip(grid, _cvll_curve(frame, grid)))
-    # min keeps the first of equal scores, so ties go to the smaller span
-    best_m, best = min(scores, key=lambda item: item[1])
-    if best == math.inf:
+    scores = _cvll_curve(frame, grid)
+    if np.any(np.min(scores, axis=0) == math.inf):
         raise NoUsableSpan(
             f"no span in the grid {grid[0]}..{grid[-1]} gives a positive definite "
             "leave-out estimate at every frequency"
         )
-    return best_m, scores
+    # argmin keeps the first of equal scores, so ties go to the smaller span
+    best = np.array(grid)[np.argmin(scores, axis=0)]
+    return (int(best), list(zip(grid, scores.tolist()))) if scores.ndim == 1 else (best, scores)

@@ -414,6 +414,16 @@ def test_run_test_cvll_resolution():
     assert report.m == cvll_select(z)[0]
 
 
+def test_run_test_rejects_a_non_integral_span():
+    # a span that is not an integer raises, naming it, instead of running its truncation
+    z = np.random.default_rng(41).standard_normal((201, 3))
+    for span in (40.9, 40.0, "40"):
+        with pytest.raises(ValueError, match=f"span m must be an integer, got {span!r}"):
+            run_test(z, IndependenceModel(), span, FULL)
+    report = run_test(z, IndependenceModel(), np.int64(40), FULL)
+    assert report == run_test(z, IndependenceModel(), 40, FULL) and type(report.m) is int
+
+
 def test_run_many_shares_pipeline():
     rng = np.random.default_rng(23)
     z = rng.standard_normal((256, 2))

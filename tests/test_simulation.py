@@ -2,12 +2,14 @@
 
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import oracles
 import spectest.simulation
+import spectest.spectral
 from spectest.divergence import J, chernoff
 from spectest.errors import BandwidthTooLarge, NonStationary
 from spectest.hypotheses import EdgeSet, GraphicalModel, IndependenceModel, SeparableModel
@@ -331,12 +333,23 @@ def test_collect_is_invariant_to_chunk_size_and_threads(name, monkeypatch):
     for size in (1, 7):
         monkeypatch.setattr(spectest.simulation, "_CHUNK_ELEMENTS", size * per_replication)
         runs[f"chunk {size}"] = _collect(config, threads=1)
+    # a chunk's CVLL spans are selected in one stacked call, here eliminated one span at a time
+    monkeypatch.setattr(spectest.spectral, "_CVLL_BLOCK_ELEMENTS", 1)
+    runs["chunk 7, one span per CVLL block"] = _collect(config, threads=1)
     for label in config.labels:
         values, forced = runs["default"][label]
         assert values.shape == (config.replications,)
         for run in runs.values():
             assert np.array_equal(run[label][0], values)
             assert np.array_equal(run[label][1], forced)
+
+
+def test_mcconfig_rejects_a_non_integral_span():
+    # a span that is not an integer raises, naming it, instead of running its truncation
+    for bandwidth in (30.7, 30.0, "CVLL"):
+        with pytest.raises(ValueError, match=re.escape(f"span m must be an integer, got {bandwidth!r}")):
+            McConfig(process=benchmark_process(0.0), n=101, bandwidth=bandwidth, model=IndependenceModel(),
+                      variants=(FULL,), replications=120, seed=0)
 
 
 def test_collect_prefix_does_not_depend_on_the_replication_count():

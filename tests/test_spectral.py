@@ -368,34 +368,42 @@ def harmonics(n, step, rng):
     return z + 1e-9 * rng.standard_normal(z.shape)
 
 
-@pytest.mark.parametrize("case", ["default grid", "one span", "inf inside a block", "collinear"])
+@pytest.mark.parametrize("case", ["default grid", "one span", "inf inside a block", "collinear", "stack"])
 def test_cvll_curve_is_the_same_in_any_block_size(monkeypatch, case):
     # Spans are eliminated a block at a time; the block size must not move a score.
     rng = np.random.default_rng(97)
     z = rng.standard_normal((201, 3)) @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+    collinear = np.column_stack([z[:, :2], z[:, 0] - 2.0 * z[:, 1]])
     grid = default_cvll_grid(201, 3)
     if case == "one span":
         grid = [grid[4]]
     elif case == "inf inside a block":
         z, grid = harmonics(400, 10, rng), list(range(2, 62, 2))
     elif case == "collinear":
-        z = np.column_stack([z[:, :2], z[:, 0] - 2.0 * z[:, 1]])
+        z = collinear
+    elif case == "stack":
+        z = np.stack([z, collinear, z[::-1]])
     frame = dft(z)
-    per_span = (frame.r + 1) ** 2 * (frame.n // 2)
+    # packed bordered elements per span, over every sample of a stack
+    per_span = (frame.r + 1) * (frame.r + 2) // 2 * (frame.n // 2) * math.prod(frame.w.shape[:-2])
     curves = [_cvll_curve(frame, grid)]
     for spans in (1, 3, len(grid)):
         monkeypatch.setattr(spectest.spectral, "_CVLL_BLOCK_ELEMENTS", spans * per_span)
         curves.append(_cvll_curve(frame, grid))
-    assert all(curve == curves[0] for curve in curves) and len(curves[0]) == len(grid)
+    assert all(np.array_equal(curve, curves[0]) for curve in curves) and len(curves[0]) == len(grid)
     if case == "inf inside a block":
         # m = 38 scores +inf and m = 40 does not; every block size above one span puts both in one block
-        assert curves[0][:19] == [math.inf] * 19 and all(math.isfinite(score) for score in curves[0][19:])
-    if case == "collinear":
-        assert curves[0] == [math.inf] * len(grid)
+        assert np.all(curves[0][:19] == math.inf) and np.all(np.isfinite(curves[0][19:]))
+    if case == "stack":
+        for k, sample in enumerate(z):  # each column is that sample's own curve
+            assert np.array_equal(curves[0][:, k], _cvll_curve(dft(sample), grid))
+    if case in ("collinear", "stack"):
+        # the collinear sample scores +inf at every span, so the stack holding it has no usable span either
+        assert np.all((curves[0][:, 1] if case == "stack" else curves[0]) == math.inf)
         with pytest.raises(NoUsableSpan):
             cvll_select(frame, grid=grid)
     else:
-        assert math.isfinite(min(curves[0]))
+        assert math.isfinite(np.min(curves[0]))
 
 
 @pytest.mark.parametrize("case", ["r = 1", "r = 2", "r = 3", "r = 4", "harmonics", "collinear"])
@@ -412,8 +420,25 @@ def test_cvll_curve_matches_full_bordered_stacks(case):
         z = np.column_stack([z[:, :2], z[:, 0] - 2.0 * z[:, 1]])
     frame = dft(z)
     curve = _cvll_curve(frame, grid)
-    assert curve == bordered_cvll_curve(frame, grid) and len(curve) == len(grid)
+    assert np.array_equal(curve, bordered_cvll_curve(frame, grid)) and curve.shape == (len(grid),)
+    # a stack of one sample gives the same bits in its one column
+    assert np.array_equal(_cvll_curve(dft(z[np.newaxis]), grid), curve[:, np.newaxis])
     assert any(math.isinf(score) for score in curve) == (case in ("harmonics", "collinear"))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), n=st.integers(24, 160), r=st.integers(1, 4))
+def test_stacked_cvll_select_is_each_samples_own(seed, count, n, r):
+    # No step mixes samples, so a stack's best spans and score columns are each sample's own call.
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, n, r)) @ np.triu(rng.uniform(0.2, 1.0, (r, r)))
+    spans, scores = cvll_select(z)
+    grid = default_cvll_grid(n, r)
+    assert spans.shape == (count,) and scores.shape == (len(grid), count)
+    for k, sample in enumerate(z):
+        best, own = cvll_select(sample)
+        assert spans[k] == best and [m for m, _ in own] == grid
+        assert np.array_equal(scores[:, k], [score for _, score in own])
 
 
 def test_running_sums_keep_accuracy_over_wide_dynamic_range():

@@ -23,14 +23,15 @@ the grid exactly) and --cvll, 15 runs, plus `spectest cvll` on it, the one
 `spectest simulate-null` and `simulate-power` (n = 64, 100 replications, all
 three statistic forms) under the four nulls of the per-file runs, with --m 8
 and with --cvll, each with --threads 1 and --threads 2.  Then both commands
-once more at n = 201, --m 30 and 300 replications under independence, with
---threads 1 and 2: these span several simulation blocks and cross
-pipeline-chunk boundaries inside a block.  Then
+once more at n = 201 and 300 replications under independence, with --m 30 and
+with --cvll, each with --threads 1 and 2: these span several simulation blocks
+and cross pipeline-chunk boundaries inside a block, where --cvll selects the
+spans of many chunks, one stacked call each.  Then
 `simulate-null --kind j` and `simulate-power --kind chernoff --chernoff-alpha
 0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
 CLI path through the quadrature.  Last, 16 usage errors (a missing or doubled
 --m/--cvll, an odd span, an unknown statistic, a graphical null without edges,
-a missing --phi1 or --input, an unknown command): 681 runs on the ten fixed
+a missing --phi1 or --input, an unknown command): 685 runs on the ten fixed
 files.
 
 One fresh interpreter per tree imports that tree's package and calls
@@ -72,7 +73,7 @@ BANDWIDTHS = (["--m", "40"], ["--m", "2"], ["--cvll"])
 CYCLE_BANDWIDTHS = (["--m", "40"], ["--m", "22"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
-BLOCK_DESIGN = ["--n", "201", "--m", "30", "--reps", "300", "--seed", "13"]
+BLOCK_DESIGN = ["--n", "201", "--reps", "300", "--seed", "13"]
 KINDS = (["simulate-null", "--kind", "j"], ["simulate-power", "--phi1", "0.3", "--kind", "chernoff",
                                             "--chernoff-alpha", "0.3"])
 
@@ -131,8 +132,9 @@ def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
                 for threads in ("1", "2"):
                     runs.append([*command, *SIMULATION_DESIGN, "--hypothesis", *hypothesis, *bandwidth,
                                  "--threads", threads])
-        for threads in ("1", "2"):
-            runs.append([*command, *BLOCK_DESIGN, "--threads", threads])
+        for bandwidth in (["--m", "30"], ["--cvll"]):
+            for threads in ("1", "2"):
+                runs.append([*command, *BLOCK_DESIGN, *bandwidth, "--threads", threads])
     for command in KINDS:
         runs.append([*command, *SIMULATION_DESIGN, "--m", "8", "--threads", "1"])
     runs.append(["kernel-constants", "--kernel", "flat"])
