@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -53,8 +54,30 @@ class _UsageError(Exception):
 def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
     """Read a header + numeric rows CSV into an (n, r) sample array.
 
-    Error messages name the offending 1-based file row (the header is row 1).
+    numpy's C reader parses the body.  It is stricter than float(): quoted cells, underscores
+    and non-ASCII digits fail in it.  A file it rejects, or whose array is ragged, short or not
+    finite, is read again cell by cell, which returns the same array or raises an error naming
+    the offending 1-based file row (the header is row 1).
     """
+    sample = None
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        header = next(csv.reader(handle), None)
+        if header:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:
+                    sample = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    pass
+    if sample is None or sample.shape[1] != len(header) or len(sample) < 8 or not np.isfinite(sample).all():
+        sample = _ingest_cells(path)
+    if demean:
+        sample = sample - sample.mean(axis=0, keepdims=True)
+    return sample
+
+
+def _ingest_cells(path: str) -> np.ndarray:
+    """The (n, r) sample of a header + numeric rows CSV, one float() per cell, or an addressed error."""
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -87,10 +110,7 @@ def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
             rows.append(parsed)
     if len(rows) < 8:
         raise TooShort(f"{path}: need at least 8 data rows, got {len(rows)}")
-    sample = np.array(rows)
-    if demean:
-        sample = sample - sample.mean(axis=0, keepdims=True)
-    return sample
+    return np.array(rows)
 
 
 def _fmt6(value: float) -> str:

@@ -12,6 +12,10 @@ Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
 eigenvalue scale, so the verdict is scale free.  The elimination runs in place
 on the packed lower triangle; the upper one is never stored or read.
+Eliminations and sweeps scale a complex column by the reciprocal of its real
+pivot, x * (1 / p): numpy's complex division by (p, 0) computes just that, so
+every finite quotient keeps its value at less cost.  A real stack keeps true
+division, as x * (1 / p) and x / p can differ in the last bit.
 The screen, the inverse and the Hermitian check take one (r, r) matrix or an
 (..., r, r) stack alike.
 That check runs once, where matrix input enters the library; the pipeline's
@@ -19,6 +23,8 @@ own estimates are exactly Hermitian by construction and skip it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -75,6 +81,13 @@ def _lower(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([a[j:, j] for j in range(len(a))]), np.result_type(a.dtype, float))
 
 
+def _divide(x: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """x / pivot for real pivots: complex x takes x * (1 / pivot), which is what numpy's complex
+    division by (pivot, 0) computes, so every finite nonzero quotient keeps its bits at less cost;
+    real x keeps true division, as the reciprocal would round some quotients differently."""
+    return x * (1.0 / pivot) if np.iscomplexobj(x) else x / pivot
+
+
 def _eliminate(w: np.ndarray, r: int):
     """LDL^H elimination, in place, of the first r columns of a packed lower-triangle stack.
 
@@ -85,18 +98,18 @@ def _eliminate(w: np.ndarray, r: int):
     """
     s = int((2 * len(w)) ** 0.5)  # len(w) = s(s + 1)/2, and column j starts at j s - j(j - 1)/2
     columns = [w[j * s - j * (j - 1) // 2 : (j + 1) * (2 * s - j) // 2] for j in range(s)]
-    trace = np.sum([column[0].real for column in columns[:r]], axis=0)
+    trace = functools.reduce(np.add, [column[0].real for column in columns[:r]])  # in order, as np.sum adds
     ok = trace > 0.0
     floor = DEFAULT_PD_TOL * trace / r
     logdet = np.zeros_like(trace)
     # Once a matrix has failed, its later (possibly non-finite) pivots are ignored.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, column in enumerate(columns[:r]):
-            pivot = column[0].real.copy()
+            pivot = column[0].real
             ok &= pivot > floor
             logdet += np.log(pivot)
-            # a complex pivot takes the complex division loop that column / pivot would cast to
-            scaled = np.conj(column[1:] / pivot.astype(w.dtype))
+            scaled = _divide(column[1:], pivot)
+            np.conj(scaled, out=scaled)
             for j, later in enumerate(columns[k + 1 :]):
                 later -= column[1 + j :] * scaled[j]
     return ok, logdet
@@ -111,7 +124,7 @@ def _sweep(a: np.ndarray) -> np.ndarray:
     for k in range(a.shape[0]):
         pivot = a[k, k].real.copy()
         logdet += np.log(pivot)
-        scaled = a[:, k] / pivot
+        scaled = _divide(a[:, k], pivot)
         a -= a[:, k, np.newaxis] * np.conj(scaled)[np.newaxis, :]
         a[:, k], a[k, :] = scaled, np.conj(scaled)
         a[k, k] = -1.0 / pivot

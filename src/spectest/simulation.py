@@ -162,8 +162,8 @@ class McConfig:
     cvll_grid: tuple | None = None
 
     def __post_init__(self):
-        if self.bandwidth != "cvll":
-            _check_span(self.bandwidth, r=self.process.r, n=self.n, centre=True)
+        if self.bandwidth != "cvll":  # stored as the int it checks to, so the manifest can dump it
+            object.__setattr__(self, "bandwidth", _check_span(self.bandwidth, r=self.process.r, n=self.n, centre=True))
         _check_design(self.n, self.burn_in)
         if self.replications < 1:
             raise ValueError("replications must be positive")

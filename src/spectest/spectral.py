@@ -73,7 +73,7 @@ def dft(values) -> FourierFrame:
     # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * n * ifft(Z)[j]
     spectrum = n * np.fft.ifft(arr, axis=-2)
     phase = np.exp(2j * math.pi * np.arange(n) / n)
-    w = phase[:, np.newaxis] * spectrum / math.sqrt(TWO_PI * n)
+    w = phase[:, np.newaxis] * spectrum * (1.0 / math.sqrt(TWO_PI * n))  # the bits of complex / sqrt
     w[..., 0, :] = w[..., 0, :].real
     if n % 2 == 0:
         w[..., n // 2, :] = w[..., n // 2, :].real
@@ -378,8 +378,12 @@ def cvll_score(sample, m: int) -> float:
     where G[j], the leave-out estimate at j, is the mean of the m periodogram
     ordinates around j without I[j] itself.  Any index whose leave-out
     estimate fails the positive-definiteness screen sends the score to +inf.
-    It is the one-span case of the curve function cvll_select runs.
+    It is the one-span case of the curve function cvll_select runs, for one (n, r) sample only.
     """
+    shape = sample.w.shape if isinstance(sample, FourierFrame) else np.shape(sample)
+    if len(shape) == 3:
+        raise ValueError(f"cvll_score scores one (n, r) sample, got a stack of shape {shape}; "
+                         f"cvll_select(stack, grid=[m]) scores each sample of a stack")
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     return float(_cvll_curve(frame, [_check_span(m, r=frame.r, n=frame.n)])[0])
 

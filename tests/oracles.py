@@ -1,11 +1,13 @@
 """Direct per-matrix reference computations the tests compare the batched paths to."""
 
+import csv
 import math
 from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
+from spectest.errors import NonNumeric, ParseError, RaggedRows, TooShort
 from spectest.spectral import _pair_sums, _periodogram_planes
 
 
@@ -78,7 +80,8 @@ def block_eliminate(a, r, tol=1e-12):
     """(ok, logdet, rest) of an LDL^H elimination of the first r columns of a frequency-last stack.
 
     Each step subtracts the full outer product from the trailing block, upper
-    triangle included, in the arithmetic of the lower-triangle kernel.
+    triangle included, in the arithmetic of the lower-triangle kernel: a complex
+    column is scaled by the reciprocal of its pivot, a real one divided by it.
     """
     work = np.array(a, dtype=np.result_type(a.dtype, float), order="C")
     trace = np.trace(work[:r, :r]).real
@@ -91,9 +94,32 @@ def block_eliminate(a, r, tol=1e-12):
             ok &= pivot > floor
             logdet += np.log(pivot)
             col = work[k + 1 :, k]
-            scaled = np.conj(col / pivot)
+            scaled = np.conj(col * (1.0 / pivot)) if np.iscomplexobj(col) else col / pivot
             work[k + 1 :, k + 1 :] -= col[:, np.newaxis] * scaled[np.newaxis, :]
     return ok, logdet, work[r:, r:]
+
+
+def eliminate_by_division(w, r, tol=1e-12):
+    """(ok, logdet) of the packed lower-triangle LDL^H kernel, in place, each column divided by its pivot.
+
+    A complex stack divides by the complex pivot (pivot, 0) in numpy's complex division loop, a
+    real one by the real pivot; the trace is np.sum over the stacked diagonal.
+    """
+    s = int((2 * len(w)) ** 0.5)
+    columns = [w[j * s - j * (j - 1) // 2 : (j + 1) * (2 * s - j) // 2] for j in range(s)]
+    trace = np.sum([column[0].real for column in columns[:r]], axis=0)
+    ok = trace > 0.0
+    floor = tol * trace / r
+    logdet = np.zeros_like(trace)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k, column in enumerate(columns[:r]):
+            pivot = column[0].real.copy()
+            ok &= pivot > floor
+            logdet += np.log(pivot)
+            scaled = np.conj(column[1:] / pivot.astype(w.dtype))
+            for j, later in enumerate(columns[k + 1 :]):
+                later -= column[1 + j :] * scaled[j]
+    return ok, logdet
 
 
 def bordered_cvll_curve(frame, grid):
@@ -123,6 +149,45 @@ def bordered_cvll_curve(frame, grid):
             fit = (np.sum(logdet_) - np.sum(rest[0, 0].real)) / n
         scores.append(float(fit) if ok.all() else math.inf)
     return scores
+
+
+def ingest_by_cell(path, demean=True):
+    """A header + numeric rows CSV as an (n, r) array, read by csv.reader with one float() per cell.
+
+    Error messages name the offending 1-based file row (the header is row 1).
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TooShort(f"{path}: empty file") from None
+        r = len(header)
+        if r < 1:
+            raise ParseError(f"{path}: header row is empty")
+        rows = []
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != r:
+                raise RaggedRows(f"{path}: row {line_no}: expected {r} fields, got {len(cells)}")
+            parsed = []
+            for col, cell in enumerate(cells):
+                try:
+                    value = float(cell)
+                    problem = None if math.isfinite(value) else f"non-finite value {cell!r}"
+                except ValueError:
+                    problem = f"{cell!r} is not a number"
+                if problem:
+                    raise NonNumeric(f"{path}: row {line_no}, column {col + 1} ({header[col].strip()}): {problem}")
+                parsed.append(value)
+            rows.append(parsed)
+    if len(rows) < 8:
+        raise TooShort(f"{path}: need at least 8 data rows, got {len(rows)}")
+    sample = np.array(rows)
+    if demean:
+        sample = sample - sample.mean(axis=0, keepdims=True)
+    return sample
 
 
 def is_chordal(edges):

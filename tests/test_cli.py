@@ -7,10 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spectest.simulation
+from oracles import ingest_by_cell
 from spectest.cli import ingest_csv, main
-from spectest.errors import NonNumeric, RaggedRows, TooShort
+from spectest.errors import NonNumeric, RaggedRows, SpectestError, TooShort
 
 
 def write_noise_csv(path, n=120, r=3, seed=5, header=None):
@@ -73,6 +76,56 @@ def test_ingest_rejects_non_finite(tmp_path):
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(NonNumeric):
         ingest_csv(str(csv_path))
+
+
+# Cells besides %.17g floats (padded, quoted, underscored, full-width, non-finite,
+# non-numeric, empty, blank) and lines that are empty or whitespace only.
+ODD_CELLS = [" 1.5 ", '"1"', "1_0", "\uff11", "inf", "nan", "abc", "", "  "]
+ODD_LINES = ["", " ", "\t"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text around a header of r names: %.17g rows, short or ragged bodies, odd cells and lines."""
+    r = draw(st.integers(1, 3))
+    width = draw(st.sampled_from([r, r, r, r + 1, max(r - 1, 1)]))  # the body may not match the header
+    n = draw(st.sampled_from([0, 7, 8, 12]))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x)
+    lines = [",".join("abc"[:r])] + [",".join(draw(st.lists(number, min_size=width, max_size=width)))
+                                      for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines)))
+        change = draw(st.sampled_from(["cell", "line", "trailing comma", "ragged"]))
+        if change == "line" or at == len(lines):
+            lines.insert(at, draw(st.sampled_from(ODD_LINES)))
+        elif change == "cell":
+            cells = lines[at].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
+            lines[at] = ",".join(cells)
+        elif change == "trailing comma":
+            lines[at] += ","
+        else:
+            lines[at] = lines[at].rsplit(",", 1)[0] if "," in lines[at] else lines[at] + ",0"
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def ingest_outcome(read, path, demean):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # demeaning values near the float limit overflows
+            sample = read(path, demean=demean)
+    except (SpectestError, ValueError) as exc:  # what the CLI reports; its type and message are the outcome
+        return type(exc), str(exc)
+    return sample.shape, sample.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(), demean=st.booleans())
+def test_ingest_matches_the_cell_reader(tmp_path, text, demean):
+    # the C reader's array, or the fallback's error, must be what the per-cell reader gives
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest_outcome(ingest_csv, str(path), demean) == ingest_outcome(ingest_by_cell, str(path), demean)
 
 
 # --------------------------------------------------------------- test cmd

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_eliminate, column_screen, logdet, relative_eigenvalues
+from oracles import block_eliminate, column_screen, eliminate_by_division, logdet, relative_eigenvalues
 from spectest.errors import NotPositiveDefinite
 from spectest.hermitian import (
     _eliminate,
@@ -193,6 +193,24 @@ def test_is_positive_definite_matches_column_screen(r):
     assert np.array_equal(is_positive_definite(twice), column_screen(twice))
 
 
+def ldl_stack(rng, s, is_complex):
+    """A frequency-last (s, s, 3, 7) Hermitian stack L D L^H with unit lower L and pivots D of
+    both signs, zero, and tiny ones near the floor, so some verdicts fail."""
+    shape = (s, s, 3, 7)
+    lower = np.tril(np.moveaxis(rng.standard_normal(shape), (0, 1), (-2, -1)), -1) + np.eye(s)
+    if is_complex:
+        lower = lower + 1j * np.tril(np.moveaxis(rng.standard_normal(shape), (0, 1), (-2, -1)), -1)
+    pivots = rng.choice([2.0, 1.0, 0.5, 1e-13, 0.0, -1.0], size=shape[2:] + (s,),
+                        p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.05])
+    product = (lower * pivots[..., np.newaxis, :]) @ np.conj(np.swapaxes(lower, -1, -2))
+    return np.moveaxis(product, (-2, -1), (0, 1))
+
+
+def schur_tail(packed, s, r):
+    """The trailing columns of a packed stack eliminated r columns deep: the Schur complement's lower triangle."""
+    return packed[len(packed) - (s - r) * (s - r + 1) // 2 :]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -206,15 +224,7 @@ def test_eliminate_ignores_the_strict_upper_triangle(seed, s, data, is_complex, 
     # packed kernel gives the full-block kernel's bits on the Hermitian stack.
     r = data.draw(st.integers(1, s))
     rng = np.random.default_rng(seed)
-    shape = (s, s, 3, 7)
-    lower = np.tril(np.moveaxis(rng.standard_normal(shape), (0, 1), (-2, -1)), -1) + np.eye(s)
-    if is_complex:
-        lower = lower + 1j * np.tril(np.moveaxis(rng.standard_normal(shape), (0, 1), (-2, -1)), -1)
-    # pivots of both signs, zero, and tiny ones near the floor, so some verdicts fail
-    pivots = rng.choice([2.0, 1.0, 0.5, 1e-13, 0.0, -1.0], size=shape[2:] + (s,),
-                        p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.05])
-    product = (lower * pivots[..., np.newaxis, :]) @ np.conj(np.swapaxes(lower, -1, -2))
-    hermitian = np.moveaxis(product, (-2, -1), (0, 1))
+    hermitian = ldl_stack(rng, s, is_complex)
     noisy = hermitian.copy()
     upper = np.triu_indices(s, 1)
     noisy[upper] = np.nan if garbage == "nan" else rng.standard_normal(noisy[upper].shape) * 1e3
@@ -224,10 +234,33 @@ def test_eliminate_ignores_the_strict_upper_triangle(seed, s, data, is_complex, 
     assert ok.dtype == bool and np.array_equal(ok, ok_ref)
     assert logdet_.tobytes() == logdet_ref.tobytes()
     # the trailing columns hold the Schur complement's lower triangle, column by column
-    tail = packed[len(packed) - (s - r) * (s - r + 1) // 2 :]
+    tail = schur_tail(packed, s, r)
     assert tail.tobytes() == b"".join(rest_ref[j:, j].tobytes() for j in range(s - r))
     screened = is_positive_definite(np.moveaxis(noisy, (0, 1), (-2, -1)))
     assert np.array_equal(screened, block_eliminate(hermitian, s)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 5), data=st.data(),
+       dtype=st.sampled_from(["complex", "real", "real as complex"]))
+def test_eliminate_keeps_the_bits_of_division_by_the_pivot(seed, s, data, dtype):
+    # A complex column is scaled by 1 / pivot, which numpy's complex division by (pivot, 0)
+    # also computes: every entry that passes the screen keeps its log det and Schur complement
+    # bits.  A failed entry may not (x / 0 and x * (1 / 0) differ in the complex loop).  A real
+    # stack keeps true division and so every bit.
+    r = data.draw(st.integers(1, s))
+    hermitian = ldl_stack(np.random.default_rng(seed), s, dtype == "complex")
+    packed = _lower(hermitian.astype(complex) if dtype == "real as complex" else hermitian)
+    reference = packed.copy()
+    ok, logdet_ = _eliminate(packed, r)
+    ok_ref, logdet_ref = eliminate_by_division(reference, r)
+    assert np.array_equal(ok, ok_ref)
+    tail, tail_ref = schur_tail(packed, s, r), schur_tail(reference, s, r)
+    if dtype == "real":
+        assert logdet_.tobytes() == logdet_ref.tobytes() and tail.tobytes() == tail_ref.tobytes()
+    else:
+        assert logdet_[ok].tobytes() == logdet_ref[ok].tobytes()
+        assert tail[:, ok].tobytes() == tail_ref[:, ok].tobytes()
 
 
 def test_as_hermitian_symmetrizes_and_validates():

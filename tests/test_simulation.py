@@ -279,6 +279,15 @@ def test_config_manifest_hash_tracks_content():
     assert m_a["config"]["command"] == "simulate-null"
 
 
+def test_config_manifest_takes_a_numpy_integer_span():
+    cfg = McConfig(process=benchmark_process(0.0), n=101, bandwidth=np.int64(16), model=IndependenceModel(),
+                   variants=(FULL,), replications=120, seed=0)
+    assert type(cfg.bandwidth) is int
+    same = McConfig(process=benchmark_process(0.0), n=101, bandwidth=16, model=IndependenceModel(),
+                    variants=(FULL,), replications=120, seed=0)
+    assert config_manifest(cfg, "simulate-null") == config_manifest(same, "simulate-null")
+
+
 def test_mcconfig_validates_the_design_before_any_draw():
     def config(**changes):
         fields = dict(process=benchmark_process(0.0), n=101, bandwidth=16, model=IndependenceModel(),

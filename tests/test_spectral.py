@@ -356,6 +356,13 @@ def test_cvll_curve_matches_per_span_oracle():
         cvll_select(frame, grid=[32, 4, 8])
 
 
+def test_cvll_score_rejects_a_stack():
+    stack = np.random.default_rng(3).standard_normal((2, 64, 2))
+    for sample in (stack, dft(stack), stack[:1]):
+        with pytest.raises(ValueError, match=r"got a stack of shape \(\d, 64, 2\); cvll_select"):
+            cvll_score(sample, 8)
+
+
 def harmonics(n, step, rng):
     """Two series of cosines at every step-th Fourier index plus noise far below the PD floor.
 

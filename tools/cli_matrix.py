@@ -31,8 +31,13 @@ spans of many chunks, one stacked call each.  Then
 0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
 CLI path through the quadrature.  Last, 16 usage errors (a missing or doubled
 --m/--cvll, an odd span, an unknown statistic, a graphical null without edges,
-a missing --phi1 or --input, an unknown command): 685 runs on the ten fixed
-files.
+a missing --phi1 or --input, an unknown command).  Then `spectest test --m 2`
+and `spectest cvll` on each of 20 fixed 20 x 3 CSVs (stdlib random, seed 17)
+that hold one odd cell (padded, quoted, with an underscore, a full-width digit,
+inf, nan, a word, empty or whitespace only), one blank or whitespace-only line,
+a trailing comma or a ragged row, or come with a BOM, CRLF line ends, a header
+alone, seven rows, or a header narrower or wider than the data: 725 runs on
+the ten fixed files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -44,8 +49,9 @@ byte for byte; each differing table cell is listed, and one in the size or
 power column counts as a flip, as does a table that changes with --threads
 within one tree.  A usage error is compared by exit code and stdout only, as
 argparse words its stderr; one that does not exit 64 with empty stdout in either
-tree counts as a flip.  It exits 1 when anything flipped.  Uses only the
-standard library.
+tree counts as a flip.  A run on an odd CSV that differs at all, in exit code,
+stdout or stderr, counts as a flip.  It exits 1 when anything flipped.  Uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ CYCLE_BANDWIDTHS = (["--m", "40"], ["--m", "22"], ["--cvll"])
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 BLOCK_DESIGN = ["--n", "201", "--reps", "300", "--seed", "13"]
+# cells and lines besides repr floats: numpy's C reader rejects some that float() takes
+ODD_CELLS = (" 1.5 ", '"1"', "1_0", "\uff11", "inf", "nan", "abc", "", "  ")
+ODD_LINES = ("", " ", "\t")
 KINDS = (["simulate-null", "--kind", "j"], ["simulate-power", "--phi1", "0.3", "--kind", "chernoff",
                                             "--chernoff-alpha", "0.3"])
 
@@ -111,6 +120,32 @@ def write_inputs(folder: str) -> list[str]:
         write_csv(path, var1_rows((0.0, 0.1, 0.2)[i % 3], seed=i + 1))
     write_csv(paths[9], [[a, b, a + b] for a, b, _ in var1_rows(0.0, seed=10)])
     return paths
+
+
+def write_odd_inputs(folder: str) -> list[str]:
+    """The 20 odd CSVs: a 20 x 3 sample (stdlib random, seed 17) with one odd token or change of shape each."""
+    rng = random.Random(17)
+    lines = ["a,b,c"] + [",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(3)) for _ in range(20)]
+    texts = []
+    for cell in ODD_CELLS:
+        cells = lines[5].split(",")
+        cells[1] = cell
+        texts.append(lines[:5] + [",".join(cells)] + lines[6:])
+    texts += [lines[:6] + [line] + lines[6:] for line in ODD_LINES]
+    texts += [lines[:5] + [lines[5] + ","] + lines[6:], lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:]]
+    texts = ["\n".join(text) + "\n" for text in texts]
+    texts += ["\ufeff" + texts[0], "\r\n".join(lines) + "\r\n", lines[0] + "\n", "\n".join(lines[:8]) + "\n",
+              "\n".join(["a,b"] + lines[1:]) + "\n", "\n".join(["a,b,c,d"] + lines[1:]) + "\n"]
+    paths = [os.path.join(folder, f"odd_input_{i}.csv") for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    return paths
+
+
+def odd_runs(paths: list[str]) -> list[list[str]]:
+    """`test --m 2` and `cvll` on every odd CSV."""
+    return [argv for path in paths for argv in (["test", "--input", path, "--m", "2"], ["cvll", "--input", path])]
 
 
 def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
@@ -218,8 +253,9 @@ def thread_flips(runs: list[list[str]], results: list[dict], tree: str) -> list[
     return flips
 
 
-def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: list[list[str]]) -> int:
-    groups = ["usage" if argv in usage else argv[0] for argv in runs]
+def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: list[list[str]],
+            odd: list[list[str]]) -> int:
+    groups = ["usage" if argv in usage else "odd-csv" if argv in odd else argv[0] for argv in runs]
     identical, worst, cells, flips = dict.fromkeys(groups, 0), {}, [], []
     flips += thread_flips(runs, base, "base") + thread_flips(runs, head, "head")
 
@@ -238,6 +274,9 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: li
             continue
         if old == new:
             identical[group] += 1
+            continue
+        if group == "odd-csv":
+            flips.append(f"exit code, stdout or stderr differs: {label}")
             continue
         if old["code"] != new["code"]:
             flips.append(f"exit code {old['code']} -> {new['code']}: {label}")
@@ -296,10 +335,11 @@ def main() -> int:
         cycle_input = os.path.join(scratch, "cycle_input.csv")
         write_cycle_input(cycle_input)
         usage = usage_errors(cycle_input)
-        runs = matrix(inputs, cycle_input) + usage
+        odd = odd_runs(write_odd_inputs(scratch))
+        runs = matrix(inputs, cycle_input) + usage + odd
         base = collect(os.path.abspath(args.base), runs)
         head = collect(os.path.abspath(args.head), runs)
-    return compare(runs, base, head, usage)
+    return compare(runs, base, head, usage, odd)
 
 
 if __name__ == "__main__":
