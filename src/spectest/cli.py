@@ -57,34 +57,42 @@ def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
     numpy's C reader parses the body.  It is stricter than float(): quoted cells, underscores
     and non-ASCII digits fail in it.  A file it rejects, or whose array is ragged, short or not
     finite, is read again cell by cell, which returns the same array or raises an error naming
-    the offending 1-based file row (the header is row 1).
+    the offending 1-based file row (the header is row 1).  A byte that is not UTF-8 is named by
+    its offset, and a column whose demeaned values overflow the float range by its number.
     """
-    sample = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        header = next(csv.reader(handle), None)
-        if header:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                try:
-                    sample = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    pass
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    sample, header, handle = None, None, io.StringIO(text, newline="")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            header = next(csv.reader(handle), None)
+            sample = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2) if header else None
+        except (csv.Error, ValueError):  # the cell reader reads the file again and names the fault
+            pass
     if sample is None or sample.shape[1] != len(header) or len(sample) < 8 or not np.isfinite(sample).all():
-        sample = _ingest_cells(path)
+        sample = _ingest_cells(path, text)
     if demean:
-        sample = sample - sample.mean(axis=0, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = sample - sample.mean(axis=0, keepdims=True)
+        bad = np.flatnonzero(~np.isfinite(sample).all(axis=0))
+        if bad.size:
+            raise NonNumeric(f"{path}: column {bad[0] + 1} ({header[bad[0]].strip()}): demeaning overflows the float range")
     return sample
 
 
-def _ingest_cells(path: str) -> np.ndarray:
-    """The (n, r) sample of a header + numeric rows CSV, one float() per cell, or an addressed error."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TooShort(f"{path}: empty file") from None
-        r = len(header)
+def _ingest_cells(path: str, text: str) -> np.ndarray:
+    """The (n, r) sample of a header + numeric rows CSV text, one float() per cell, or an addressed error."""
+    reader, line_no = csv.reader(io.StringIO(text, newline="")), 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise TooShort(f"{path}: empty file")
+        line_no, r = 1, len(header)
         if r < 1:
             raise ParseError(f"{path}: header row is empty")
         rows = []
@@ -92,9 +100,7 @@ def _ingest_cells(path: str) -> np.ndarray:
             if not cells:
                 continue
             if len(cells) != r:
-                raise RaggedRows(
-                    f"{path}: row {line_no}: expected {r} fields, got {len(cells)}"
-                )
+                raise RaggedRows(f"{path}: row {line_no}: expected {r} fields, got {len(cells)}")
             parsed = []
             for col, cell in enumerate(cells):
                 try:
@@ -103,11 +109,11 @@ def _ingest_cells(path: str) -> np.ndarray:
                 except ValueError:
                     problem = f"{cell!r} is not a number"
                 if problem:
-                    raise NonNumeric(
-                        f"{path}: row {line_no}, column {col + 1} ({header[col].strip()}): {problem}"
-                    )
+                    raise NonNumeric(f"{path}: row {line_no}, column {col + 1} ({header[col].strip()}): {problem}")
                 parsed.append(value)
             rows.append(parsed)
+    except csv.Error as exc:  # e.g. a cell longer than csv's field size limit, in the row after line_no
+        raise ParseError(f"{path}: row {line_no + 1}: {exc}") from None
     if len(rows) < 8:
         raise TooShort(f"{path}: need at least 8 data rows, got {len(rows)}")
     return np.array(rows)

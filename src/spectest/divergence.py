@@ -83,9 +83,11 @@ def discrepancy(kind: Discrepancy, eigs) -> float:
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re tr(X Y) over the leading (r, r) axes, summed in a fixed order."""
-    products = (x * np.swapaxes(y, 0, 1)).real
-    return sum(products[i, j] for i in range(x.shape[0]) for j in range(x.shape[0]))
+    """Re tr(X Y) over the leading (r, r) axes, summed in i, j order through one product buffer."""
+    total, product = 0, np.empty(x.shape[2:], np.result_type(x, y))
+    for i, j in np.ndindex(len(x), len(x)):
+        total += np.multiply(x[i, j], y[j, i], out=product).real
+    return total
 
 
 def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.ndarray]:
@@ -102,20 +104,33 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.n
     log-det O(1).  Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a
     fixed order, so a pencil's terms have the same bits whatever else the stack holds.  Maps each
     kind to an array over the trailing axes, meaningless where A or B is not positive definite.
+    The scaled A, B and D are the only full temporaries: E is formed, a row at a time, for a quadratic
+    kind alone, kl sums tr E from its diagonal, and the rest are rows, entries or packed triangles.
     """
-    r = a.shape[0]
+    r, families = len(a), {kind.family for kind in kinds}
     with np.errstate(all="ignore"):
-        scale = 1.0 / np.sqrt(np.moveaxis(np.diagonal(b).real, -1, 0))
-        scale = scale[:, np.newaxis] * scale[np.newaxis, :]
-        a, b, d = (np.multiply(x, scale, dtype=np.result_type(x, float), order="C") for x in (a, b, a - b))
-        mixed = {k.alpha: _eliminate(_lower(b + k.alpha * d), r)[1] for k in kinds if k.family == "chernoff"}
+        s = 1.0 / np.sqrt(np.moveaxis(np.diagonal(b).real, -1, 0))
+        x, y, d = (np.empty(a.shape, np.result_type(*z, float)) for z in ((a,), (b,), (a, b)))
+        for i, scale in enumerate(row * s for row in s):  # row i of the (r, r, ...) scale
+            np.subtract(a[i], b[i], out=d[i])
+            for z, out in ((a, x), (b, y), (d, d)):
+                np.multiply(z[i], scale, out=out[i])
+        a, b = x, y
+        mixed = {k.alpha: _eliminate(_lower(b) + k.alpha * _lower(d), r)[1] for k in kinds if k.family == "chernoff"}
         # the sweep leaves -B^{-1} in b; only j needs -A^{-1}, and elimination has the sweep's pivots
         logdet_b = _sweep(b)
-        logdet_a = _sweep(a) if any(k.family == "j" for k in kinds) else _eliminate(_lower(a), r)[1]
-        e = -sum(b[:, k, np.newaxis] * d[k] for k in range(r))
-        trace_e = sum(e[i, i].real for i in range(r))
+        logdet_a = _sweep(a) if "j" in families else _eliminate(_lower(a), r)[1]
+        if "kl" in families:
+            trace_e = sum((-sum(b[i, k] * d[k, i] for k in range(r))).real for i in range(r))
+        if "j" in families:
+            j_term = _trace_product(np.subtract(a, b, out=a), d)
+        if "quadratic" in families:  # E = -sum_k b[:, k] D[k], a row at a time
+            e, product = np.zeros_like(d), np.empty_like(d[0])
+            for i, k in np.ndindex(r, r):
+                e[i] += np.multiply(b[i, k], d[k], out=product)
+            np.negative(e, out=e)
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"
-                else _trace_product(a - b, d) if kind.family == "j"
+                else j_term if kind.family == "j"
                 else 0.5 * _trace_product(e, e) if kind.family == "quadratic"
                 else (mixed[kind.alpha] - logdet_b) - kind.alpha * (logdet_a - logdet_b)
                 for kind in kinds}

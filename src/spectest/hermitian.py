@@ -11,7 +11,8 @@ eigenvalues") are the eigenvalue-level view of the same pencils.
 Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
 eigenvalue scale, so the verdict is scale free.  The elimination runs in place
-on the packed lower triangle; the upper one is never stored or read.
+on the packed lower triangle; the upper one is never stored or read.  A sweep
+updates the full stack a row at a time, so no temporary is larger than a row.
 Eliminations and sweeps scale a complex column by the reciprocal of its real
 pivot, x * (1 / p): numpy's complex division by (p, 0) computes just that, so
 every finite quotient keeps its value at less cost.  A real stack keeps true
@@ -81,11 +82,11 @@ def _lower(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([a[j:, j] for j in range(len(a))]), np.result_type(a.dtype, float))
 
 
-def _divide(x: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+def _divide(x: np.ndarray, pivot: np.ndarray, out=None) -> np.ndarray:
     """x / pivot for real pivots: complex x takes x * (1 / pivot), which is what numpy's complex
     division by (pivot, 0) computes, so every finite nonzero quotient keeps its bits at less cost;
     real x keeps true division, as the reciprocal would round some quotients differently."""
-    return x * (1.0 / pivot) if np.iscomplexobj(x) else x / pivot
+    return np.multiply(x, 1.0 / pivot, out=out) if np.iscomplexobj(x) else np.divide(x, pivot, out=out)
 
 
 def _eliminate(w: np.ndarray, r: int):
@@ -119,14 +120,17 @@ def _sweep(a: np.ndarray) -> np.ndarray:
     """Sweep every index of a frequency-last (r, r, ...) Hermitian stack in place; returns log det.
 
     Leaves -A^{-1} in a (Goodnight, 1979); both are meaningless where an LDL^H pivot is not positive.
+    Row i takes a[i] - a[i, k] conj(a[:, k] / pivot) for pivot k through one (r, ...) buffer, so no
+    temporary is larger than a row; row k, which the pivot's values replace, is not updated.
     """
-    logdet = np.zeros(a.shape[2:])
-    for k in range(a.shape[0]):
+    scaled, product, logdet = np.empty_like(a[0]), np.empty_like(a[0]), np.zeros(a.shape[2:])
+    for k in range(len(a)):
         pivot = a[k, k].real.copy()
         logdet += np.log(pivot)
-        scaled = _divide(a[:, k], pivot)
-        a -= a[:, k, np.newaxis] * np.conj(scaled)[np.newaxis, :]
-        a[:, k], a[k, :] = scaled, np.conj(scaled)
+        np.conj(_divide(a[:, k], pivot, out=scaled), out=a[k])  # no other row reads row k
+        for i in [*range(k), *range(k + 1, len(a))]:
+            a[i] -= np.multiply(a[i, k], a[k], out=product)
+        a[:, k] = scaled
         a[k, k] = -1.0 / pivot
     return logdet
 

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from spectest.errors import NonNumeric, ParseError, RaggedRows, TooShort
+from spectest.hermitian import _eliminate, _lower
 from spectest.spectral import _pair_sums, _periodogram_planes
 
 
@@ -122,6 +123,46 @@ def eliminate_by_division(w, r, tol=1e-12):
     return ok, logdet
 
 
+def full_sweep(a):
+    """Sweep every index of a frequency-last (r, r, ...) stack in place, each step subtracting the
+    full r x r outer product; returns log det and leaves -A^{-1} in a."""
+    logdet = np.zeros(a.shape[2:])
+    for k in range(a.shape[0]):
+        pivot = a[k, k].real.copy()
+        logdet += np.log(pivot)
+        scaled = a[:, k] * (1.0 / pivot) if np.iscomplexobj(a) else a[:, k] / pivot
+        a -= a[:, k, np.newaxis] * np.conj(scaled)[np.newaxis, :]
+        a[:, k], a[k, :] = scaled, np.conj(scaled)
+        a[k, k] = -1.0 / pivot
+    return logdet
+
+
+def pencil_terms_by_full_sweeps(kinds, a, b):
+    """divergence._pencil_terms from whole-stack temporaries: the (r, r, ...) scale, scaled copies
+    of A, B and D = A - B, full sweeps, the full E = B^{-1} D for every call, and one
+    (r, r, ...) product stack per trace."""
+
+    def trace_product(x, y):
+        products = (x * np.swapaxes(y, 0, 1)).real
+        return sum(products[i, j] for i in range(x.shape[0]) for j in range(x.shape[0]))
+
+    r = a.shape[0]
+    with np.errstate(all="ignore"):
+        scale = 1.0 / np.sqrt(np.moveaxis(np.diagonal(b).real, -1, 0))
+        scale = scale[:, np.newaxis] * scale[np.newaxis, :]
+        a, b, d = (np.multiply(x, scale, dtype=np.result_type(x, float), order="C") for x in (a, b, a - b))
+        mixed = {k.alpha: _eliminate(_lower(b + k.alpha * d), r)[1] for k in kinds if k.family == "chernoff"}
+        logdet_b = full_sweep(b)
+        logdet_a = full_sweep(a) if any(k.family == "j" for k in kinds) else _eliminate(_lower(a), r)[1]
+        e = -sum(b[:, k, np.newaxis] * d[k] for k in range(r))
+        trace_e = sum(e[i, i].real for i in range(r))
+        return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"
+                else trace_product(a - b, d) if kind.family == "j"
+                else 0.5 * trace_product(e, e) if kind.family == "quadratic"
+                else (mixed[kind.alpha] - logdet_b) - kind.alpha * (logdet_a - logdet_b)
+                for kind in kinds}
+
+
 def bordered_cvll_curve(frame, grid):
     """CVLL scores for an ascending grid, one full complex (r + 1) x (r + 1) bordered stack per span.
 
@@ -154,7 +195,8 @@ def bordered_cvll_curve(frame, grid):
 def ingest_by_cell(path, demean=True):
     """A header + numeric rows CSV as an (n, r) array, read by csv.reader with one float() per cell.
 
-    Error messages name the offending 1-based file row (the header is row 1).
+    Error messages name the offending 1-based file row (the header is row 1), or the first column
+    whose demeaned values overflow the float range.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -186,7 +228,11 @@ def ingest_by_cell(path, demean=True):
         raise TooShort(f"{path}: need at least 8 data rows, got {len(rows)}")
     sample = np.array(rows)
     if demean:
-        sample = sample - sample.mean(axis=0, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = sample - sample.mean(axis=0, keepdims=True)
+        for col in range(r):
+            if not np.isfinite(sample[:, col]).all():
+                raise NonNumeric(f"{path}: column {col + 1} ({header[col].strip()}): demeaning overflows the float range")
     return sample
 
 

@@ -112,8 +112,7 @@ def csv_texts(draw):
 
 def ingest_outcome(read, path, demean):
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # demeaning values near the float limit overflows
-            sample = read(path, demean=demean)
+        sample = read(path, demean=demean)
     except (SpectestError, ValueError) as exc:  # what the CLI reports; its type and message are the outcome
         return type(exc), str(exc)
     return sample.shape, sample.tobytes()
@@ -249,6 +248,49 @@ def test_cli_data_errors_exit_one(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: no span in the grid")
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print on stderr
+def test_cli_names_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    csv_path = tmp_path / "long.csv"
+    lines = ["a,b"] + ["0.5,1.5"] * 20
+    lines[5] = "0.5," + "1" * 200_000  # file row 6
+    csv_path.write_text("\n".join(lines) + "\n")
+    for argv in (["test", "--input", str(csv_path), "--m", "2"], ["cvll", "--input", str(csv_path)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {csv_path}: row 6: field larger than field limit (131072)\n"
+    lines[0] = "a," + "b" * 200_000
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert main(["cvll", "--input", str(csv_path)]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: row 1: field larger than field limit (131072)\n"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print on stderr
+def test_cli_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    csv_path = tmp_path / "latin.csv"
+    body = "a,b\n" + "0.5,1.5\n" * 20
+    csv_path.write_bytes(b"\xef\xbb\xbf" + body.encode() + b"0.5,\xff\n")
+    assert main(["test", "--input", str(csv_path), "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    offset = 3 + len(body) + 4  # the BOM counts
+    assert err == f"error: {csv_path}: byte {offset}: not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print on stderr
+def test_cli_names_a_column_whose_demeaning_overflows(tmp_path, capsys):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("a,big\n" + "0.5,1.7e308\n" * 40)
+    assert main(["test", "--input", str(csv_path), "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {csv_path}: column 2 (big): demeaning overflows the float range\n"
+    # a finite mean keeps its bits
+    csv_path.write_text("a,big\n" + "".join(f"{i},{1e306 * (i % 3)}\n" for i in range(40)))
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    assert ingest_csv(str(csv_path)).tobytes() == (data - data.mean(axis=0, keepdims=True)).tobytes()
 
 
 # ------------------------------------------------------------ usage errors

@@ -1,9 +1,14 @@
 """Tests for the eigenvalue discrepancy families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import pencil_terms_by_full_sweeps
 
-from spectest.divergence import J, KL, QUADRATIC, Discrepancy, chernoff, discrepancy
+from spectest.divergence import J, KL, QUADRATIC, Discrepancy, _pencil_terms, chernoff, discrepancy
 from spectest.errors import NonPositiveEigenvalue
 
 
@@ -77,3 +82,55 @@ def test_labels():
     assert QUADRATIC.label == "quadratic"
     assert chernoff(0.5).label == "chernoff(0.5)"
     assert chernoff(0.25).label == "chernoff(0.25)"
+
+
+def _hermitian_pairs(rng, lead, r, real=False):
+    """Two (*lead, r, r) stacks of Hermitian positive definite matrices."""
+    x = rng.standard_normal((2,) + lead + (r, r + 2))
+    if not real:
+        x = x + 1j * rng.standard_normal(x.shape)
+    a, b = x @ np.conj(np.swapaxes(x, -1, -2)) / (r + 2)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    stacked=st.booleans(),
+    real=st.booleans(),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    alpha=st.floats(0.05, 0.95),
+    bad=st.integers(0, 23),
+)
+def test_pencil_terms_match_full_sweeps(seed, r, stacked, real, picks, alpha, bad):
+    # Every family, alone or with others (kl without j takes its log det by elimination), on one
+    # sample or an (R, half) stack, with one index where A and another where B is not PD.
+    rng = np.random.default_rng(seed)
+    a, b = _hermitian_pairs(rng, (3, 8) if stacked else (8,), r, real)
+    a.reshape(-1, r, r)[bad % 8] *= -1.0
+    b.reshape(-1, r, r)[(bad + 3) % 8] *= -1.0
+    kinds = [(KL, J, QUADRATIC, chernoff(alpha))[i] for i in picks]
+    pencil = [np.moveaxis(m, (-2, -1), (0, 1)) for m in (a, b)]
+    before = [m.copy() for m in pencil]
+    got = _pencil_terms(kinds, *pencil)
+    want = pencil_terms_by_full_sweeps(kinds, *[m.copy() for m in before])
+    for kind in kinds:
+        assert np.array_equal(got[kind], want[kind], equal_nan=True)
+        assert got[kind].tobytes() == want[kind].tobytes()  # signed zeros and NaN payloads too
+    assert all(np.array_equal(m, m0) for m, m0 in zip(pencil, before))
+
+
+def test_pencil_terms_hold_a_few_stacks_at_most():
+    # At the graphical design (r = 5, 256 frequencies) kl and j need the scaled A, B and D; the
+    # whole-stack form held about 7.5 stacks at its peak.
+    a, b = (np.moveaxis(m, (-2, -1), (0, 1)) for m in _hermitian_pairs(np.random.default_rng(3), (256,), 5))
+    _pencil_terms([KL, J], a, b)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _pencil_terms([KL, J], a, b)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * a.nbytes

@@ -36,8 +36,10 @@ and `spectest cvll` on each of 20 fixed 20 x 3 CSVs (stdlib random, seed 17)
 that hold one odd cell (padded, quoted, with an underscore, a full-width digit,
 inf, nan, a word, empty or whitespace only), one blank or whitespace-only line,
 a trailing comma or a ragged row, or come with a BOM, CRLF line ends, a header
-alone, seven rows, or a header narrower or wider than the data: 725 runs on
-the ten fixed files.
+alone, seven rows, or a header narrower or wider than the data, and on 3 more
+that hold a 200000-character cell (over csv's field limit), a byte that is not
+UTF-8, or a column of 1.7e308 whose mean overflows: 731 runs on the ten fixed
+files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -50,7 +52,8 @@ power column counts as a flip, as does a table that changes with --threads
 within one tree.  A usage error is compared by exit code and stdout only, as
 argparse words its stderr; one that does not exit 64 with empty stdout in either
 tree counts as a flip.  A run on an odd CSV that differs at all, in exit code,
-stdout or stderr, counts as a flip.  It exits 1 when anything flipped.  Uses
+stdout or stderr, counts as a flip.  An exception that escapes main is recorded
+in place of the exit code.  It exits 1 when anything flipped.  Uses
 only the standard library.
 """
 
@@ -123,7 +126,7 @@ def write_inputs(folder: str) -> list[str]:
 
 
 def write_odd_inputs(folder: str) -> list[str]:
-    """The 20 odd CSVs: a 20 x 3 sample (stdlib random, seed 17) with one odd token or change of shape each."""
+    """The 23 odd CSVs: a 20 x 3 sample (stdlib random, seed 17) with one odd token, byte or change of shape each."""
     rng = random.Random(17)
     lines = ["a,b,c"] + [",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(3)) for _ in range(20)]
     texts = []
@@ -136,10 +139,15 @@ def write_odd_inputs(folder: str) -> list[str]:
     texts = ["\n".join(text) + "\n" for text in texts]
     texts += ["\ufeff" + texts[0], "\r\n".join(lines) + "\r\n", lines[0] + "\n", "\n".join(lines[:8]) + "\n",
               "\n".join(["a,b"] + lines[1:]) + "\n", "\n".join(["a,b,c,d"] + lines[1:]) + "\n"]
+    # a cell over csv's 131072-character field limit, a column of 1.7e308 whose mean overflows, and
+    # (texts[2] holds the cell 1_0) a byte that is not UTF-8
+    huge = "\n".join(lines[:1] + [",".join([a, "1.7e308", c]) for a, _, c in (line.split(",") for line in lines[1:])])
+    texts = [text.encode("utf-8") for text in texts + [texts[2].replace("1_0", "1" * 200_000), huge + "\n"]]
+    texts.append(texts[2].replace(b"1_0", b"\xff"))
     paths = [os.path.join(folder, f"odd_input_{i}.csv") for i in range(len(texts))]
-    for path, text in zip(paths, texts):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    for path, body in zip(paths, texts):
+        with open(path, "wb") as handle:
+            handle.write(body)
     return paths
 
 
@@ -198,7 +206,10 @@ def work(tree: str, runs: list[list[str]]) -> list[dict]:
     for argv in runs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # what would end the command with a traceback
+                code = f"uncaught {type(exc).__name__}: {exc}"
         results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
     return results
 
