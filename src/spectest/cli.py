@@ -56,9 +56,10 @@ def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
 
     numpy's C reader parses the body.  It is stricter than float(): quoted cells, underscores
     and non-ASCII digits fail in it.  A file it rejects, or whose array is ragged, short or not
-    finite, is read again cell by cell, which returns the same array or raises an error naming
-    the offending 1-based file row (the header is row 1).  A byte that is not UTF-8 is named by
-    its offset, and a column whose demeaned values overflow the float range by its number.
+    finite, and a file with a line longer than csv's field size limit, are read again cell by
+    cell, which returns the same array or raises an error naming the offending 1-based file row
+    (the header is row 1).  A byte that is not UTF-8 is named by its offset, and a column whose
+    demeaned values overflow the float range by its number.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -66,12 +67,14 @@ def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
-    sample, header, handle = None, None, io.StringIO(text, newline="")
+    sample, header, handle, limit = None, None, io.StringIO(text, newline=""), csv.field_size_limit()
+    # a line over csv's field limit may hold a cell that the C reader parses and the cell reader rejects
+    long_line = len(text) > limit and max(map(len, text.replace("\r", "\n").split("\n"))) > limit
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             header = next(csv.reader(handle), None)
-            sample = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2) if header else None
+            sample = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2) if header and not long_line else None
         except (csv.Error, ValueError):  # the cell reader reads the file again and names the fault
             pass
     if sample is None or sample.shape[1] != len(header) or len(sample) < 8 or not np.isfinite(sample).all():
@@ -180,6 +183,8 @@ def _check_edges(args) -> None:
 def _cmd_test(args) -> int:
     _check_edges(args)  # before the file is read, so a usage error never waits on it
     sample = ingest_csv(args.input, demean=not args.no_demean)
+    if sample.shape[1] < 2:
+        raise ValueError(f"{args.input}: a test needs at least 2 series, got {sample.shape[1]}")
     model = _build_model(args, sample.shape[1])
     variant = StatisticVariant(form=args.stat, kind=_resolve_kind(args))
     report = run_test(sample, model, args.bandwidth, variant, alpha_level=args.alpha)
@@ -250,7 +255,7 @@ def _emit_table(rows, manifest: dict, output: str | None) -> None:
 def _cmd_simulate_null(args) -> int:
     config = _mc_config(args, args.phi)
     summaries = null_summary(config, threads=_threads(args))
-    rows = summary_rows(config, summaries, rate_column="size")
+    rows = summary_rows(config, summaries)
     _emit_table(rows, config_manifest(config, "simulate-null"), args.output)
     return 0
 

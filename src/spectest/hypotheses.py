@@ -382,8 +382,8 @@ class GraphicalModel:
         )
 
 
-def model_from_name(name: str, r: int | None = None, edges: str | EdgeSet | None = None):
-    """Build a hypothesis model from its CLI name."""
+def model_from_name(name: str, r: int | None = None, edges: str | None = None):
+    """Build a hypothesis model from its CLI name; a graphical one from edge text like "1-2,2-3" on r series."""
     key = name.strip().lower()
     if key == "independence":
         return IndependenceModel()
@@ -392,8 +392,6 @@ def model_from_name(name: str, r: int | None = None, edges: str | EdgeSet | None
     if key == "graphical":
         if edges is None:
             raise ValueError("graphical hypothesis needs an edge list")
-        if isinstance(edges, EdgeSet):
-            return GraphicalModel(edges)
         if r is None:
             raise ValueError("graphical hypothesis needs the series count to parse edges")
         return GraphicalModel(parse_edge_list(edges, r))

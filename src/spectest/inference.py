@@ -92,10 +92,8 @@ def block_indices(half: int, m: int) -> np.ndarray:
     return (m + 1) * np.arange(count) + m // 2 + 1
 
 
-def raw_statistic(
-    fU: SpectralSequence, fR: SpectralSequence, variants, m: int | None = None
-) -> list[tuple[float, int]]:
-    """Accumulate each variant's discrepancy over its own index set.
+def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) -> list[tuple[float, int]]:
+    """Accumulate each variant's discrepancy over its own index set; the block form's is fixed by the span m.
 
     One call evaluates every variant's discrepancy family at every index, as
     traces and log-dets of the pencil, shared by all variants.  Indices where
@@ -115,12 +113,7 @@ def raw_statistic(
     table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)))
     results = []
     for variant in variants:
-        if variant.form == "block":
-            if m is None:
-                raise ValueError("block statistic needs the smoothing span m")
-            positions = block_indices(half, m) - 1
-        else:
-            positions = np.arange(half)
+        positions = block_indices(half, m) - 1 if variant.form == "block" else np.arange(half)
         terms = np.where(ok, table[variant.effective_kind], 0.0)[..., positions]
         if variant.form == "weighted":
             terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[positions]])
@@ -130,30 +123,25 @@ def raw_statistic(
     return results
 
 
-def standardize(raw, n: int, m: int, es: EtaSigma, curvature: float, variant: StatisticVariant,
-                du: float | None = None, bu: float | None = None):
+def standardize(raw, n: int, kernel: WeightKernel, es: EtaSigma, variant: StatisticVariant):
     """Center and scale a raw statistic to its standard normal limit.
 
     The hypothesis constants are stated for the unit-curvature discrepancy;
-    a family with curvature c shifts eta by c and sigma by c (sigma^2 by
-    c^2).  The block form additionally deflates by sqrt(B/D) and uses the
-    block count L = floor(n//2 / (m+1)) in place of n.  raw, es.eta and
-    es.sigma2 may be arrays over a stack of samples; the result is then the
-    array of each sample's value.
+    the variant's discrepancy, of curvature c, shifts eta by c and sigma by c
+    (sigma^2 by c^2).  The block form additionally deflates by sqrt(B/D),
+    the kernel's constants, and uses the block count L = floor(n//2 / (m+1))
+    of block_indices in place of n, with m the kernel's span.  raw, es.eta
+    and es.sigma2 may be arrays over a stack of samples; the result is then
+    the array of each sample's value.
     """
     if np.any(np.asarray(es.sigma2) <= 0.0):
         raise DegenerateVariance(f"sigma2 must be positive, got {es.sigma2}")
-    if curvature <= 0.0:
-        raise ValueError(f"curvature must be positive, got {curvature}")
+    m, curvature = kernel.m, variant.effective_kind.curvature
     eta_k = curvature * es.eta
     sigma_k = curvature * np.sqrt(es.sigma2)
     if variant.form == "block":
-        if du is None or bu is None:
-            raise ValueError("block standardization needs the kernel constants D and B")
-        count = (n // 2) // (m + 1)
-        if count < 1:
-            raise ValueError(f"span m = {m} leaves no block index for n = {n}")
-        deflator = math.sqrt(bu / du)
+        count = block_indices(n // 2, m).size
+        deflator = math.sqrt(kernel.bu / kernel.du)
         value = (m / math.sqrt(count)) * (raw - (2.0 * count / m) * eta_k) / (deflator * sigma_k)
     else:
         value = math.sqrt(m / n) * (raw - (n / m) * eta_k) / sigma_k
@@ -208,7 +196,7 @@ def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict
     theta = model.estimate_theta(samples)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
     variants = tuple(variants)
-    raws = raw_statistic(f_unrestricted, f_restricted, variants, m=kernel.m)
+    raws = raw_statistic(f_unrestricted, f_restricted, variants, kernel.m)
     closed = model.eta_sigma_closed(r, theta)  # arrays over the stack, or floats shared by it
     results = {}
     for variant, (raw, nonpd) in zip(variants, raws):
@@ -218,17 +206,13 @@ def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict
         eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
         es = EtaSigma(eta=closed.eta * 2.0 * kernel.cu * eta_weight,
                       sigma2=closed.sigma2 * 3.0 * kernel.du * sigma2_weight)
-        standardized = standardize(raw, n, kernel.m, es, variant.effective_kind.curvature, variant,
-                                   du=kernel.du, bu=kernel.bu)
-        results[variant.label] = {"raw": raw, "standardized": standardized, "nonpd": nonpd,
-                                  "eta": np.broadcast_to(es.eta, raw.shape),
+        results[variant.label] = {"raw": raw, "standardized": standardize(raw, n, kernel, es, variant),
+                                  "nonpd": nonpd, "eta": np.broadcast_to(es.eta, raw.shape),
                                   "sigma2": np.broadcast_to(es.sigma2, raw.shape)}
     return results
 
 
-def run_many(
-    sample, model, kernel, variants, alpha_level: float = 0.05, cvll_grid=None
-) -> dict[str, TestReport]:
+def run_many(sample, model, kernel, variants, alpha_level: float = 0.05) -> dict[str, TestReport]:
     """Shared pipeline for several statistic variants on one sample.
 
     kernel may be a WeightKernel, an even integer span (flat weights), or
@@ -245,7 +229,7 @@ def run_many(
     if isinstance(kernel, WeightKernel):
         kern = kernel
     elif kernel == "cvll":
-        kern = WeightKernel.flat(cvll_select(arr, grid=cvll_grid)[0])
+        kern = WeightKernel.flat(cvll_select(arr)[0])
     else:
         kern = WeightKernel.flat(kernel)
     reports = {}
@@ -260,14 +244,6 @@ def run_many(
     return reports
 
 
-def run_test(
-    sample,
-    model,
-    kernel,
-    variant: StatisticVariant,
-    alpha_level: float = 0.05,
-    cvll_grid=None,
-) -> TestReport:
+def run_test(sample, model, kernel, variant: StatisticVariant, alpha_level: float = 0.05) -> TestReport:
     """End-to-end test of one hypothesis with one statistic variant."""
-    reports = run_many(sample, model, kernel, [variant], alpha_level, cvll_grid=cvll_grid)
-    return reports[variant.label]
+    return run_many(sample, model, kernel, [variant], alpha_level)[variant.label]

@@ -159,7 +159,6 @@ class McConfig:
     seed: int
     burn_in: int = 0  # steps run after the stationary start and discarded
     alpha_level: float = 0.05
-    cvll_grid: tuple | None = None
 
     def __post_init__(self):
         if self.bandwidth != "cvll":  # stored as the int it checks to, so the manifest can dump it
@@ -205,7 +204,7 @@ def _run_block(config: McConfig, ks: range) -> dict[str, tuple[np.ndarray, np.nd
     samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
     size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
     if config.bandwidth == "cvll":
-        spans = np.concatenate([cvll_select(samples[start : start + size], grid=config.cvll_grid)[0]
+        spans = np.concatenate([cvll_select(samples[start : start + size])[0]
                                 for start in range(0, len(samples), size)])
     else:
         spans = np.full(len(samples), int(config.bandwidth))
@@ -308,10 +307,10 @@ def _row(config: McConfig, label: str, moments, rate_column: str, rate: float) -
     return row
 
 
-def summary_rows(config: McConfig, summaries: dict[str, McSummary], rate_column: str) -> list[dict]:
-    """Flatten summaries to the CSV row schema (one row per variant)."""
-    return [_row(config, label, (s.mean, s.variance, s.skewness, s.kurtosis, s.q95), rate_column,
-                 s.rejection_rate) for label, s in summaries.items()]
+def summary_rows(config: McConfig, summaries: dict[str, McSummary]) -> list[dict]:
+    """Flatten summaries to the CSV row schema (one row per variant), the rejection rate as size."""
+    return [_row(config, label, (s.mean, s.variance, s.skewness, s.kurtosis, s.q95), "size", s.rejection_rate)
+            for label, s in summaries.items()]
 
 
 def power_rows(config: McConfig, powers: dict[str, float]) -> list[dict]:

@@ -206,37 +206,42 @@ def _eval_weight(u, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightKernel:
-    """Smoothing weights w_j = u(j/m), j = -m/2 .. m/2, plus the constants of u."""
+    """Smoothing weights w_j = u(j/m), j = -m/2 .. m/2, plus the constants of u.
 
-    m: int
+    The span m and the weight sum wstar are read from the weights.
+    """
+
     weights: np.ndarray
-    wstar: float
     cu: float
     du: float
     bu: float
 
     def __post_init__(self):
+        if np.ndim(self.weights) != 1:
+            raise ValueError(f"weights must be 1-d, got shape {np.shape(self.weights)}")
         _check_span(self.m)
-        if self.weights.shape != (self.m + 1,):
-            raise ValueError("weights must have m + 1 entries")
         if np.min(self.weights) <= 0.0:
             raise ValueError("weights must be strictly positive")
         if np.max(np.abs(self.weights - self.weights[::-1])) > 1e-12 * np.max(self.weights):
             raise ValueError("weights must be symmetric about 0")
-        if not math.isclose(self.wstar, float(np.sum(self.weights)), rel_tol=1e-12):
-            raise ValueError("wstar must equal the weight sum")
         if min(self.cu, self.du, self.bu) <= 0.0:
             raise ValueError("kernel constants must be positive")
         if 2.0 * self.du / self.bu > 1.0 + 1e-9:
             raise ValueError("constants violate 2D/B <= 1; weight function is invalid")
 
+    @property
+    def m(self) -> int:
+        return len(self.weights) - 1
+
+    @property
+    def wstar(self) -> float:
+        return float(np.sum(self.weights))
+
     @classmethod
     def from_function(cls, u, m: int) -> "WeightKernel":
         m = _check_span(m)
         offsets = np.arange(-(m // 2), m // 2 + 1)
-        weights = _eval_weight(u, offsets / m)
-        cu, du, bu = kernel_constants(u)
-        return cls(m=m, weights=weights, wstar=float(np.sum(weights)), cu=cu, du=du, bu=bu)
+        return cls(_eval_weight(u, offsets / m), *kernel_constants(u))
 
     @classmethod
     def flat(cls, m: int) -> "WeightKernel":
@@ -245,9 +250,7 @@ class WeightKernel:
         The constants are exact for the flat weight function, so no
         quadrature is involved.
         """
-        m = _check_span(m)
-        weights = np.ones(m + 1)
-        return cls(m=m, weights=weights, wstar=float(m + 1), cu=0.5, du=1.0 / 3.0, bu=1.0)
+        return cls(np.ones(_check_span(m) + 1), cu=0.5, du=1.0 / 3.0, bu=1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -304,5 +304,5 @@ def replications(config):
     for k in range(config.replications):
         sample = simulate_var1(config.process, config.n, config.burn_in, replication_seed(config.seed, k))
         reports.append(run_many(sample, config.model, config.bandwidth, config.variants,
-                                alpha_level=config.alpha_level, cvll_grid=config.cvll_grid))
+                                alpha_level=config.alpha_level))
     return reports

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and CSV ingestion."""
 
+import csv
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import spectest.simulation
 from oracles import ingest_by_cell
 from spectest.cli import ingest_csv, main
-from spectest.errors import NonNumeric, RaggedRows, SpectestError, TooShort
+from spectest.errors import NonNumeric, RaggedRows, SingularCovariance, SpectestError, TooShort
+from spectest.hypotheses import SeparableModel
 
 
 def write_noise_csv(path, n=120, r=3, seed=5, header=None):
@@ -254,17 +256,46 @@ def test_cli_data_errors_exit_one(tmp_path, capsys):
 def test_cli_names_a_cell_over_the_csv_field_limit(tmp_path, capsys):
     csv_path = tmp_path / "long.csv"
     lines = ["a,b"] + ["0.5,1.5"] * 20
-    lines[5] = "0.5," + "1" * 200_000  # file row 6
-    csv_path.write_text("\n".join(lines) + "\n")
-    for argv in (["test", "--input", str(csv_path), "--m", "2"], ["cvll", "--input", str(csv_path)]):
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: {csv_path}: row 6: field larger than field limit (131072)\n"
+    # numpy's C reader parses the finite cell, but the cell reader and its oracle reject both, and so must ingest
+    for cell in ("1" * 200_000, "0." + "0" * 200_000 + "1"):
+        lines[5] = "0.5," + cell  # file row 6
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(csv.Error, match=r"field larger than field limit \(131072\)"):
+            ingest_by_cell(str(csv_path))
+        for argv in (["test", "--input", str(csv_path), "--m", "2"], ["cvll", "--input", str(csv_path)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {csv_path}: row 6: field larger than field limit (131072)\n"
     lines[0] = "a," + "b" * 200_000
     csv_path.write_text("\n".join(lines) + "\n")
     assert main(["cvll", "--input", str(csv_path)]) == 1
     assert capsys.readouterr().err == f"error: {csv_path}: row 1: field larger than field limit (131072)\n"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print on stderr
+def test_cli_test_needs_two_series(tmp_path, capsys):
+    # every null fails alike, after ingest and before the model is built; cvll still scores one series
+    csv_path = tmp_path / "one.csv"
+    csv_path.write_text("a\n" + "".join(f"{v!r}\n" for v in np.random.default_rng(2).standard_normal(64).tolist()))
+    for hypothesis in (["independence"], ["separable"], ["graphical", "--edges", "1-2"]):
+        assert main(["test", "--input", str(csv_path), "--m", "8", "--hypothesis", *hypothesis]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {csv_path}: a test needs at least 2 series, got 1\n"
+    assert main(["cvll", "--input", str(csv_path)]) == 0
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print on stderr
+def test_separable_null_refuses_collinear_columns(tmp_path, capsys):
+    collinear = tmp_path / "collinear.csv"
+    write_collinear_csv(collinear)
+    with pytest.raises(SingularCovariance, match="sample second-moment matrix is not positive definite"):
+        SeparableModel().estimate_theta(ingest_csv(str(collinear)))
+    assert main(["test", "--input", str(collinear), "--m", "20", "--hypothesis", "separable"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sample second-moment matrix is not positive definite\n"
 
 
 @pytest.mark.filterwarnings("error")  # a warning would print on stderr

@@ -69,7 +69,7 @@ def test_block_indices_frozen_example():
 def test_raw_statistic_zero_when_equal():
     fu, fr = sequence_pair(101, 2, 1.0)
     for variant in (FULL, QUAD, BLOCK):
-        [(raw, nonpd)] = raw_statistic(fu, fr, [variant], m=16)
+        [(raw, nonpd)] = raw_statistic(fu, fr, [variant], 16)
         assert raw == pytest.approx(0.0, abs=1e-12)
         assert nonpd == 0
 
@@ -77,14 +77,14 @@ def test_raw_statistic_zero_when_equal():
 def test_raw_statistic_frozen_doubling_example():
     # r = 1, fU = 2 fR at all 50 ordinates: KL gives 50 (2 - ln 2 - 1)
     fu, fr = sequence_pair(101, 1, 2.0)
-    [(raw, nonpd)] = raw_statistic(fu, fr, [FULL])
+    [(raw, nonpd)] = raw_statistic(fu, fr, [FULL], 16)
     assert raw == pytest.approx(50.0 * (1.0 - math.log(2.0)), rel=1e-12)
     assert nonpd == 0
     # quadratic: 50 * (2 - 1)^2 / 2
-    [(raw_q, _)] = raw_statistic(fu, fr, [QUAD])
+    [(raw_q, _)] = raw_statistic(fu, fr, [QUAD], 16)
     assert raw_q == pytest.approx(25.0, rel=1e-12)
     # block: only 2 ordinates survive
-    [(raw_b, _)] = raw_statistic(fu, fr, [BLOCK], m=16)
+    [(raw_b, _)] = raw_statistic(fu, fr, [BLOCK], 16)
     assert raw_b == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_raw_statistic_weighted():
     fu, fr = sequence_pair(101, 1, 2.0)
     lam_weight = lambda lam: 2.0
     variant = StatisticVariant(form="weighted", phi=lam_weight)
-    [(raw, _)] = raw_statistic(fu, fr, [variant])
+    [(raw, _)] = raw_statistic(fu, fr, [variant], 16)
     assert raw == pytest.approx(100.0 * (1.0 - math.log(2.0)), rel=1e-12)
     assert variant.label == "weighted-kl"
 
@@ -101,7 +101,7 @@ def test_raw_statistic_alignment_guard():
     fu, _ = sequence_pair(101, 2, 1.0)
     _, fr = sequence_pair(99, 2, 1.0)
     with pytest.raises(AlignmentMismatch):
-        raw_statistic(fu, fr, [FULL])
+        raw_statistic(fu, fr, [FULL], 16)
 
 
 def test_raw_statistic_counts_nonpd():
@@ -110,8 +110,8 @@ def test_raw_statistic_counts_nonpd():
     flags[3] = False
     flags[7] = False
     fr_bad = SpectralSequence(kind="restricted", n=fr.n, r=fr.r, matrices=fr.matrices, pd=flags)
-    [(raw_all, _)] = raw_statistic(fu, fr, [FULL])
-    [(raw, nonpd)] = raw_statistic(fu, fr_bad, [FULL])
+    [(raw_all, _)] = raw_statistic(fu, fr, [FULL], 16)
+    [(raw, nonpd)] = raw_statistic(fu, fr_bad, [FULL], 16)
     assert nonpd == 2
     # the two dropped ordinates contribute K((2,2)) = 2(1 - ln 2) each
     assert raw == pytest.approx(raw_all - 2.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
@@ -120,14 +120,14 @@ def test_raw_statistic_counts_nonpd():
     flags_u[7] = False
     flags_u[11] = False
     fu_bad = SpectralSequence(kind="unrestricted", n=fu.n, r=fu.r, matrices=fu.matrices, pd=flags_u)
-    [(raw, nonpd)] = raw_statistic(fu_bad, fr_bad, [FULL])
+    [(raw, nonpd)] = raw_statistic(fu_bad, fr_bad, [FULL], 16)
     assert nonpd == 3
     assert raw == pytest.approx(raw_all - 3.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
     # a block variant in the same call counts only its own positions; at
     # n = 101, m = 16 these are indices 9 and 26, and 26 now fails
     flags_u[25] = False
     fu_bad = SpectralSequence(kind="unrestricted", n=fu.n, r=fu.r, matrices=fu.matrices, pd=flags_u)
-    (raw, nonpd), (raw_b, nonpd_b) = raw_statistic(fu_bad, fr_bad, [FULL, BLOCK], m=16)
+    (raw, nonpd), (raw_b, nonpd_b) = raw_statistic(fu_bad, fr_bad, [FULL, BLOCK], 16)
     assert nonpd == 4
     assert raw == pytest.approx(raw_all - 4.0 * 2.0 * (1.0 - math.log(2.0)), rel=1e-10)
     assert nonpd_b == 1
@@ -167,7 +167,7 @@ def test_pencil_terms_match_the_eigenvalue_oracle(seed, r, exponents, eps, alpha
     pencil = (np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fu, fr))
     variants = [StatisticVariant(form="full", kind=kind) for kind in kinds]
     terms = _pencil_terms(kinds, *pencil)
-    for kind, (raw, nonpd) in zip(kinds, raw_statistic(fu, fr, variants)):
+    for kind, (raw, nonpd) in zip(kinds, raw_statistic(fu, fr, variants, 2)):
         want = eigenvalue_terms(kind, lam)
         assert terms[kind][others] == pytest.approx(want, rel=1e-9, abs=1e-11)
         assert nonpd == half - np.sum(kept)
@@ -177,9 +177,9 @@ def test_pencil_terms_match_the_eigenvalue_oracle(seed, r, exponents, eps, alpha
 def test_standardize_centering_and_frozen_example():
     es = EtaSigma(eta=1.5, sigma2=1.0)
     n, m = 1001, 120
-    centered = standardize((n / m) * 1.5, n, m, es, 1.0, FULL)
+    centered = standardize((n / m) * 1.5, n, WeightKernel.flat(m), es, FULL)
     assert centered == pytest.approx(0.0, abs=1e-12)
-    value = standardize(12.5, n, m, es, 1.0, FULL)
+    value = standardize(12.5, n, WeightKernel.flat(m), es, FULL)
     expected = math.sqrt(120.0 / 1001.0) * (12.5 - (1001.0 / 120.0) * 1.5)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(-0.00433, abs=5e-5)
@@ -188,7 +188,7 @@ def test_standardize_centering_and_frozen_example():
 def test_standardize_applies_curvature():
     es = EtaSigma(eta=1.5, sigma2=1.0)
     # J statistic has curvature 2: center at (n/m) * 2 * eta, scale by 2
-    v1 = standardize(10.0, 1001, 120, es, 2.0, StatisticVariant(form="full", kind=J))
+    v1 = standardize(10.0, 1001, WeightKernel.flat(120), es, StatisticVariant(form="full", kind=J))
     manual = math.sqrt(120.0 / 1001.0) * (10.0 - (1001.0 / 120.0) * 3.0) / 2.0
     assert v1 == pytest.approx(manual, rel=1e-12)
 
@@ -198,7 +198,7 @@ def test_standardize_block_deflator():
     n, m = 101, 16
     L = 2
     raw = 1.0
-    got = standardize(raw, n, m, es, 1.0, BLOCK, du=1.0 / 3.0, bu=1.0)
+    got = standardize(raw, n, WeightKernel.flat(m), es, BLOCK)
     sig = math.sqrt(1.0 / 3.0)
     manual = (m / math.sqrt(L)) * (raw - (2.0 * L / m) * 0.5) / (math.sqrt(3.0) * sig)
     assert got == pytest.approx(manual, rel=1e-12)
@@ -212,13 +212,13 @@ def test_standardize_rejects_degenerate_variance():
 def test_standardize_takes_arrays_over_a_stack():
     rng = np.random.default_rng(5)
     raw, eta, sigma2 = rng.normal(10.0, 3.0, 7), rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7)
-    for variant, curvature in ((FULL, 1.0), (BLOCK, 1.0), (StatisticVariant(form="full", kind=J), 2.0)):
-        stacked = standardize(raw, 1001, 120, EtaSigma(eta=eta, sigma2=sigma2), curvature, variant,
-                              du=1.0 / 3.0, bu=1.0)
+    kernel = WeightKernel.flat(120)
+    for variant in (FULL, BLOCK, StatisticVariant(form="full", kind=J)):
+        stacked = standardize(raw, 1001, kernel, EtaSigma(eta=eta, sigma2=sigma2), variant)
         assert stacked.shape == raw.shape
         for k in range(raw.size):
-            single = standardize(float(raw[k]), 1001, 120, EtaSigma(eta=float(eta[k]), sigma2=float(sigma2[k])),
-                                 curvature, variant, du=1.0 / 3.0, bu=1.0)
+            single = standardize(float(raw[k]), 1001, kernel, EtaSigma(eta=float(eta[k]), sigma2=float(sigma2[k])),
+                                 variant)
             assert type(single) is float and stacked[k] == single
 
 
@@ -232,9 +232,10 @@ def test_a_stack_raises_what_one_sample_raises():
             EtaSigma(eta=np.array([1.0, eta, 1.0]), sigma2=np.array([1.0, sigma2, 1.0]))
     # standardize checks sigma^2 itself, for constants that do not come as an EtaSigma
     with pytest.raises(DegenerateVariance):
-        standardize(1.0, 101, 8, SimpleNamespace(eta=1.0, sigma2=0.0), 1.0, FULL)
+        standardize(1.0, 101, WeightKernel.flat(8), SimpleNamespace(eta=1.0, sigma2=0.0), FULL)
     with pytest.raises(DegenerateVariance):
-        standardize(np.ones(3), 101, 8, SimpleNamespace(eta=np.ones(3), sigma2=np.array([1.0, 0.0, 1.0])), 1.0, FULL)
+        standardize(np.ones(3), 101, WeightKernel.flat(8),
+                    SimpleNamespace(eta=np.ones(3), sigma2=np.array([1.0, 0.0, 1.0])), FULL)
     # in the pipeline, an infinite weight phi makes eta non-finite and a zero one makes sigma^2 vanish
     samples = np.random.default_rng(6).standard_normal((3, 64, 2))
     for phi, error in ((lambda lam: math.inf, ValueError), (lambda lam: 0.0, DegenerateVariance)):

@@ -1,5 +1,6 @@
 """Tests for the VAR simulator and the Monte Carlo calibration layer."""
 
+import dataclasses
 import io
 import itertools
 import re
@@ -211,7 +212,7 @@ def test_size_adjusted_power_requires_matching_designs():
 def test_summary_rows_and_csv_schema():
     cfg = small_config(reps=120, variants=(FULL, QUAD, BLOCK))
     summaries = null_summary(cfg)
-    rows = summary_rows(cfg, summaries, rate_column="size")
+    rows = summary_rows(cfg, summaries)
     assert [row["variant"] for row in rows] == ["full", "quadratic", "block"]
     assert list(rows[0].keys()) == [
         "variant", "n", "m", "stat", "mean", "var", "skew", "kurt", "q95", "size",
@@ -279,6 +280,12 @@ def test_config_manifest_hash_tracks_content():
     assert m_a["config"]["command"] == "simulate-null"
 
 
+def test_config_manifest_records_every_config_field():
+    # a field the manifest leaves out would also be left out of content_hash
+    fields = {field.name for field in dataclasses.fields(McConfig)}
+    assert fields <= set(config_manifest(small_config(), "simulate-null")["config"])
+
+
 def test_config_manifest_takes_a_numpy_integer_span():
     cfg = McConfig(process=benchmark_process(0.0), n=101, bandwidth=np.int64(16), model=IndependenceModel(),
                    variants=(FULL,), replications=120, seed=0)
@@ -325,7 +332,7 @@ BATCH_CONFIGS = {
     "independence": dict(model=IndependenceModel(), bandwidth=8),
     "separable": dict(model=SeparableModel(), bandwidth=8),
     "graphical": dict(model=GraphicalModel(EDGES), bandwidth=8),
-    "cvll": dict(model=IndependenceModel(), bandwidth="cvll", cvll_grid=(4, 6, 8, 10, 12)),
+    "cvll": dict(model=IndependenceModel(), bandwidth="cvll"),
 }
 
 
@@ -377,8 +384,7 @@ def test_batched_replications_match_the_serial_oracle(name):
     for k, want in enumerate(oracles.replications(config)):
         sample = simulate_var1(config.process, config.n, burn_in=config.burn_in,
                                seed=replication_seed(config.seed, k))
-        direct = run_many(sample, config.model, config.bandwidth, config.variants,
-                          cvll_grid=config.cvll_grid)
+        direct = run_many(sample, config.model, config.bandwidth, config.variants)
         assert list(want) == list(direct) == list(config.labels)
         for label, (values, forced) in batched.items():
             # the bench regenerates replications this way, so they must be the study's bits

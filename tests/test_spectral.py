@@ -178,9 +178,14 @@ def test_weight_kernel_validation():
     with pytest.raises(ValueError):
         WeightKernel.flat(0)
     with pytest.raises(ValueError):
-        WeightKernel(m=2, weights=np.array([1.0, -1.0, 1.0]), wstar=1.0, cu=0.5, du=1 / 3, bu=1.0)
+        WeightKernel(weights=np.array([1.0, -1.0, 1.0]), cu=0.5, du=1 / 3, bu=1.0)
     with pytest.raises(ValueError):
-        WeightKernel(m=2, weights=np.array([0.5, 1.0, 1.0]), wstar=2.5, cu=0.5, du=1 / 3, bu=1.0)
+        WeightKernel(weights=np.array([0.5, 1.0, 1.0]), cu=0.5, du=1 / 3, bu=1.0)
+    # the span m is read from the weights, so it must be even: m + 1 weights
+    with pytest.raises(ValueError, match="span m must be even and >= 2, got 3"):
+        WeightKernel(weights=np.ones(4), cu=0.5, du=1 / 3, bu=1.0)
+    bump = WeightKernel(weights=np.array([0.5, 1.0, 0.5]), cu=0.5, du=1 / 3, bu=1.0)
+    assert (bump.m, bump.wstar) == (2, 2.0)
 
 
 def test_smoothed_periodogram_is_window_average():

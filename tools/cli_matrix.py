@@ -36,10 +36,12 @@ and `spectest cvll` on each of 20 fixed 20 x 3 CSVs (stdlib random, seed 17)
 that hold one odd cell (padded, quoted, with an underscore, a full-width digit,
 inf, nan, a word, empty or whitespace only), one blank or whitespace-only line,
 a trailing comma or a ragged row, or come with a BOM, CRLF line ends, a header
-alone, seven rows, or a header narrower or wider than the data, and on 3 more
-that hold a 200000-character cell (over csv's field limit), a byte that is not
-UTF-8, or a column of 1.7e308 whose mean overflows: 731 runs on the ten fixed
-files.
+alone, seven rows, or a header narrower or wider than the data, and on 5 more
+that hold a 200000-character cell (over csv's field limit; one of 1s, which
+parses to inf, and one finite, which numpy's C reader parses), a byte that is
+not UTF-8 or a column of 1.7e308 whose mean overflows, or that keep only the
+first column; the one-column CSV also runs `test --m 2` under separable and
+graphical (--edges 1-2) nulls: 737 runs on the ten fixed files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -126,7 +128,7 @@ def write_inputs(folder: str) -> list[str]:
 
 
 def write_odd_inputs(folder: str) -> list[str]:
-    """The 23 odd CSVs: a 20 x 3 sample (stdlib random, seed 17) with one odd token, byte or change of shape each."""
+    """The 25 odd CSVs: a 20 x 3 sample (stdlib random, seed 17) with one odd token, byte or change of shape each."""
     rng = random.Random(17)
     lines = ["a,b,c"] + [",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(3)) for _ in range(20)]
     texts = []
@@ -144,6 +146,9 @@ def write_odd_inputs(folder: str) -> list[str]:
     huge = "\n".join(lines[:1] + [",".join([a, "1.7e308", c]) for a, _, c in (line.split(",") for line in lines[1:])])
     texts = [text.encode("utf-8") for text in texts + [texts[2].replace("1_0", "1" * 200_000), huge + "\n"]]
     texts.append(texts[2].replace(b"1_0", b"\xff"))
+    # a finite cell over the field limit, which numpy's C reader parses, and the first column alone
+    texts += [texts[2].replace(b"1_0", b"0." + b"0" * 200_000 + b"1"),
+              "".join(line.split(",")[0] + "\n" for line in lines).encode("utf-8")]
     paths = [os.path.join(folder, f"odd_input_{i}.csv") for i in range(len(texts))]
     for path, body in zip(paths, texts):
         with open(path, "wb") as handle:
@@ -152,8 +157,10 @@ def write_odd_inputs(folder: str) -> list[str]:
 
 
 def odd_runs(paths: list[str]) -> list[list[str]]:
-    """`test --m 2` and `cvll` on every odd CSV."""
-    return [argv for path in paths for argv in (["test", "--input", path, "--m", "2"], ["cvll", "--input", path])]
+    """`test --m 2` and `cvll` on every odd CSV, and on the last, one-column CSV `test --m 2` under the other nulls."""
+    runs = [argv for path in paths for argv in (["test", "--input", path, "--m", "2"], ["cvll", "--input", path])]
+    return runs + [["test", "--input", paths[-1], "--m", "2", "--hypothesis", *hypothesis]
+                   for hypothesis in (["separable"], ["graphical", "--edges", "1-2"])]
 
 
 def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
