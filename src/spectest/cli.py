@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .divergence import KL, J, Discrepancy, chernoff
-from .errors import NonNumeric, ParseError, RaggedRows, SpectestError, TooShort
+from .errors import NonNumeric, ParseError, RaggedRows, SingularCovariance, SpectestError, TooShort
 from .hypotheses import _edge_tokens, model_from_name
 from .inference import StatisticVariant, run_test
 from .simulation import (
@@ -187,7 +187,10 @@ def _cmd_test(args) -> int:
         raise ValueError(f"{args.input}: a test needs at least 2 series, got {sample.shape[1]}")
     model = _build_model(args, sample.shape[1])
     variant = StatisticVariant(form=args.stat, kind=_resolve_kind(args))
-    report = run_test(sample, model, args.bandwidth, variant, alpha_level=args.alpha)
+    try:
+        report = run_test(sample, model, args.bandwidth, variant, alpha_level=args.alpha)
+    except SingularCovariance as exc:  # the separable null's theta, from the file's columns
+        raise SingularCovariance(f"{args.input}: {exc}") from None
     document = {
         "command": "test",
         "input": args.input,

@@ -17,6 +17,9 @@ Eliminations and sweeps scale a complex column by the reciprocal of its real
 pivot, x * (1 / p): numpy's complex division by (p, 0) computes just that, so
 every finite quotient keeps its value at less cost.  A real stack keeps true
 division, as x * (1 / p) and x / p can differ in the last bit.
+Only `inverse_pd` (Cholesky and inverse, for the generic eta/sigma engine)
+and `relative_eigenvalues_stack` (Cholesky, solves and eigvalsh) still call
+LAPACK; the test pipeline calls neither.
 The screen, the inverse and the Hermitian check take one (r, r) matrix or an
 (..., r, r) stack alike.
 That check runs once, where matrix input enters the library; the pipeline's
@@ -123,7 +126,7 @@ def _sweep(a: np.ndarray) -> np.ndarray:
     Row i takes a[i] - a[i, k] conj(a[:, k] / pivot) for pivot k through one (r, ...) buffer, so no
     temporary is larger than a row; row k, which the pivot's values replace, is not updated.
     """
-    scaled, product, logdet = np.empty_like(a[0]), np.empty_like(a[0]), np.zeros(a.shape[2:])
+    scaled, product, logdet = np.empty(a.shape[1:], a.dtype), np.empty(a.shape[1:], a.dtype), np.zeros(a.shape[2:])
     for k in range(len(a)):
         pivot = a[k, k].real.copy()
         logdet += np.log(pivot)

@@ -14,6 +14,9 @@ estimate.  Three hypotheses are built in:
                    are forced to zero (conditional independence given the
                    remaining series) by covariance selection: exact in one
                    pass for a chordal edge set, cyclic sweeps otherwise.
+                   Selection runs elementwise on frequency-last (r, r, ...)
+                   stacks: each inverse it needs comes from the sweep kernel
+                   of `hermitian`, so no LAPACK call is made per frequency.
 
 Each model also knows the centering and scaling constants (eta, sigma^2)
 that standardize the test statistics, either in closed form or through the
@@ -24,17 +27,13 @@ the frequency grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    NoConvergence,
-    NotPositiveDefinite,
-    SingularCovariance,
-)
-from .hermitian import as_hermitian, inverse_pd, is_positive_definite
+from .errors import DegenerateVariance, NoConvergence, NotPositiveDefinite, SingularCovariance
+from .hermitian import _eliminate, _lower, _sweep, as_hermitian, inverse_pd, is_positive_definite
 from .spectral import SpectralSequence, WeightKernel
 
 # Sweeps covariance selection runs before it gives up on a matrix, and its default tolerance.
@@ -73,15 +72,14 @@ class EdgeSet:
     def __post_init__(self):
         if self.r < 2:
             raise ValueError(f"edge set needs r >= 2, got r = {self.r}")
-        for pair in self.edges:
-            a, b = pair
+        object.__setattr__(self, "edges", frozenset((a, b) for a, b in self.edges))  # hashable, for the order cache
+        for a, b in self.edges:
             if not (0 <= a < b < self.r):
-                raise ValueError(f"invalid edge {pair} for r = {self.r}")
+                raise ValueError(f"invalid edge {(a, b)} for r = {self.r}")
 
     @classmethod
     def from_pairs(cls, r: int, pairs) -> "EdgeSet":
-        normalized = frozenset((min(a, b), max(a, b)) for a, b in pairs)
-        return cls(r=r, edges=normalized)
+        return cls(r=r, edges=frozenset((min(a, b), max(a, b)) for a, b in pairs))
 
     @property
     def missing_count(self) -> int:
@@ -89,12 +87,7 @@ class EdgeSet:
 
     @property
     def absent_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(self.r)
-            for b in range(a + 1, self.r)
-            if (a, b) not in self.edges
-        ]
+        return [(a, b) for a in range(self.r) for b in range(a + 1, self.r) if (a, b) not in self.edges]
 
 
 def _edge_tokens(text: str) -> list[tuple[str, int, int]]:
@@ -124,10 +117,12 @@ def parse_edge_list(text: str, r: int) -> EdgeSet:
     return EdgeSet.from_pairs(r, pairs)
 
 
+@functools.lru_cache
 def _elimination_order(edges: EdgeSet):
     """(v, earlier neighbours S_v, earlier non-neighbours) in maximum cardinality search order.
 
     None unless every S_v is a clique: the edge set is chordal (Tarjan & Yannakakis, 1984).
+    Computed once per edge set; the index arrays are shared, so they are never written.
     """
     near = [{b for pair in edges.edges if a in pair for b in pair if b != a} for a in range(edges.r)]
     order, seen = [], []
@@ -136,33 +131,40 @@ def _elimination_order(edges: EdgeSet):
         clique = [s for s in seen if s in near[v]]
         if any(b not in near[a] for a in clique for b in clique if a != b):
             return None
-        order.append((v, np.array(clique, dtype=int), [s for s in seen if s not in near[v]]))
+        order.append((v, np.array(clique, dtype=int), np.array([s for s in seen if s not in near[v]], dtype=int)))
         seen.append(v)
     return order
 
 
-def _fill(work: np.ndarray, a: int, others, rest: np.ndarray) -> None:
-    """Set G[a, others] = G[a, rest] G[rest, rest]^{-1} G[rest, others] and its mirror, in place."""
-    solved = np.linalg.solve(work[:, rest[:, np.newaxis], rest], work[:, rest[:, np.newaxis], others])
-    value = np.einsum("ks,ksu->ku", work[:, a, rest], solved)
-    work[:, a, others], work[:, others, a] = value, np.conj(value)
+def _fill(g: np.ndarray, a: int, others: np.ndarray, rest: np.ndarray) -> None:
+    """Set G[a, others] = G[a, rest] G[rest, rest]^{-1} G[rest, others] and its mirror, in place.
+
+    g is a frequency-last (r, r, K) stack.  A copy of G[rest, rest] is swept to minus its inverse,
+    and the products run elementwise over K; an empty rest gives 0.
+    """
+    block = g[np.ix_(rest, rest)]
+    _sweep(block)
+    coef = np.sum(g[a, rest, np.newaxis] * block, axis=0)  # -G[a, rest] G[rest, rest]^{-1}
+    value = np.sum(coef[:, np.newaxis] * g[np.ix_(rest, others)], axis=0)
+    g[a, others], g[others, a] = -value, -np.conj(value)
 
 
 def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float) -> np.ndarray:
-    """Cyclic sweeps over the absent pairs of stack[active], in place; returns the indices left above tol."""
-    updates = [(a, b, np.delete(np.arange(stack.shape[-1]), [a, b])) for a, b in absent]
+    """Cyclic sweeps over the absent pairs of stack[:, :, active], in place; returns the indices left above tol."""
+    updates = [(a, np.array([b]), np.delete(np.arange(len(stack)), [a, b])) for a, b in absent]
     rows, cols = np.array(absent).T
-    work = stack[active]
+    work = stack[:, :, active]
     for _ in range(SELECTION_MAX_SWEEPS):
         if not active.size:
             break
         for a, b, rest in updates:
-            _fill(work, a, [b], rest)
-        inv = inverse_pd(work)
-        off = np.max(np.abs(inv[:, rows, cols]), axis=1)
-        done = off <= tol * np.max(np.abs(inv), axis=(1, 2))
-        stack[active[done]] = work[done]
-        active, work = active[~done], work[~done]
+            _fill(work, a, b, rest)
+        inv = work.copy()
+        _sweep(inv)  # -G^{-1}
+        off = np.max(np.abs(inv[rows, cols]), axis=0)
+        done = off <= tol * np.max(np.abs(inv), axis=(0, 1))
+        stack[:, :, active[done]] = work[:, :, done]
+        active, work = active[~done], work[:, :, ~done]
     return active
 
 
@@ -184,34 +186,31 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    g = as_hermitian(np.asarray(h, dtype=complex))
-    pd = is_positive_definite(g)
+    g = np.moveaxis(as_hermitian(np.asarray(h, dtype=complex)), (-2, -1), (0, 1)).copy()
+    pd = _eliminate(_lower(g), len(g))[0]
     if g.ndim == 2 and not pd:
         raise NotPositiveDefinite("covariance selection needs a positive definite input")
-    return _complete(g, pd, edges, tol)
+    if _complete(g, pd, edges, tol) and g.ndim == 2:
+        raise NoConvergence(f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps")
+    return np.moveaxis(g, (0, 1), (-2, -1))
 
 
-def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.ndarray:
-    """covariance_selection on a Hermitian g with its PD flags pd, in place; returns g."""
-    stack = g.reshape((-1,) + g.shape[-2:])
+def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL) -> int:
+    """covariance_selection on a C-contiguous frequency-last (r, r, ...) Hermitian stack g with its PD flags
+    pd, in place; returns how many PD matrices the sweeps left unconverged (NaN, as is every non-PD one)."""
+    stack = g.reshape(g.shape[:2] + (-1,))
     pd = np.reshape(pd, -1)
-    stack[~pd] = np.nan
-    active = np.flatnonzero(pd)
+    stack[:, :, ~pd] = np.nan
     order = _elimination_order(edges)
     if order is None:
-        active = _selection_sweeps(stack, active, edges.absent_pairs, tol)
-        if active.size and g.ndim == 2:
-            raise NoConvergence(
-                f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps"
-            )
-        stack[active] = np.nan
-        return g
-    work = stack[active]
+        left = _selection_sweeps(stack, np.flatnonzero(pd), edges.absent_pairs, tol)
+        stack[:, :, left] = np.nan
+        return left.size
     for v, clique, others in order:
-        if others:
-            _fill(work, v, others, clique)
-    stack[active] = work
-    return g
+        if others.size:
+            _fill(stack, v, others, clique)
+    stack[:, :, ~pd] = np.nan  # again, as an empty clique fills in zeros
+    return 0
 
 
 def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
@@ -243,12 +242,7 @@ def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
     return term1 + term2 + term3 + term4
 
 
-def eta_sigma_generic(
-    g_grid: SpectralSequence,
-    dg_provider,
-    kernel: WeightKernel | None = None,
-    phi=None,
-) -> EtaSigma:
+def eta_sigma_generic(g_grid: SpectralSequence, dg_provider, kernel: WeightKernel | None = None, phi=None) -> EtaSigma:
     """eta and sigma^2 by direct contraction over a frequency grid.
 
     dg_provider(lambda, g_matrix) must return the (r, r, r, r) derivative
@@ -309,8 +303,7 @@ class IndependenceModel:
 
     def derivative_provider(self, r: int, theta=None):
         dg = np.zeros((r, r, r, r), dtype=complex)
-        for a in range(r):
-            dg[a, a, a, a] = 1.0
+        dg[(np.arange(r),) * 4] = 1.0
         return lambda lam, g: dg
 
 
@@ -347,8 +340,7 @@ class SeparableModel:
         sigma = np.asarray(theta, dtype=complex)
         d = np.real(np.diag(sigma))
         dg = np.zeros((r, r, r, r), dtype=complex)
-        for a in range(r):
-            dg[a, a] = sigma / (r * d[a])
+        dg[np.arange(r), np.arange(r)] = sigma / (r * d[:, np.newaxis, np.newaxis])
         return lambda lam, g: dg
 
 
@@ -359,9 +351,7 @@ class GraphicalModel:
 
     def __init__(self, edges: EdgeSet):
         if edges.missing_count < 1:
-            raise ValueError(
-                "complete edge set leaves nothing to test; at least one pair must be absent"
-            )
+            raise ValueError("complete edge set leaves nothing to test; at least one pair must be absent")
         self.edges = edges
 
     def estimate_theta(self, values) -> np.ndarray:
@@ -369,17 +359,17 @@ class GraphicalModel:
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         # Already Hermitian and screened; frequencies it cannot complete come back NaN.
-        mats = _complete(f_unrestricted.matrices.copy(), f_unrestricted.pd, self.edges)
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
+        g = np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1)).copy()
+        _complete(g, f_unrestricted.pd, self.edges)
+        pd = _eliminate(_lower(g), f_unrestricted.r)[0]
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(g, (0, 1), (-2, -1)), pd)
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         m_absent = self.edges.missing_count
         return EtaSigma(eta=m_absent / 2.0, sigma2=m_absent / 3.0)
 
     def derivative_provider(self, r: int, theta=None):
-        raise ValueError(
-            "the graphical constraint map is implicit; closed-form eta/sigma only"
-        )
+        raise ValueError("the graphical constraint map is implicit; closed-form eta/sigma only")
 
 
 def model_from_name(name: str, r: int | None = None, edges: str | None = None):

@@ -217,11 +217,15 @@ class WeightKernel:
     bu: float
 
     def __post_init__(self):
-        if np.ndim(self.weights) != 1:
-            raise ValueError(f"weights must be 1-d, got shape {np.shape(self.weights)}")
+        try:
+            object.__setattr__(self, "weights", np.asarray(self.weights).astype(float, casting="same_kind"))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"weights must be real numbers: {exc}") from None
+        if self.weights.ndim != 1:
+            raise ValueError(f"weights must be 1-d, got shape {self.weights.shape}")
         _check_span(self.m)
-        if np.min(self.weights) <= 0.0:
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0.0)):
+            raise ValueError("weights must be finite and strictly positive")
         if np.max(np.abs(self.weights - self.weights[::-1])) > 1e-12 * np.max(self.weights):
             raise ValueError("weights must be symmetric about 0")
         if min(self.cu, self.du, self.bu) <= 0.0:

@@ -8,7 +8,8 @@ import numpy as np
 import scipy.linalg
 
 from spectest.errors import NonNumeric, ParseError, RaggedRows, TooShort
-from spectest.hermitian import _eliminate, _lower
+from spectest.hermitian import _eliminate, _lower, as_hermitian, inverse_pd, is_positive_definite
+from spectest.hypotheses import SELECTION_MAX_SWEEPS, SELECTION_TOL, _elimination_order
 from spectest.spectral import _pair_sums, _periodogram_planes
 
 
@@ -257,6 +258,51 @@ def is_chordal(edges):
             if len(reached) == size:
                 return False
     return True
+
+
+def fill_by_solve(work, a, others, rest):
+    """Set G[a, others] = G[a, rest] G[rest, rest]^{-1} G[rest, others] and its mirror in a frequency-first
+    (K, r, r) stack, in place, by one batched LAPACK solve."""
+    solved = np.linalg.solve(work[:, rest[:, np.newaxis], rest], work[:, rest[:, np.newaxis], others])
+    value = np.einsum("ks,ksu->ku", work[:, a, rest], solved)
+    work[:, a, others], work[:, others, a] = value, np.conj(value)
+
+
+def selection_by_solves(h, edges, tol=SELECTION_TOL):
+    """Covariance selection on an (r, r) matrix or (..., r, r) stack, frequency first, by LAPACK solves.
+
+    A chordal edge set takes one pass of fills in maximum cardinality search order; any other runs
+    cyclic sweeps over the absent pairs, each followed by an inverse_pd convergence test, and a
+    matrix still above tol after SELECTION_MAX_SWEEPS comes back NaN, as does every non-PD one.
+    """
+    g = as_hermitian(np.asarray(h, dtype=complex))
+    stack = g.reshape((-1,) + g.shape[-2:])
+    pd = np.reshape(is_positive_definite(g), -1)
+    stack[~pd] = np.nan
+    active = np.flatnonzero(pd)
+    order = _elimination_order(edges)
+    if order is not None:
+        work = stack[active]
+        for v, clique, others in order:
+            if others.size:
+                fill_by_solve(work, v, others, clique)
+        stack[active] = work
+        return g
+    absent = edges.absent_pairs
+    updates = [(a, [b], np.delete(np.arange(edges.r), [a, b])) for a, b in absent]
+    rows, cols = np.array(absent).T
+    work = stack[active]
+    for _ in range(SELECTION_MAX_SWEEPS):
+        if not active.size:
+            break
+        for a, b, rest in updates:
+            fill_by_solve(work, a, b, rest)
+        inv = inverse_pd(work)
+        done = np.max(np.abs(inv[:, rows, cols]), axis=1) <= tol * np.max(np.abs(inv), axis=(1, 2))
+        stack[active[done]] = work[done]
+        active, work = active[~done], work[~done]
+    stack[active] = np.nan
+    return g
 
 
 def simulate_var1(process, n, burn_in, seed):

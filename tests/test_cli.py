@@ -295,7 +295,7 @@ def test_separable_null_refuses_collinear_columns(tmp_path, capsys):
     assert main(["test", "--input", str(collinear), "--m", "20", "--hypothesis", "separable"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: sample second-moment matrix is not positive definite\n"
+    assert err == f"error: {collinear}: sample second-moment matrix is not positive definite\n"
 
 
 @pytest.mark.filterwarnings("error")  # a warning would print on stderr

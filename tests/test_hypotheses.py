@@ -5,11 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectest.hypotheses
-from oracles import is_chordal
+from oracles import is_chordal, selection_by_solves
 from spectest.errors import DegenerateVariance, NoConvergence, NotPositiveDefinite
 from spectest.hermitian import inverse_pd, is_positive_definite
 from spectest.hypotheses import (
@@ -47,10 +47,10 @@ def every_edge_set(r):
 
 
 def swept(h, es, tol=1e-13):
-    """The cyclic sweeps alone, run to tol on the Hermitian part of a stack."""
-    g = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
-    assert not _selection_sweeps(g, np.arange(len(g)), es.absent_pairs, tol).size
-    return g
+    """The cyclic sweeps alone, run to tol on the Hermitian part of a (K, r, r) stack."""
+    g = np.moveaxis((h + np.conj(np.swapaxes(h, -1, -2))) / 2.0, 0, -1).copy()
+    assert not _selection_sweeps(g, np.arange(len(h)), es.absent_pairs, tol).size
+    return np.moveaxis(g, -1, 0)
 
 
 def diagonal_grid(n, r):
@@ -74,6 +74,10 @@ def test_edge_set_basics():
     full = EdgeSet.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
     assert full.missing_count == 0
     assert full.absent_pairs == []
+    # any collection of pairs is stored as a frozenset of tuples, so the edge set stays hashable
+    for edges in ({(0, 1), (1, 2)}, [[0, 1], [1, 2]]):
+        given_as = EdgeSet(3, edges)
+        assert given_as == es and hash(given_as) == hash(es) and given_as.absent_pairs == [(0, 2)]
 
 
 def test_edge_set_validation():
@@ -258,6 +262,38 @@ def test_selection_dempster_properties(r, mask, seed, data):
     relabel[perm] = np.arange(r)
     g_moved = covariance_selection(h[np.ix_(relabel, relabel)], moved, tol=1e-13)
     assert np.max(np.abs(g_moved - g[np.ix_(relabel, relabel)])) <= 1e-12 * np.max(np.abs(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(2, 6),
+    mask=st.integers(0, 2**15 - 1),
+    shape=st.sampled_from([(), (5,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(r=3, mask=1, shape=(5,), seed=0)  # --edges 1-2: series 3 has an empty separator
+@example(r=3, mask=1, shape=(), seed=0)
+@example(r=4, mask=0b101101, shape=(2, 3), seed=1)  # the 4-cycle 1-2, 2-3, 3-4, 1-4
+def test_selection_matches_solves(r, mask, shape, seed):
+    # the frequency-last sweep kernel against frequency-first LAPACK solves, chordal or not
+    es = EdgeSet.from_pairs(r, [p for i, p in enumerate(combinations(range(r), 2)) if mask >> i & 1])
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape + (r, r)) + 1j * rng.standard_normal(shape + (r, r))
+    h = x @ np.conj(np.swapaxes(x, -1, -2)) + rng.choice([0.1, 1.0, float(r)]) * np.eye(r)
+    if shape:
+        h.reshape(-1, r, r)[1] *= -1.0  # not PD: NaN in both
+    got = covariance_selection(h, es, tol=1e-13)
+    assert not shape or np.all(np.isnan(got.reshape(-1, r, r)[1]))
+    want = selection_by_solves(h, es, tol=1e-13)
+    assert got.shape == h.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.max(np.abs(got - want)[finite]) <= 1e-12 * np.max(np.abs(want[finite]))
+    kept = np.eye(r, dtype=bool)
+    for a, b in es.edges:
+        kept[a, b] = kept[b, a] = True
+    part = np.where(finite, (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0, np.nan)
+    assert np.array_equal(got[..., kept], part[..., kept], equal_nan=True)
 
 
 def test_graphical_unconverged_frequencies_fail_screen(monkeypatch):

@@ -188,6 +188,21 @@ def test_weight_kernel_validation():
     assert (bump.m, bump.wstar) == (2, 2.0)
 
 
+def test_weight_kernel_coerces_weights_to_floats():
+    # a list or tuple of numbers works like the float array it holds
+    for weights in ([1.0, 1.0, 1.0], (1, 1, 1)):
+        kernel = WeightKernel(weights, 0.5, 1 / 3, 1.0)
+        assert kernel.weights.dtype == float and np.array_equal(kernel.weights, WeightKernel.flat(2).weights)
+        assert (kernel.m, kernel.wstar) == (2, 3.0)
+    # a string, None, a complex entry (whose imaginary part a float cast would drop) or a ragged list
+    for weights in ([1.0, "x", 1.0], ["1", "1", "1"], [1.0, None, 1.0], np.array([1j, 1.0, 1j]), [[1.0, 1.0], [1.0]]):
+        with pytest.raises(ValueError, match="weights must be real numbers"):
+            WeightKernel(weights, 0.5, 1 / 3, 1.0)
+    for weights in ([np.nan, 1.0, np.nan], [np.inf, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+            WeightKernel(weights, 0.5, 1 / 3, 1.0)
+
+
 def test_smoothed_periodogram_is_window_average():
     rng = np.random.default_rng(37)
     z = rng.standard_normal((64, 2))

@@ -19,7 +19,12 @@ and runs `spectest test
 --hypothesis graphical --edges 1-2,2-3,3-4,1-4`, a 4-cycle, with the same five
 statistics and --m 40, --m 22 (whose smoothing blocks of 23 frequencies tile
 the grid exactly) and --cvll, 15 runs, plus `spectest cvll` on it, the one
-5 x 5 bordered CVLL elimination, whose 77 spans end in a partial block.  Then 32 Monte Carlo runs:
+5 x 5 bordered CVLL elimination, whose 77 spans end in a partial block.  Graphical
+nulls on more than four series come next, with the same five statistics: a 6-cycle
+(--edges 1-2,2-3,3-4,4-5,5-6,1-6) on a fixed 1024 x 6 CSV with --m 40 and --cvll,
+and the graphical benchmark's 5-series chain (--edges 1-2,2-3,3-4,4-5) on a fixed
+512 x 5 CSV with --m 32 and --cvll, 20 runs; both CSVs hold VAR(1) samples
+(stdlib random, seeds 8 and 9).  Then 32 Monte Carlo runs:
 `spectest simulate-null` and `simulate-power` (n = 64, 100 replications, all
 three statistic forms) under the four nulls of the per-file runs, with --m 8
 and with --cvll, each with --threads 1 and --threads 2.  Then both commands
@@ -41,14 +46,15 @@ that hold a 200000-character cell (over csv's field limit; one of 1s, which
 parses to inf, and one finite, which numpy's C reader parses), a byte that is
 not UTF-8 or a column of 1.7e308 whose mean overflows, or that keep only the
 first column; the one-column CSV also runs `test --m 2` under separable and
-graphical (--edges 1-2) nulls: 737 runs on the ten fixed files.
+graphical (--edges 1-2) nulls: 757 runs on the ten fixed files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
 gives the number of runs whose exit code, stdout and stderr are identical,
 the largest relative difference per JSON field (and per CVLL score) among
 the others, and every flip of a decision (reject), of a selected span (m) or
-of an exit code.  A simulate run's CSV table and manifest (stderr) are compared
+of an exit code.  A run with no stdout whose stderr changes is listed with both
+messages.  A simulate run's CSV table and manifest (stderr) are compared
 byte for byte; each differing table cell is listed, and one in the size or
 power column counts as a flip, as does a table that changes with --threads
 within one tree.  A usage error is compared by exit code and stdout only, as
@@ -82,6 +88,9 @@ STATISTICS = (["--stat", "full"], ["--stat", "block"], ["--stat", "quadratic"], 
 BANDWIDTHS = (["--m", "40"], ["--m", "2"], ["--cvll"])
 # n//2 + m = 300 + 22 = 14 x 23, so the window sums' blocks tile the 600-row CSV's grid exactly
 CYCLE_BANDWIDTHS = (["--m", "40"], ["--m", "22"], ["--cvll"])
+# graphical nulls on more than four series: a 6-cycle (cyclic sweeps) and the graphical benchmark's 5-series chain
+RING = ["graphical", "--edges", "1-2,2-3,3-4,4-5,5-6,1-6"]
+CHAIN = ["graphical", "--edges", "1-2,2-3,3-4,4-5"]
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 BLOCK_DESIGN = ["--n", "201", "--reps", "300", "--seed", "13"]
@@ -106,25 +115,40 @@ def write_cycle_input(path: str) -> None:
     write_csv(path, [[rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(600)])
 
 
-def var1_rows(phi: float, seed: int, n: int = 1001, burn_in: int = 500) -> list[list[float]]:
-    """The last n of burn_in + n steps of x[t] = A x[t - 1] + e[t] from x = 0, e standard normal and
-    A = [[0.7, phi, 0], [0, -0.5, phi], [0, 0, 0.6]], the cli_cvll benchmark's process."""
+def var1_rows(a, seed: int, n: int = 1001, burn_in: int = 500) -> list[list[float]]:
+    """The last n of burn_in + n steps of x[t] = A x[t - 1] + e[t] from x = 0, e standard normal."""
     rng = random.Random(seed)
-    a = ((0.7, phi, 0.0), (0.0, -0.5, phi), (0.0, 0.0, 0.6))
-    state, rows = [0.0, 0.0, 0.0], []
+    state, rows = [0.0] * len(a), []
     for _ in range(burn_in + n):
         state = [sum(coef * x for coef, x in zip(row, state)) + rng.gauss(0.0, 1.0) for row in a]
         rows.append(state)
     return rows[burn_in:]
 
 
+def cascade(r: int, ring: bool) -> list[list[float]]:
+    """A = 0.5 I + 0.3 on the superdiagonal, with ring also at row r, column 1."""
+    return [[0.5 if j == i else 0.3 if j == i + 1 or ring and (i, j) == (r - 1, 0) else 0.0 for j in range(r)]
+            for i in range(r)]
+
+
 def write_inputs(folder: str) -> list[str]:
-    """The ten fixed 1001 x 3 input CSVs: VAR(1) at phi = 0, 0.1, 0.2 (seeds 1-9) and one collinear file."""
+    """The ten fixed 1001 x 3 input CSVs: VAR(1) with A = [[0.7, phi, 0], [0, -0.5, phi], [0, 0, 0.6]], the
+    cli_cvll benchmark's process, at phi = 0, 0.1, 0.2 (seeds 1-9) and one collinear file."""
     paths = [os.path.join(folder, f"cli_input_{i}.csv") for i in range(10)]
+    process = [((0.7, phi, 0.0), (0.0, -0.5, phi), (0.0, 0.0, 0.6)) for phi in (0.0, 0.1, 0.2)]
     for i, path in enumerate(paths[:9]):
-        write_csv(path, var1_rows((0.0, 0.1, 0.2)[i % 3], seed=i + 1))
-    write_csv(paths[9], [[a, b, a + b] for a, b, _ in var1_rows(0.0, seed=10)])
+        write_csv(path, var1_rows(process[i % 3], seed=i + 1))
+    write_csv(paths[9], [[a, b, a + b] for a, b, _ in var1_rows(process[0], seed=10)])
     return paths
+
+
+def write_graph_inputs(folder: str) -> tuple[str, str]:
+    """Two fixed CSVs of VAR(1) samples: 1024 x 6 from the ring cascade (seed 8) for the 6-cycle runs, and
+    512 x 5 from the chain cascade (seed 9), the graphical benchmark's process, for the 5-series chain runs."""
+    ring, chain = os.path.join(folder, "ring_input.csv"), os.path.join(folder, "chain_input.csv")
+    write_csv(ring, var1_rows(cascade(6, ring=True), seed=8, n=1024))
+    write_csv(chain, var1_rows(cascade(5, ring=False), seed=9, n=512))
+    return ring, chain
 
 
 def write_odd_inputs(folder: str) -> list[str]:
@@ -163,7 +187,7 @@ def odd_runs(paths: list[str]) -> list[list[str]]:
                    for hypothesis in (["separable"], ["graphical", "--edges", "1-2"])]
 
 
-def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
+def matrix(inputs: list[str], cycle_input: str, graph_inputs: tuple[str, str]) -> list[list[str]]:
     """Every argv of the comparison, in a fixed order."""
     runs = []
     for path in inputs:
@@ -176,6 +200,10 @@ def matrix(inputs: list[str], cycle_input: str) -> list[list[str]]:
         for bandwidth in CYCLE_BANDWIDTHS:
             runs.append(["test", "--input", cycle_input, "--hypothesis", *CYCLE, *statistic, *bandwidth])
     runs.append(["cvll", "--input", cycle_input])
+    for path, hypothesis, span in zip(graph_inputs, (RING, CHAIN), ("40", "32")):
+        for statistic in STATISTICS:
+            for bandwidth in (["--m", span], ["--cvll"]):
+                runs.append(["test", "--input", path, "--hypothesis", *hypothesis, *statistic, *bandwidth])
     for command in SIMULATIONS:
         for hypothesis in HYPOTHESES:
             for bandwidth in (["--m", "8"], ["--cvll"]):
@@ -298,6 +326,8 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: li
             continue
         if old["code"] != new["code"]:
             flips.append(f"exit code {old['code']} -> {new['code']}: {label}")
+        if not old["stdout"] and old["stderr"] != new["stderr"]:
+            cells.append(f"stderr {old['stderr'].strip()!r} -> {new['stderr'].strip()!r}: {label}")
         if selected_span(old) != selected_span(new):
             flips.append(f"m {selected_span(old)} -> {selected_span(new)}: {label}")
         if old["stdout"].startswith("{") and new["stdout"].startswith("{"):
@@ -354,7 +384,7 @@ def main() -> int:
         write_cycle_input(cycle_input)
         usage = usage_errors(cycle_input)
         odd = odd_runs(write_odd_inputs(scratch))
-        runs = matrix(inputs, cycle_input) + usage + odd
+        runs = matrix(inputs, cycle_input, write_graph_inputs(scratch)) + usage + odd
         base = collect(os.path.abspath(args.base), runs)
         head = collect(os.path.abspath(args.head), runs)
     return compare(runs, base, head, usage, odd)
