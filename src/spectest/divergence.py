@@ -76,9 +76,7 @@ def discrepancy(kind: Discrepancy, eigs) -> float:
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigs must be a nonempty 1-d array")
     if np.any(lam <= 0.0):
-        raise NonPositiveEigenvalue(
-            f"relative eigenvalues must be positive, got min {lam.min():.3e}"
-        )
+        raise NonPositiveEigenvalue(f"relative eigenvalues must be positive, got min {lam.min():.3e}")
     return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), np.atleast_3d(np.eye(lam.size)))[kind][0])
 
 

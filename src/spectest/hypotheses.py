@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, NoConvergence, NotPositiveDefinite, SingularCovariance
-from .hermitian import _eliminate, _lower, _sweep, as_hermitian, inverse_pd, is_positive_definite
+from .hermitian import DEFAULT_PD_TOL, _eliminate, _lower, _sweep, as_hermitian, inverse_pd, is_positive_definite
 from .spectral import SpectralSequence, WeightKernel
 
 # Sweeps covariance selection runs before it gives up on a matrix, and its default tolerance.
@@ -264,14 +264,8 @@ def eta_sigma_generic(g_grid: SpectralSequence, dg_provider, kernel: WeightKerne
         mu_all[t] = mu_tensor(g, inverse_pd(g), dg_provider(freqs[t], g))
     eta_terms = np.einsum("tabcd,tad,tcb->t", mu_all, mats, mats, optimize=True)
     mu_conj = np.conj(mu_all)
-    sigma_terms = np.einsum(
-        "tabcd,tABCD,taA,tBb,tcC,tDd->t", mu_all, mu_conj, mats, mats, mats, mats,
-        optimize=True,
-    )
-    sigma_terms = sigma_terms + np.einsum(
-        "tabcd,tABCD,taC,tDb,tcA,tBd->t", mu_all, mu_conj, mats, mats, mats, mats,
-        optimize=True,
-    )
+    sigma_terms = np.einsum("tabcd,tABCD,taA,tBb,tcC,tDd->t", mu_all, mu_conj, mats, mats, mats, mats, optimize=True)
+    sigma_terms += np.einsum("tabcd,tABCD,taC,tDb,tcA,tBd->t", mu_all, mu_conj, mats, mats, mats, mats, optimize=True)
     if phi is not None:
         phi_vals = np.array([float(phi(lam)) for lam in freqs])
         eta_terms = eta_terms * phi_vals
@@ -285,7 +279,12 @@ def eta_sigma_generic(g_grid: SpectralSequence, dg_provider, kernel: WeightKerne
 
 
 class IndependenceModel:
-    """Mutual independence: the spectral matrix is diagonal at every frequency."""
+    """Mutual independence: the spectral matrix is diagonal at every frequency.
+
+    The restriction is built frequency last.  Its screen reads the diagonal, which holds the LDL^H pivots,
+    and gives the elimination's verdict bit for bit: that also fails where a pivot before the last has a
+    reciprocal that overflows, as the elimination's 0 * (1/p) is NaN there.
+    """
 
     name = "independence"
 
@@ -293,10 +292,15 @@ class IndependenceModel:
         return np.empty(np.shape(values)[:-2] + (0,))
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
-        mats = np.zeros_like(f_unrestricted.matrices)
-        idx = np.arange(f_unrestricted.r)
-        mats[..., idx, idx] = np.real(f_unrestricted.matrices[..., idx, idx])
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
+        r, idx = f_unrestricted.r, np.arange(f_unrestricted.r)
+        diag = np.real(np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1))[idx, idx])
+        mats = np.zeros((r,) + diag.shape, dtype=complex)
+        mats[idx, idx] = diag
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            trace = functools.reduce(np.add, diag)  # in column order, as _eliminate adds it
+            pivots_clear = np.all(diag > DEFAULT_PD_TOL * trace / r, axis=0) & np.all(1.0 / diag[:-1] < np.inf, axis=0)
+        pd = (trace > 0.0) & pivots_clear
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)), pd)
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         return EtaSigma(eta=(r * r - r) / 4.0, sigma2=(r * r - r) / 6.0)
@@ -325,9 +329,10 @@ class SeparableModel:
         sigma = as_hermitian(np.asarray(theta, dtype=float))
         diag = np.real(np.diagonal(f_unrestricted.matrices, axis1=-2, axis2=-1))
         scale = np.diagonal(sigma, axis1=-2, axis2=-1)[..., np.newaxis, :]
-        shape = np.mean(diag / scale, axis=-1)
-        mats = shape[..., np.newaxis, np.newaxis] * sigma[..., np.newaxis, :, :].astype(complex)
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, mats, is_positive_definite(mats))
+        shape = np.mean(np.divide(diag, scale, order="C"), axis=-1)  # adds each row as a frequency-first copy does
+        mats = shape * np.ascontiguousarray(np.moveaxis(sigma, (-2, -1), (0, 1)), complex)[..., np.newaxis]
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)),
+                                         _eliminate(_lower(mats), f_unrestricted.r)[0])
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
         """The constants for one theta, or arrays of them over a stack of theta."""

@@ -91,14 +91,7 @@ class VarOneProcess:
 
 def benchmark_process(phi: float) -> VarOneProcess:
     """The built-in 3-series benchmark; independent components iff phi = 0."""
-    a = np.array(
-        [
-            [0.7, phi, 0.0],
-            [0.0, -0.5, phi],
-            [0.0, 0.0, 0.6],
-        ]
-    )
-    return VarOneProcess(a=a)
+    return VarOneProcess(a=np.array([[0.7, phi, 0.0], [0.0, -0.5, phi], [0.0, 0.0, 0.6]]))
 
 
 def replication_seed(seed: int, k: int) -> np.random.SeedSequence:
@@ -354,8 +347,4 @@ def config_manifest(config: McConfig, command: str) -> dict:
         "alpha_level": config.alpha_level,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return {
-        "config": payload,
-        "seed": config.seed,
-        "content_hash": hashlib.sha1(canonical.encode()).hexdigest(),
-    }
+    return {"config": payload, "seed": config.seed, "content_hash": hashlib.sha1(canonical.encode()).hexdigest()}

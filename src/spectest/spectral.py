@@ -1,18 +1,19 @@
 """Spectral density estimation on the Fourier grid.
 
 The estimators here all live on the discrete frequencies lambda_j = 2*pi*j/n.
-The transform keeps the 1/sqrt(2*pi*n) normalization so that periodogram
-ordinates are unbiased for the spectral density matrix up to smoothing bias,
-and every indexed quantity is treated as periodic in j with period n, which
-for real data is the same as reflecting conjugate-transposed ordinates
-through zero.  Smoothing uses an even positive weight function u on
-[-1/2, 1/2] sampled at j/m; bandwidth selection minimizes a leave-one-out
-Whittle-type cross validation score.  Both read the periodogram as real
-lower-triangle planes, frequency last.  Flat smoothing sums each window from
-two within-block sums, at a cost that does not grow with m; other weights and
-the CVLL running sum add pairs I[t - k] + I[t + k].  Smoothing mirrors the
-planes into exactly Hermitian matrices; CVLL writes them, for one sample or a stack,
-into the packed lower triangle of a bordered block of spans and eliminates it in place.
+The transform, a real-input FFT on the half grid mirrored into exact conjugates,
+keeps the 1/sqrt(2*pi*n) normalization so that periodogram ordinates are
+unbiased for the spectral density matrix up to smoothing bias, and every indexed
+quantity is treated as periodic in j with period n, which for real data is the
+same as reflecting conjugate-transposed ordinates through zero.  Smoothing uses
+an even positive weight function u on [-1/2, 1/2] sampled at j/m; bandwidth
+selection minimizes a leave-one-out Whittle-type cross validation score.  Both
+read the periodogram as real lower-triangle planes, frequency last.  Flat
+smoothing sums each window from two within-block sums, at a cost that does not
+grow with m; other weights and the CVLL running sum add pairs I[t - k] + I[t + k].
+Smoothing mirrors the planes into an exactly Hermitian frequency-last stack, whose
+sequence holds a frequency-first view of it; CVLL writes them, for one sample or a
+stack, into the packed lower triangle of a bordered block of spans and eliminates it in place.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
 class FourierFrame:
     """Discrete Fourier transform of a sample on the full frequency grid.
 
-    w[j, a] = (2*pi*n)^(-1/2) * sum_{t=1}^{n} Z[t, a] * exp(i*t*lambda_j),
-    with exact conjugate symmetry w[(n - j) % n] = conj(w[j]) enforced.  A
-    stack of samples gives w of shape (R, n, r).
+    w[j, a] = (2*pi*n)^(-1/2) * sum_{t=1}^{n} Z[t, a] * exp(i*t*lambda_j), from a real-input FFT
+    for j = 0 .. n//2 with real DC and Nyquist entries, and exact conjugates w[n - j] = conj(w[j])
+    above.  A stack of samples gives w of shape (R, n, r).
     """
 
     w: np.ndarray
@@ -70,10 +71,11 @@ def dft(values) -> FourierFrame:
     """Transform an (n, r) real sample, or an (R, n, r) stack of finite ones, to its DFT frame."""
     arr = _check_finite(np.asarray(values, dtype=float)) if np.ndim(values) == 3 else validate_sample(values)
     n, r = arr.shape[-2:]
-    # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * n * ifft(Z)[j]
-    spectrum = n * np.fft.ifft(arr, axis=-2)
-    phase = np.exp(2j * math.pi * np.arange(n) / n)
-    w = phase[:, np.newaxis] * spectrum * (1.0 / math.sqrt(TWO_PI * n))  # the bits of complex / sqrt
+    # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * conj(rfft(Z)[j]) for real Z and j <= n//2
+    spectrum = np.conj(np.fft.rfft(arr, axis=-2))
+    phase = np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)[:, np.newaxis]
+    w = np.empty(arr.shape, dtype=complex)
+    w[..., : n // 2 + 1, :] = phase * spectrum * (1.0 / math.sqrt(TWO_PI * n))  # the bits of complex / sqrt
     w[..., 0, :] = w[..., 0, :].real
     if n % 2 == 0:
         w[..., n // 2, :] = w[..., n // 2, :].real
@@ -94,7 +96,7 @@ def _periodogram_planes(frame: FourierFrame, reach: int, block: int = 1) -> np.n
     count = half + 2 * reach
     w = np.moveaxis(frame.w[..., np.arange(1 - reach, half + reach + 1) % frame.n, :], -1, 0)
     x, y = w.real, w.imag
-    (a, b), (c, d) = np.tril_indices(r), np.tril_indices(r, -1)
+    (a, c), (b, d) = (np.split(index, [r * (r + 1) // 2]) for index in _plane_entries(r)[:2])
     planes = np.zeros((r * r,) + w.shape[1:-1] + (-(-count // block) * block,))
     real, imag = planes[: a.size, ..., :count], planes[a.size :, ..., :count]
     np.multiply(x[a], x[b], out=real)
@@ -266,8 +268,8 @@ class SpectralSequence:
     index a stack of samples.  kind is "unrestricted" or "restricted".  The
     constructor checks its input, Hermitian to 1e-10, and takes pd as given;
     from_matrices takes the Hermitian part after the same check and screens
-    it.  The pipeline's own estimates are exactly Hermitian by construction
-    and skip both.
+    it.  The pipeline's own estimates are exactly Hermitian by construction and
+    skip both; their matrices view a C-contiguous frequency-last (r, r, ..., n//2) array.
     """
 
     kind: str
@@ -334,7 +336,7 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     total *= 1.0 / kernel.wstar  # the bits of a complex sum divided by wstar
     stack = np.zeros((r, r) + total.shape[1:], dtype=complex)
     _write_planes(stack, total)
-    smoothed = np.ascontiguousarray(np.moveaxis(stack, (0, 1), (-2, -1)))
+    smoothed = np.moveaxis(stack, (0, 1), (-2, -1))  # frequency-first view of a frequency-last array
     return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(_lower(stack), r)[0])
 
 

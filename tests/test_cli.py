@@ -233,6 +233,30 @@ def test_cli_test_constant_column_forces_rejection(tmp_path, capsys):
         assert "T-hat" not in err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print on stderr
+@pytest.mark.parametrize(
+    "hypothesis, units, m",
+    [("independence", [1.0, 1.0, 1e-160], "8"), ("separable", [1e150, 1e150, 1e150], "8")],
+    ids=["column-in-1e-160", "separable-sample-in-1e150"],
+)
+def test_cli_test_report_does_not_depend_on_units(tmp_path, capsys, hypothesis, units, m):
+    # A column recorded in units of 1e-160 used to fail the PD screen at every frequency (exit 2), and
+    # a sample in units of 1e150 overflowed the separable constants (exit 1, "eta must be finite").
+    data = np.random.default_rng(29).standard_normal((64, 3))
+    docs = []
+    for name, scale in (("unit.csv", 1.0), ("scaled.csv", np.array(units))):
+        path = tmp_path / name
+        np.savetxt(path, data * scale, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+        code = main(["test", "--input", str(path), "--m", m, "--hypothesis", hypothesis])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        docs.append(strict_json(out))
+    unit, scaled = docs
+    assert scaled["nonpd_count"] == 0 and scaled["reject"] == unit["reject"]
+    for key in ("raw", "standardized", "p_value", "eta_hat", "sigma2_hat"):
+        assert scaled[key] == pytest.approx(unit[key], rel=1e-10)
+
+
 def test_cli_data_errors_exit_one(tmp_path, capsys):
     ragged = tmp_path / "r.csv"
     lines = ["a,b"] + ["0.1,0.2"] * 60

@@ -477,6 +477,50 @@ def test_independence_restriction_is_diagonal_projection():
     assert np.allclose(fr2.matrices, fr.matrices, atol=0.0)
 
 
+# Diagonal entries where a screen rule could part from the LDL^H elimination: non-positive, non-finite,
+# extreme, at the relative floor, and subnormal, where the elimination's 0 * (1/p) is NaN.
+ODD_DIAGONALS = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.0, 1e-12, 3.75e-13,
+                 2.2250738585072014e-308, 5.6e-309, 1e-309, 1e-310, 5e-324]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    shape=st.sampled_from([(), (4,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(r=1, shape=(), seed=0, data=None)
+def test_independence_screen_matches_the_elimination(r, shape, seed, data):
+    # The restriction reads its PD verdict off the diagonal it writes; it must be is_positive_definite's
+    # on the same matrices, bit for bit, for one sample's 8 frequencies or a stack of samples.
+    rng = np.random.default_rng(seed)
+    mats = random_hpd_stack(rng, math.prod(shape) * 8, r).reshape(shape + (8, r, r))
+    idx = np.arange(r)
+    if data is not None:
+        size = math.prod(shape + (8, r))
+        picks = data.draw(st.lists(st.sampled_from(ODD_DIAGONALS + [None]), min_size=size, max_size=size))
+        diag = np.real(mats[..., idx, idx]).reshape(-1)
+        diag[[i for i, v in enumerate(picks) if v is not None]] = [v for v in picks if v is not None]
+        mats[..., idx, idx] = diag.reshape(shape + (8, r))
+    fu = SpectralSequence._trusted("unrestricted", 16, mats, np.ones(mats.shape[:-2], dtype=bool))
+    fr = IndependenceModel().restricted_estimate(fu)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(fr.pd, is_positive_definite(fr.matrices))
+
+
+def test_independence_screen_fails_after_an_overflowing_reciprocal():
+    # A subnormal pivot clears the floor of a subnormal trace, but 1/p overflows, so the elimination
+    # sends every later pivot to NaN: only the last pivot may be that small.
+    for diagonal, expected in (([1e-310], True), ([1e-310, 1e-310], False), ([1e-300, 1e-310], True),
+                               ([1e-310, 1e-300], False), ([1e-309, 1e-309, 1e-309], False)):
+        mats = np.diag(np.array(diagonal, dtype=complex))[np.newaxis]
+        fu = SpectralSequence._trusted("unrestricted", 2, mats, np.ones(1, dtype=bool))
+        assert IndependenceModel().restricted_estimate(fu).pd[0] == expected
+        with np.errstate(all="ignore"):
+            assert is_positive_definite(mats)[0] == expected
+
+
 def test_separable_theta_frozen_example():
     z = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     sigma = SeparableModel().estimate_theta(z)

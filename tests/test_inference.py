@@ -357,14 +357,15 @@ def assert_same_reports(moved, base):
 @given(
     seed=st.integers(0, 2**32 - 1),
     half_m=st.integers(4, 12),
-    scales=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
+    scales=st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
     perm=st.permutations([0, 1, 2]),
 )
 def test_run_many_scale_and_permutation_invariance(seed, half_m, scales, perm):
     # Scaling column a by c_a and relabelling the columns both act on every
     # spectral matrix by congruence, f -> P D f D P^T.  Each null's restricted
     # estimate follows the same congruence (the graphical null with its edges
-    # relabelled), so the relative eigenvalues and every statistic stay put.
+    # relabelled), so the relative eigenvalues and every statistic stay put,
+    # for column scales from 1e-150 to 1e150 as well.
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((161, 3))
     z = e[1:] + 0.4 * e[:-1] @ np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
@@ -383,6 +384,18 @@ def test_run_many_scale_and_permutation_invariance(seed, half_m, scales, perm):
         base = run_many(z, model, 2 * half_m, variants)
         assert_same_reports(run_many(z * np.array(scales), model, 2 * half_m, variants), base)
         assert_same_reports(run_many(z[:, perm], relabelled, 2 * half_m, variants), base)
+
+
+def test_one_column_in_other_units_keeps_the_statistic():
+    # White noise with its third column in units 1e7 or 1e9 apart from the others: the PD screen's
+    # trace floor once failed every frequency there and forced a rejection.
+    z = np.random.default_rng(37).standard_normal((512, 3))
+    base = run_test(z, IndependenceModel(), 20, FULL)
+    assert base.nonpd_count == 0
+    for scale in (1e7, 1e9):
+        report = run_test(z * np.array([1.0, 1.0, scale]), IndependenceModel(), 20, FULL)
+        assert report.nonpd_count == 0 and not report.forced_reject
+        assert report.standardized == pytest.approx(base.standardized, rel=1e-12)
 
 
 def test_run_test_duplicate_columns_rejects():
@@ -423,6 +436,33 @@ def test_run_test_rejects_a_non_integral_span():
             run_test(z, IndependenceModel(), span, FULL)
     report = run_test(z, IndependenceModel(), np.int64(40), FULL)
     assert report == run_test(z, IndependenceModel(), 40, FULL) and type(report.m) is int
+
+
+@pytest.mark.parametrize("count", [None, 3])
+def test_raw_statistic_is_the_same_on_either_layout(count):
+    # The pipeline's sequences view frequency-last arrays, so the pencil reads contiguous stacks; the
+    # same matrices stored frequency-first, as from_matrices keeps them, must give the same bits.
+    rng = np.random.default_rng(43)
+    n, r, m = 150, 4, 8
+    e = rng.standard_normal((n + 1, r) if count is None else (count, n + 1, r))
+    z = e[..., 1:, :] + 0.4 * e[..., :-1, :] @ rng.standard_normal((r, r))
+    variants = [StatisticVariant("quadratic")] + [
+        StatisticVariant(form, kind, phi=lambda lam: 1.0 + math.cos(lam))
+        for form in ("full", "block", "weighted") for kind in (KL, J, QUADRATIC, chernoff(0.3))
+    ]
+    fu = smoothed_periodogram(z, WeightKernel.flat(m))
+    chain = EdgeSet.from_pairs(r, [(0, 1), (1, 2), (2, 3)])
+    ring = EdgeSet.from_pairs(r, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    copy = lambda f: SpectralSequence.from_matrices(f.kind, n, np.ascontiguousarray(f.matrices))
+    for model in (IndependenceModel(), SeparableModel(), GraphicalModel(chain), GraphicalModel(ring)):
+        fr = model.restricted_estimate(fu, model.estimate_theta(z))
+        for f in (fu, fr):
+            assert np.moveaxis(f.matrices, (-2, -1), (0, 1)).flags.c_contiguous
+            assert np.array_equal(copy(f).pd, f.pd)
+        for (raw, nonpd), (raw_copy, nonpd_copy) in zip(raw_statistic(fu, fr, variants, m),
+                                                        raw_statistic(copy(fu), copy(fr), variants, m)):
+            assert np.asarray(raw).tobytes() == np.asarray(raw_copy).tobytes()
+            assert np.array_equal(nonpd, nonpd_copy)
 
 
 def test_run_many_shares_pipeline():

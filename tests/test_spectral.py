@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
@@ -50,24 +50,40 @@ def test_dft_impulse_gives_flat_periodogram():
         assert val == pytest.approx(1.0 / (TWO_PI * 8.0), abs=1e-14)
 
 
-def test_dft_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((16, 2))
-    frame = dft(z)
-    t = np.arange(1, 17)
-    for j in (0, 1, 5, 8, 11):
-        lam = TWO_PI * j / 16.0
-        direct = (z * np.exp(1j * lam * t)[:, np.newaxis]).sum(axis=0) / math.sqrt(TWO_PI * 16)
-        assert np.allclose(frame.w[j], direct, atol=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(8, 300), st.just(1001)),
+    r=st.integers(1, 4),
+    count=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, r=1, count=None, seed=0)
+@example(n=9, r=2, count=3, seed=1)
+@example(n=201, r=3, count=3, seed=2)
+@example(n=1001, r=4, count=None, seed=3)
+def test_dft_matches_direct_sum(n, r, count, seed):
+    # every ordinate j = 0 .. n - 1, each sample of a stack alike, against the explicit sum with the
+    # angle reduced mod n, to 1e-13 of max|w|
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, r) if count is None else (count, n, r)) * np.exp(rng.uniform(-2.0, 2.0, r))
+    w = dft(z).w
+    t = np.arange(1, n + 1)
+    phases = np.exp(2j * math.pi * (np.outer(np.arange(n), t) % n) / n)
+    direct = (phases @ z) / math.sqrt(TWO_PI * n)
+    assert w.shape == direct.shape
+    assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_dft_conjugate_symmetry_is_exact():
     rng = np.random.default_rng(11)
-    for n in (12, 13):
-        frame = dft(rng.standard_normal((n, 3)))
-        for j in range(1, n):
-            assert np.array_equal(frame.w[n - j], np.conj(frame.w[j]))
-        assert np.array_equal(frame.w[0], frame.w[0].real)
+    for n in (12, 13, 97, 200, 201):
+        for shape in ((n, 3), (4, n, 2)):
+            w = dft(rng.standard_normal(shape)).w
+            for j in range(1, n):
+                assert np.array_equal(w[..., n - j, :], np.conj(w[..., j, :]))
+            assert np.array_equal(w[..., 0, :], w[..., 0, :].real)
+            if n % 2 == 0:
+                assert np.array_equal(w[..., n // 2, :], w[..., n // 2, :].real)
 
 
 def test_parseval_identity():
