@@ -35,7 +35,7 @@ from .simulation import (
     summary_rows,
     write_summary_csv,
 )
-from .spectral import cvll_select, kernel_constants
+from .spectral import _check_span, cvll_select, kernel_constants
 
 USAGE_EXIT = 64
 
@@ -137,11 +137,12 @@ def _write_text(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _even_int(text: str) -> int:
-    value = int(text)
-    if value % 2 != 0:
-        raise argparse.ArgumentTypeError(f"span must be even, got {value}")
-    return value
+def _span(text: str) -> int:
+    value = int(text)  # a ValueError here is argparse's "invalid _span value"
+    try:
+        return _check_span(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _threads(args) -> int:
@@ -299,7 +300,7 @@ def _build_parser() -> _Parser:
     design.add_argument("--kind", default="kl", choices=_KINDS)
     design.add_argument("--chernoff-alpha", type=float, default=0.5)
     span = design.add_mutually_exclusive_group(required=True)
-    span.add_argument("--m", dest="bandwidth", metavar="M", type=_even_int, help="smoothing span (even)")
+    span.add_argument("--m", dest="bandwidth", metavar="M", type=_span, help="smoothing span (even)")
     span.add_argument("--cvll", dest="bandwidth", action="store_const", const="cvll",
                       help="select the span by cross validation")
     design.add_argument("--alpha", type=float, default=0.05)

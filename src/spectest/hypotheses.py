@@ -161,8 +161,8 @@ def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float)
             _fill(work, a, b, rest)
         inv = work.copy()
         _sweep(inv)  # -G^{-1}
-        off = np.max(np.abs(inv[rows, cols]), axis=0)
-        done = off <= tol * np.max(np.abs(inv), axis=(0, 1))
+        scale = np.sqrt(np.abs(inv[range(len(inv)), range(len(inv))]))  # sqrt((G^-1)_aa)
+        done = np.max(np.abs(inv[rows, cols]) / (scale[rows] * scale[cols]), axis=0) <= tol
         stack[:, :, active[done]] = work[:, :, done]
         active, work = active[~done], work[:, :, ~done]
     return active
@@ -178,7 +178,8 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     in maximum cardinality search order, R holds a's earlier neighbours, a
     clique, and b runs over its earlier non-neighbours.  Other edge sets run
     cyclic sweeps with R = all other indices until |(G^-1)_ab| <= tol *
-    max|G^-1| on every absent pair; tol and SELECTION_MAX_SWEEPS apply only there.
+    sqrt((G^-1)_aa (G^-1)_bb) on every absent pair, a test that a rescaling of
+    the series leaves alone; tol and SELECTION_MAX_SWEEPS apply only there.
 
     h may be one (r, r) matrix or an (..., r, r) stack.  A single matrix
     raises NotPositiveDefinite on invalid input and NoConvergence if the

@@ -14,6 +14,8 @@ Standardization maps the raw sum to an asymptotically standard normal
 variable using the hypothesis constants (eta, sigma^2), the discrepancy
 curvature, and for the block form the kernel deflator sqrt(B/D).  The
 test is one-sided: large positive values reject.
+
+run_many tests one sample; a Monte Carlo block runs the same driver on many.
 """
 
 from __future__ import annotations
@@ -176,16 +178,15 @@ def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float
 def _equilibrate(samples: np.ndarray) -> np.ndarray:
     """Scale each column of each sample by the power of two that brings its largest magnitude into [0.5, 1).
 
-    Every statistic is invariant to it and it is exact, so the PD screens and the separable constants
-    stop depending on the data's units while the statistics keep their bits, save where the cyclic
-    selection sweeps stop, a test that is not scale free.  An all-zero column is left alone.
+    Every statistic is invariant to it and it is exact, so the PD screens and the separable constants stop
+    depending on the data's units while the statistics keep their bits.  An all-zero column is left alone.
     """
     top = np.max(np.abs(np.ascontiguousarray(np.swapaxes(samples, -1, -2))), axis=-1)  # contiguous: ~10x faster
     return np.ldexp(samples, -np.frexp(top)[1][..., np.newaxis, :])
 
 
 def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict[str, np.ndarray]]:
-    """The test pipeline on an (R, n, r) stack of samples: per variant label, arrays over the stack.
+    """The test pipeline on an equilibrated (R, n, r) stack of samples: per variant label, arrays over the stack.
 
     Each label maps raw, standardized, nonpd (the non-PD count), eta and sigma2
     to an (R,) array.  Each stage runs once on the whole stack, the model's theta
@@ -201,7 +202,6 @@ def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict
     its square.
     """
     n, r = samples.shape[1:]
-    samples = _equilibrate(samples)
     f_unrestricted = smoothed_periodogram(dft(samples), kernel)
     theta = model.estimate_theta(samples)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
@@ -222,32 +222,50 @@ def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict
     return results
 
 
+def _run_samples(samples, model, kernel, variants, size: int) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    """Each sample's span and, per variant label, _run_stack's arrays over an (R, n, r) stack, in sample order.
+
+    The stack is equilibrated once, size samples at a time.  kernel is a WeightKernel, an even integer
+    span or "cvll", which selects the spans of each size samples in one cvll_select call.  The samples
+    that share a span then run through _run_stack together, size at a time.
+    """
+    # by chunks: one pass over a whole Monte Carlo block made the pipeline after it slower
+    samples = np.concatenate([_equilibrate(samples[at : at + size]) for at in range(0, len(samples), size)])
+    if kernel == "cvll":  # a WeightKernel compares by identity
+        spans = np.concatenate([cvll_select(samples[at : at + size])[0] for at in range(0, len(samples), size)])
+    else:
+        kernel = kernel if isinstance(kernel, WeightKernel) else WeightKernel.flat(kernel)
+        spans = np.full(len(samples), kernel.m)
+    out = {}
+    for span in np.unique(spans):
+        kern = WeightKernel.flat(int(span)) if kernel == "cvll" else kernel
+        group = np.flatnonzero(spans == span)
+        for chunk in (group[at : at + size] for at in range(0, len(group), size)):
+            for label, row in _run_stack(samples[chunk], model, kern, variants).items():
+                for key, values in row.items():
+                    out.setdefault(label, {}).setdefault(key, np.empty(len(samples), values.dtype))[chunk] = values
+    return spans, out
+
+
 def run_many(sample, model, kernel, variants, alpha_level: float = 0.05) -> dict[str, TestReport]:
     """Shared pipeline for several statistic variants on one sample.
 
-    kernel may be a WeightKernel, an even integer span (flat weights), or
-    "cvll" to select the span by cross validation first.  The spectral
-    estimates and the pencil terms are computed once and shared by
-    all variants.  This is the one-sample call of the stacked pipeline the
-    Monte Carlo drivers run: each report is row 0 of its label's arrays,
-    plus the p-value and decision.
+    kernel may be a WeightKernel, an even integer span (flat weights), or "cvll" to select the
+    span by cross validation first.  The spectral estimates and the pencil terms are computed once
+    and shared by all variants.  This is the one-sample call of _run_samples, which the Monte Carlo
+    blocks call too: each report is row 0 of its label's arrays, plus the p-value and decision.
     """
     arr = validate_sample(sample)
     if arr.shape[0] < 8:
         raise ValueError(f"need at least 8 observations, got {arr.shape[0]}")
     _check_alpha(alpha_level)
-    if isinstance(kernel, WeightKernel):
-        kern = kernel
-    elif kernel == "cvll":
-        kern = WeightKernel.flat(cvll_select(_equilibrate(arr))[0])
-    else:
-        kern = WeightKernel.flat(kernel)
+    spans, rows = _run_samples(arr[np.newaxis], model, kernel, variants, 1)
     reports = {}
-    for label, row in _run_stack(arr[np.newaxis], model, kern, variants).items():
+    for label, row in rows.items():
         standardized, nonpd = float(row["standardized"][0]), int(row["nonpd"][0])
         p_value, reject = decide(standardized, alpha_level, nonpd > 0)
         reports[label] = TestReport(
-            raw=float(row["raw"][0]), m=kern.m, n=arr.shape[0], eta_hat=float(row["eta"][0]),
+            raw=float(row["raw"][0]), m=int(spans[0]), n=arr.shape[0], eta_hat=float(row["eta"][0]),
             sigma2_hat=float(row["sigma2"][0]), standardized=standardized, p_value=p_value, reject=reject,
             alpha_level=alpha_level, nonpd_count=nonpd, forced_reject=nonpd > 0,
         )

@@ -18,10 +18,10 @@ Every path starts from the exact stationary law, Z_0 ~ N(0, Gamma_0) with
 Gamma_0 = A Gamma_0 A^T + Sigma, so no burn-in is needed.  Replication k of a
 run seeded with s draws from the dedicated stream SeedSequence(s, spawn_key=(k,)).
 Replications run in simulation blocks, each simulated by one recursion that
-shares its per-step cost; the test pipeline, CVLL span selection included,
-then runs on stacked slices of the block, in smaller chunks that bound its
-memory.  A worker task is one block.  No step mixes samples, so results are
-bit-identical for any block size, chunk size or worker count.
+shares its per-step cost and tested by run_many's stacked pipeline in chunks
+that bound its memory.  A worker task is one block.  No step mixes samples,
+so results are bit-identical for any block size, chunk size or worker count,
+and to run_many on each replication's sample.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import NonStationary
 from .hermitian import is_positive_definite
-from .inference import _check_alpha, _run_stack, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
-from .spectral import WeightKernel, _check_span, cvll_select
+from .inference import _check_alpha, _run_samples, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
+from .spectral import _check_span
 
 # Path elements (block * (burn_in + n) * r) per simulation block: 663 replications and a
 # 3.2 MB path at n = 201, r = 3 and no burn-in, so a run of 100 replications there is one
@@ -187,31 +187,13 @@ class McSummary:
 
 
 def _run_block(config: McConfig, ks: range) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Standardized values and forced flags per variant for replications ks, in their order.
-
-    One simulated block, cut into pipeline chunks of at most _CHUNK_ELEMENTS elements: with
-    "cvll" each chunk's spans are selected in one stacked call first; the samples sharing a span
-    are then cut into such chunks again, one pipeline run each, written straight into the arrays.
-    """
+    """Standardized values and forced flags per variant for replications ks, in order, from run_many's pipeline."""
     seeds = [replication_seed(config.seed, k) for k in ks]
-    samples = _simulate_stack(config.process, config.n, config.burn_in, seeds)
     size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
-    if config.bandwidth == "cvll":
-        spans = np.concatenate([cvll_select(samples[start : start + size])[0]
-                                for start in range(0, len(samples), size)])
-    else:
-        spans = np.full(len(samples), int(config.bandwidth))
-    out = {label: (np.empty(len(samples)), np.empty(len(samples), dtype=bool)) for label in config.labels}
-    for span in np.unique(spans):
-        kernel = WeightKernel.flat(int(span))
-        group = np.flatnonzero(spans == span)
-        for start in range(0, len(group), size):
-            chunk = group[start : start + size]
-            stack = _run_stack(samples[chunk], config.model, kernel, config.variants)
-            for label, (values, forced) in out.items():
-                values[chunk] = stack[label]["standardized"]
-                forced[chunk] = stack[label]["nonpd"] > 0
-    return out
+    # no name holds the simulated block, so it is freed once equilibrated: keeping it made the pipeline slower
+    rows = _run_samples(_simulate_stack(config.process, config.n, config.burn_in, seeds), config.model,
+                        config.bandwidth, config.variants, size)[1]
+    return {label: (row["standardized"], row["nonpd"] > 0) for label, row in rows.items()}
 
 
 def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -298,7 +298,8 @@ def selection_by_solves(h, edges, tol=SELECTION_TOL):
         for a, b, rest in updates:
             fill_by_solve(work, a, b, rest)
         inv = inverse_pd(work)
-        done = np.max(np.abs(inv[:, rows, cols]), axis=1) <= tol * np.max(np.abs(inv), axis=(1, 2))
+        scale = np.sqrt(np.abs(np.diagonal(inv, axis1=1, axis2=2)))  # sqrt((G^-1)_aa)
+        done = np.max(np.abs(inv[:, rows, cols]) / (scale[:, rows] * scale[:, cols]), axis=1) <= tol
         stack[active[done]] = work[done]
         active, work = active[~done], work[~done]
     stack[active] = np.nan

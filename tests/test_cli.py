@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import spectest.simulation
 from oracles import ingest_by_cell
 from spectest.cli import ingest_csv, main
-from spectest.errors import NonNumeric, RaggedRows, SingularCovariance, SpectestError, TooShort
+from spectest.errors import NonNumeric, ParseError, RaggedRows, SingularCovariance, SpectestError, TooShort
 from spectest.hypotheses import SeparableModel
 
 
@@ -69,6 +69,11 @@ def test_ingest_rejects_short_and_empty_files(tmp_path):
     empty.write_text("")
     with pytest.raises(TooShort):
         ingest_csv(str(empty))
+    headless = tmp_path / "headless.csv"
+    headless.write_text("\n1,2\n3,4\n")
+    with pytest.raises(ParseError) as caught:
+        ingest_csv(str(headless))
+    assert type(caught.value) is ParseError and str(caught.value) == f"{headless}: header row is empty"
 
 
 def test_ingest_rejects_non_finite(tmp_path):
@@ -384,6 +389,17 @@ def test_cli_usage_errors_exit_64(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: one of the arguments --m --cvll is required\n")
     main(["simulate-null", "--n", "64", "--m", "8", "--cvll"])
     assert capsys.readouterr().err.endswith("error: argument --cvll: not allowed with argument --m\n")
+
+
+@pytest.mark.parametrize("span", ["0", "-2", "7"])
+@pytest.mark.parametrize("command", [["test", "--input"], ["simulate-null", "--n", "64", "--output"]])
+def test_cli_checks_the_span_before_any_file(tmp_path, capsys, command, span):
+    # the argparse type is the library's span check: its message, exit 64, and no file read or written
+    missing = tmp_path / "missing.csv"
+    assert main([*command, str(missing), "--m", span]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and not missing.exists()
+    assert err.endswith(f"error: argument --m: span m must be even and >= 2, got {span}\n")
 
 
 def test_cli_edge_usage_errors_come_before_the_file(tmp_path, capsys):

@@ -65,6 +65,10 @@ def test_rejects_nonpositive_eigenvalues():
             discrepancy(kind, [1.0, 0.0])
         with pytest.raises(NonPositiveEigenvalue):
             discrepancy(kind, [-0.5, 2.0])
+        for eigs in ([], np.ones((2, 2))):
+            with pytest.raises(ValueError) as caught:
+                discrepancy(kind, eigs)
+            assert type(caught.value) is ValueError and str(caught.value) == "eigs must be a nonempty 1-d array"
 
 
 def test_chernoff_alpha_validation():
@@ -134,3 +138,4 @@ def test_pencil_terms_hold_a_few_stacks_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * a.nbytes
+

@@ -282,3 +282,7 @@ def test_relative_eigenvalues_needs_pd_base():
         relative_eigenvalues_stack(
             np.stack([np.eye(2)] * 2), np.stack([np.eye(2), np.diag([1.0, -2.0])])
         )
+    with pytest.raises(ValueError) as caught:
+        relative_eigenvalues_stack(np.eye(3)[np.newaxis], np.eye(2)[np.newaxis])
+    assert type(caught.value) is ValueError and str(caught.value) == "shape mismatch: (1, 3, 3) vs (1, 2, 2)"
+

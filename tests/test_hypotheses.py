@@ -1,6 +1,7 @@
 """Tests for the null models, covariance selection, and the eta/sigma engine."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +28,7 @@ from spectest.hypotheses import (
     parse_edge_list,
 )
 from spectest.inference import StatisticVariant, run_many
+from spectest.simulation import VarOneProcess, simulate_var1
 from spectest.spectral import SpectralSequence, WeightKernel, smoothed_periodogram
 
 
@@ -613,3 +615,39 @@ def test_model_from_name():
         model_from_name("graphical")
     with pytest.raises(ValueError):
         model_from_name("nope")
+
+
+def test_cyclic_sweeps_stop_where_the_units_do_not_matter():
+    # the sweeps' stopping test is relative to sqrt((G^-1)_aa (G^-1)_bb), so rescaling a series leaves every
+    # sweep, and the statistic, as it was to rounding (5e-15 here); relative to max|G^-1| it moved them by 1.4e-10
+    a = 0.5 * np.eye(4) + 0.3 * np.eye(4, k=1)
+    a[3, 0] = 0.3
+    z = simulate_var1(VarOneProcess(a), 600, seed=5)
+    model = GraphicalModel(EdgeSet.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    variants = [StatisticVariant("full"), StatisticVariant("block"), StatisticVariant("quadratic")]
+    base = run_many(z, model, 40, variants)
+    for u in np.random.default_rng(1).uniform(-6.0, 6.0, (12, 4)):
+        scaled = run_many(z * np.exp(u), model, 40, variants)
+        for label, report in base.items():
+            assert scaled[label].standardized == pytest.approx(report.standardized, rel=1e-13)
+
+
+HYPOTHESIS_ERRORS = {
+    "selection tol": (lambda: covariance_selection(np.eye(3), EdgeSet.from_pairs(3, [(0, 1)]), tol=0.0),
+                      "tol must be positive, got 0.0"),
+    # 1j times the identity map's derivative
+    "imaginary eta": (lambda: eta_sigma_generic(diagonal_grid(16, 2), lambda lam, g: 1j * np.eye(4).reshape((2,) * 4)),
+                      "eta has a non-negligible imaginary part"),
+    "graphical derivative": (lambda: GraphicalModel(EdgeSet.from_pairs(3, [(0, 1)])).derivative_provider(3),
+                             "the graphical constraint map is implicit; closed-form eta/sigma only"),
+    "graphical without r": (lambda: model_from_name("graphical", edges="1-2"),
+                            "graphical hypothesis needs the series count to parse edges"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESIS_ERRORS))
+def test_hypothesis_errors(name):
+    call, message = HYPOTHESIS_ERRORS[name]
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        call()
+    assert type(caught.value) is ValueError

@@ -21,6 +21,7 @@ from spectest.hypotheses import (
 )
 from spectest.inference import (
     StatisticVariant,
+    _equilibrate,
     _run_stack,
     block_indices,
     decide,
@@ -496,6 +497,29 @@ def test_run_many_solves_each_pencil_once(monkeypatch):
     reports = run_many(z, IndependenceModel(), 30, (FULL, QUAD, BLOCK))
     assert len(reports) == 3
     assert calls == [100]
+
+
+KERNEL_MODELS = {
+    "independence": IndependenceModel(),
+    "separable": SeparableModel(),
+    "graphical": GraphicalModel(EdgeSet.from_pairs(3, [(0, 1), (1, 2)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_run_many_takes_a_weight_kernel(name):
+    # columns in units far apart, so a report that skipped the equilibration would miss some bits
+    z = np.random.default_rng(53).standard_normal((201, 3)) * np.array([1e3, 1.0, 3e-4])
+    model, variants = KERNEL_MODELS[name], (FULL, QUAD, BLOCK, StatisticVariant("full", kind=J))
+    assert run_many(z, model, WeightKernel.flat(16), variants) == run_many(z, model, 16, variants)
+    bump = WeightKernel.from_function(lambda x: 1.0 + np.cos(math.pi * x), 16)
+    reports = run_many(z, model, bump, variants)
+    for label, row in _run_stack(_equilibrate(z[np.newaxis]), model, bump, variants).items():
+        report = reports[label]
+        assert report.m == 16
+        assert (report.raw, report.standardized, report.nonpd_count) == (row["raw"][0], row["standardized"][0],
+                                                                         row["nonpd"][0])
+        assert (report.eta_hat, report.sigma2_hat) == (row["eta"][0], row["sigma2"][0])
 
 
 def test_run_many_rejects_short_samples():

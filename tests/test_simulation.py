@@ -278,6 +278,16 @@ def test_config_manifest_hash_tracks_content():
     assert m_a["content_hash"] != m_c["content_hash"]
     assert m_a["seed"] == 5
     assert m_a["config"]["command"] == "simulate-null"
+    # a graphical null records its edges (1-based) and series count, a process its innovation covariance
+    cov = np.diag([1.0, 2.0, 0.5])
+    graphical = dataclasses.replace(cfg_a, process=VarOneProcess(cfg_a.process.a, innovation_cov=cov),
+                                    model=GraphicalModel(EdgeSet.from_pairs(3, [(2, 1), (0, 1)])))
+    m_g = config_manifest(graphical, "simulate-null")
+    assert m_g["config"]["model"] == {"name": "graphical", "edges": [[1, 2], [2, 3]], "r": 3}
+    assert m_g["config"]["process"]["innovation_cov"] == cov.tolist()
+    assert m_a["config"]["process"]["innovation_cov"] is None
+    unit = dataclasses.replace(graphical, process=cfg_a.process)
+    assert len({m_a["content_hash"], m_g["content_hash"], config_manifest(unit, "simulate-null")["content_hash"]}) == 3
 
 
 def test_config_manifest_records_every_config_field():
@@ -333,12 +343,16 @@ BATCH_CONFIGS = {
     "separable": dict(model=SeparableModel(), bandwidth=8),
     "graphical": dict(model=GraphicalModel(EDGES), bandwidth=8),
     "cvll": dict(model=IndependenceModel(), bandwidth="cvll"),
+    # innovations in units of 1e-155: spans are selected on the equilibrated samples, as run_many selects them
+    "cvll-tiny-units": dict(model=IndependenceModel(), bandwidth="cvll", process=VarOneProcess(
+        benchmark_process(0.3).a, innovation_cov=1e-310 * np.eye(3))),
 }
 
 
 def batch_config(name, reps=20, phi=0.3, seed=91):
-    return McConfig(process=benchmark_process(phi), n=64, variants=ALL_FORMS, replications=reps,
-                    seed=seed, burn_in=150, **BATCH_CONFIGS[name])
+    fields = dict(process=benchmark_process(phi), n=64, variants=ALL_FORMS, replications=reps, seed=seed,
+                  burn_in=150)
+    return McConfig(**{**fields, **BATCH_CONFIGS[name]})
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
@@ -448,3 +462,29 @@ def test_collect_is_invariant_to_block_and_chunk_splits(name, monkeypatch):
             for label, (values, forced) in default.items():
                 assert np.array_equal(run[label][0], values)
                 assert np.array_equal(run[label][1], forced)
+
+
+SIMULATION_ERRORS = {
+    "coefficients not square": (lambda: VarOneProcess(a=np.zeros((2, 3))),
+                                "coefficient matrix must be square, got shape (2, 3)"),
+    "innovation shape": (lambda: VarOneProcess(a=0.5 * np.eye(2), innovation_cov=np.eye(3)),
+                         "innovation covariance must match the coefficient matrix"),
+    "no replications": (lambda: small_config(reps=0), "replications must be positive"),
+    "no variants": (lambda: small_config(variants=()), "at least one statistic variant is required"),
+    "no threads": (lambda: _collect(small_config(), threads=0), "threads must be >= 1"),
+    "power across n": (lambda: size_adjusted_power(small_config(), dataclasses.replace(small_config(), n=120)),
+                       "configurations must share n and the bandwidth rule"),
+    "power across spans": (lambda: size_adjusted_power(small_config(), dataclasses.replace(small_config(),
+                                                                                          bandwidth="cvll")),
+                           "configurations must share n and the bandwidth rule"),
+    "power below 100 replications": (lambda: size_adjusted_power(small_config(), small_config(reps=99)),
+                                     "summary outputs need at least 100 replications"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATION_ERRORS))
+def test_simulation_errors(name):
+    call, message = SIMULATION_ERRORS[name]
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError and str(caught.value) == message

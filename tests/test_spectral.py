@@ -627,3 +627,33 @@ def test_frame_reuse_matches_sample_entry():
     b = smoothed_periodogram(frame, WeightKernel.flat(6))
     assert np.array_equal(a.matrices, b.matrices)
     assert isinstance(frame, FourierFrame)
+
+
+SPECTRAL_ERRORS = {
+    "empty sample": (lambda: validate_sample(np.zeros((0, 3))), ValueError,
+                     "sample must be nonempty, got shape (0, 3)"),
+    "weight not positive": (lambda: kernel_constants(lambda x: 0.25 - x**2), ValueError,
+                            "weight function must be strictly positive on [-1/2, 1/2]"),
+    "2-d weights": (lambda: WeightKernel(np.ones((3, 3)), 0.5, 1.0 / 3.0, 1.0), ValueError,
+                    "weights must be 1-d, got shape (3, 3)"),
+    "constant not positive": (lambda: WeightKernel(np.ones(5), 0.5, 0.0, 1.0), ValueError,
+                              "kernel constants must be positive"),
+    "2D/B above 1": (lambda: WeightKernel(np.ones(5), 0.5, 0.6, 1.0), ValueError,
+                     "constants violate 2D/B <= 1; weight function is invalid"),
+    "matrix shape": (lambda: SpectralSequence("unrestricted", 16, 2, np.eye(2, dtype=complex) * np.ones((7, 1, 1)),
+                                              np.ones(7, dtype=bool)), ValueError,
+                     "matrices must have shape (..., 8, 2, 2), got (7, 2, 2)"),
+    "pd shape": (lambda: SpectralSequence("unrestricted", 16, 2, np.eye(2, dtype=complex) * np.ones((8, 1, 1)),
+                                          np.ones(7, dtype=bool)), ValueError,
+                 "pd flags must align with the frequency grid"),
+    "empty grid": (lambda: cvll_select(np.random.default_rng(0).standard_normal((64, 2)), grid=[]), EmptyGrid,
+                   "candidate grid is empty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_ERRORS))
+def test_spectral_errors(name):
+    call, error, message = SPECTRAL_ERRORS[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
