@@ -138,7 +138,10 @@ def _write_text(text: str, output: str | None) -> None:
 
 
 def _span(text: str) -> int:
-    value = int(text)  # a ValueError here is argparse's "invalid _span value"
+    try:
+        value = int(text)
+    except ValueError:
+        value = text  # _check_span names it as not an integer
     try:
         return _check_span(value)
     except ValueError as exc:
@@ -146,13 +149,14 @@ def _span(text: str) -> int:
 
 
 def _threads(args) -> int:
-    """--threads, else SPECTEST_THREADS (read at each run), else 1."""
+    """--threads, else SPECTEST_THREADS (read at each run) if set and not empty, else 1."""
     if args.threads is not None:
         return args.threads
     env = os.environ.get("SPECTEST_THREADS", "").strip()
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise ValueError(f"SPECTEST_THREADS must be an integer, got {env!r}") from None
 
 
 _KINDS = {"kl": lambda alpha: KL, "j": lambda alpha: J, "chernoff": chernoff}

@@ -219,12 +219,12 @@ def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
 
     Parameters
     ----------
-    g_val : (r, r) Hermitian PD value of the null spectral matrix.
-    g_inv : (r, r) its inverse.
-    dg : (r, r, r, r) array, dg[a, b] = derivative of the constraint map
-        with respect to entry (a, b) of its matrix argument.
+    g_val : (..., r, r) Hermitian PD value of the null spectral matrix.
+    g_inv : (..., r, r) its inverse.
+    dg : (..., r, r, r, r) array, dg[..., a, b] = derivative of the constraint
+        map with respect to entry (a, b) of its matrix argument.
 
-    Returns the (r, r, r, r) complex array
+    Returns the (..., r, r, r, r) complex array, one tensor per matrix of the stack,
 
         mu[a,b,c,d] = 1/2 tr[D_ab G D_cd G] - 1/2 [G D_ab G]_{dc}
                       - 1/2 [G D_cd G]_{ba} + 1/2 G_{bc} G_{da}
@@ -233,13 +233,13 @@ def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
     """
     g_inv = np.asarray(g_inv, dtype=complex)
     dg = np.asarray(dg, dtype=complex)
-    r = g_inv.shape[0]
-    if dg.shape != (r, r, r, r):
-        raise ValueError(f"dg must have shape {(r, r, r, r)}, got {dg.shape}")
-    term1 = 0.5 * np.einsum("abij,jk,cdkl,li->abcd", dg, g_inv, dg, g_inv, optimize=True)
-    term2 = -0.5 * np.einsum("di,abij,jc->abcd", g_inv, dg, g_inv, optimize=True)
-    term3 = -0.5 * np.einsum("bi,cdij,ja->abcd", g_inv, dg, g_inv, optimize=True)
-    term4 = 0.5 * np.einsum("bc,da->abcd", g_inv, g_inv)
+    r = g_inv.shape[-1]
+    if dg.shape[-4:] != (r, r, r, r):
+        raise ValueError(f"dg must have shape (..., {r}, {r}, {r}, {r}), got {dg.shape}")
+    term1 = 0.5 * np.einsum("...abij,...jk,...cdkl,...li->...abcd", dg, g_inv, dg, g_inv, optimize=True)
+    term2 = -0.5 * np.einsum("...di,...abij,...jc->...abcd", g_inv, dg, g_inv, optimize=True)
+    term3 = -0.5 * np.einsum("...bi,...cdij,...ja->...abcd", g_inv, dg, g_inv, optimize=True)
+    term4 = 0.5 * np.einsum("...bc,...da->...abcd", g_inv, g_inv)
     return term1 + term2 + term3 + term4
 
 
@@ -256,13 +256,8 @@ def eta_sigma_generic(g_grid: SpectralSequence, dg_provider, kernel: WeightKerne
     if not np.all(g_grid.pd):
         raise NotPositiveDefinite("eta_sigma_generic needs a PD matrix at every grid point")
     kernel = WeightKernel.flat(2) if kernel is None else kernel
-    freqs = g_grid.frequencies
-    mats = g_grid.matrices
-    half, r = mats.shape[0], mats.shape[-1]
-    mu_all = np.empty((half, r, r, r, r), dtype=complex)
-    for t in range(half):
-        g = mats[t]
-        mu_all[t] = mu_tensor(g, inverse_pd(g), dg_provider(freqs[t], g))
+    freqs, mats = g_grid.frequencies, g_grid.matrices
+    mu_all = mu_tensor(mats, inverse_pd(mats), np.stack([dg_provider(lam, g) for lam, g in zip(freqs, mats)]))
     eta_terms = np.einsum("tabcd,tad,tcb->t", mu_all, mats, mats, optimize=True)
     mu_conj = np.conj(mu_all)
     sigma_terms = np.einsum("tabcd,tABCD,taA,tBb,tcC,tDd->t", mu_all, mu_conj, mats, mats, mats, mats, optimize=True)

@@ -16,6 +16,7 @@ curvature, and for the block form the kernel deflator sqrt(B/D).  The
 test is one-sided: large positive values reject.
 
 run_many tests one sample; a Monte Carlo block runs the same driver on many.
+That driver returns one (variants, FIELDS, samples) array of every value.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .hypotheses import EtaSigma
 from .spectral import SpectralSequence, WeightKernel, cvll_select, dft, smoothed_periodogram, validate_sample
 
 VALID_FORMS = ("full", "quadratic", "block", "weighted")
+# The rows of the pipeline's (variants, fields, samples) array; the non-PD counts are exact in float64.
+FIELDS = ("raw", "standardized", "nonpd", "eta", "sigma2")
 
 
 @dataclass(frozen=True)
@@ -185,15 +188,13 @@ def _equilibrate(samples: np.ndarray) -> np.ndarray:
     return np.ldexp(samples, -np.frexp(top)[1][..., np.newaxis, :])
 
 
-def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict[str, np.ndarray]]:
-    """The test pipeline on an equilibrated (R, n, r) stack of samples: per variant label, arrays over the stack.
+def _run_stack(samples, model, kernel: WeightKernel, variants) -> np.ndarray:
+    """The test pipeline on an equilibrated (R, n, r) stack of samples: a (variants, FIELDS, R) array.
 
-    Each label maps raw, standardized, nonpd (the non-PD count), eta and sigma2
-    to an (R,) array.  Each stage runs once on the whole stack, the model's theta
-    and closed-form constants included.  Every operation on it is elementwise, a
-    per-matrix BLAS or LAPACK call in a restriction, or a per-row FFT or sum, so
-    a sample's values have the same bits whatever else the stack holds, and a
-    stack raises the errors any of its samples raises alone.
+    Row [v, f] holds field f of variant v for each sample.  Each stage runs once on the whole stack, the
+    model's theta and closed-form constants included.  Every operation on it is elementwise, a per-matrix
+    BLAS or LAPACK call in a restriction, or a per-row FFT or sum, so a sample's values have the same bits
+    whatever else the stack holds, and a stack raises the errors any of its samples raises alone.
 
     The hypothesis constants are stated for the flat kernel (C = 1/2, D = 1/3);
     a general kernel rescales them by (2C, 3D), exactly, because the frequency
@@ -205,30 +206,33 @@ def _run_stack(samples, model, kernel: WeightKernel, variants) -> dict[str, dict
     f_unrestricted = smoothed_periodogram(dft(samples), kernel)
     theta = model.estimate_theta(samples)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
-    variants = tuple(variants)
     raws = raw_statistic(f_unrestricted, f_restricted, variants, kernel.m)
     closed = model.eta_sigma_closed(r, theta)  # arrays over the stack, or floats shared by it
-    results = {}
-    for variant, (raw, nonpd) in zip(variants, raws):
+    out = np.empty((len(variants), len(FIELDS), len(samples)))
+    for row, variant, (raw, nonpd) in zip(out, variants, raws):
         phi = [1.0]
         if variant.form == "weighted":
             phi = np.array([float(variant.phi(lam)) for lam in f_unrestricted.frequencies])
         eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
         es = EtaSigma(eta=closed.eta * 2.0 * kernel.cu * eta_weight,
                       sigma2=closed.sigma2 * 3.0 * kernel.du * sigma2_weight)
-        results[variant.label] = {"raw": raw, "standardized": standardize(raw, n, kernel, es, variant),
-                                  "nonpd": nonpd, "eta": np.broadcast_to(es.eta, raw.shape),
-                                  "sigma2": np.broadcast_to(es.sigma2, raw.shape)}
-    return results
+        row[:] = np.broadcast_arrays(raw, standardize(raw, n, kernel, es, variant), nonpd, es.eta, es.sigma2)
+    return out
 
 
-def _run_samples(samples, model, kernel, variants, size: int) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
-    """Each sample's span and, per variant label, _run_stack's arrays over an (R, n, r) stack, in sample order.
+# Elements (chunk * n * r^2) per pipeline chunk: 22 samples at n = 201, r = 3.  It bounds the
+# pipeline's peak memory, about 135 KiB per sample there.
+_CHUNK_ELEMENTS = 40_000
 
-    The stack is equilibrated once, size samples at a time.  kernel is a WeightKernel, an even integer
-    span or "cvll", which selects the spans of each size samples in one cvll_select call.  The samples
-    that share a span then run through _run_stack together, size at a time.
+
+def _run_samples(samples, model, kernel, variants) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's span and _run_stack's (variants, FIELDS, R) array for an (R, n, r) stack, in sample order.
+
+    The stack is equilibrated once, a chunk of at most _CHUNK_ELEMENTS elements at a time.  kernel is a
+    WeightKernel, an even integer span or "cvll", which selects the spans of each chunk in one cvll_select
+    call.  The samples that share a span then run through _run_stack together, again a chunk at a time.
     """
+    size = max(1, _CHUNK_ELEMENTS // (samples.shape[1] * samples.shape[2] ** 2))
     # by chunks: one pass over a whole Monte Carlo block made the pipeline after it slower
     samples = np.concatenate([_equilibrate(samples[at : at + size]) for at in range(0, len(samples), size)])
     if kernel == "cvll":  # a WeightKernel compares by identity
@@ -236,14 +240,12 @@ def _run_samples(samples, model, kernel, variants, size: int) -> tuple[np.ndarra
     else:
         kernel = kernel if isinstance(kernel, WeightKernel) else WeightKernel.flat(kernel)
         spans = np.full(len(samples), kernel.m)
-    out = {}
-    for span in np.unique(spans):
+    out = np.empty((len(variants), len(FIELDS), len(samples)))
+    for span in np.unique(spans):  # grouped over the whole stack: per chunk, a CVLL block ran twice the spans
         kern = WeightKernel.flat(int(span)) if kernel == "cvll" else kernel
         group = np.flatnonzero(spans == span)
         for chunk in (group[at : at + size] for at in range(0, len(group), size)):
-            for label, row in _run_stack(samples[chunk], model, kern, variants).items():
-                for key, values in row.items():
-                    out.setdefault(label, {}).setdefault(key, np.empty(len(samples), values.dtype))[chunk] = values
+            out[..., chunk] = _run_stack(samples[chunk], model, kern, variants)
     return spans, out
 
 
@@ -253,21 +255,21 @@ def run_many(sample, model, kernel, variants, alpha_level: float = 0.05) -> dict
     kernel may be a WeightKernel, an even integer span (flat weights), or "cvll" to select the
     span by cross validation first.  The spectral estimates and the pencil terms are computed once
     and shared by all variants.  This is the one-sample call of _run_samples, which the Monte Carlo
-    blocks call too: each report is row 0 of its label's arrays, plus the p-value and decision.
+    blocks call too: each report is sample 0 of its variant's row, plus the p-value and decision.
     """
     arr = validate_sample(sample)
     if arr.shape[0] < 8:
         raise ValueError(f"need at least 8 observations, got {arr.shape[0]}")
     _check_alpha(alpha_level)
-    spans, rows = _run_samples(arr[np.newaxis], model, kernel, variants, 1)
+    variants = tuple(variants)
+    spans, rows = _run_samples(arr[np.newaxis], model, kernel, variants)
     reports = {}
-    for label, row in rows.items():
-        standardized, nonpd = float(row["standardized"][0]), int(row["nonpd"][0])
+    for variant, row in zip(variants, rows[..., 0]):
+        raw, standardized, nonpd, eta, sigma2 = row.tolist()  # Python floats
         p_value, reject = decide(standardized, alpha_level, nonpd > 0)
-        reports[label] = TestReport(
-            raw=float(row["raw"][0]), m=int(spans[0]), n=arr.shape[0], eta_hat=float(row["eta"][0]),
-            sigma2_hat=float(row["sigma2"][0]), standardized=standardized, p_value=p_value, reject=reject,
-            alpha_level=alpha_level, nonpd_count=nonpd, forced_reject=nonpd > 0,
+        reports[variant.label] = TestReport(
+            raw=raw, m=int(spans[0]), n=arr.shape[0], eta_hat=eta, sigma2_hat=sigma2, standardized=standardized,
+            p_value=p_value, reject=reject, alpha_level=alpha_level, nonpd_count=int(nonpd), forced_reject=nonpd > 0,
         )
     return reports
 

@@ -18,10 +18,11 @@ Every path starts from the exact stationary law, Z_0 ~ N(0, Gamma_0) with
 Gamma_0 = A Gamma_0 A^T + Sigma, so no burn-in is needed.  Replication k of a
 run seeded with s draws from the dedicated stream SeedSequence(s, spawn_key=(k,)).
 Replications run in simulation blocks, each simulated by one recursion that
-shares its per-step cost and tested by run_many's stacked pipeline in chunks
-that bound its memory.  A worker task is one block.  No step mixes samples,
-so results are bit-identical for any block size, chunk size or worker count,
-and to run_many on each replication's sample.
+shares its per-step cost and tested by run_many's stacked pipeline, which
+bounds its memory by chunks and returns one array of every variant's values.
+A worker task is one block.  No step mixes samples, so results are
+bit-identical for any block size, chunk size or worker count, and to run_many
+on each replication's sample.
 """
 
 from __future__ import annotations
@@ -36,16 +37,13 @@ import numpy as np
 
 from .errors import NonStationary
 from .hermitian import is_positive_definite
-from .inference import _check_alpha, _run_samples, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
+from .inference import FIELDS, _check_alpha, _run_samples, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
 from .spectral import _check_span
 
 # Path elements (block * (burn_in + n) * r) per simulation block: 663 replications and a
 # 3.2 MB path at n = 201, r = 3 and no burn-in, so a run of 100 replications there is one
 # block per worker.  Larger blocks save little time.
 _BLOCK_ELEMENTS = 400_000
-# Elements (chunk * n * r^2) per pipeline chunk within a block: 22 replications at n = 201,
-# r = 3.  It bounds the pipeline's peak memory, about 135 KiB per replication there.
-_CHUNK_ELEMENTS = 40_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +184,16 @@ class McSummary:
     replications: int
 
 
-def _run_block(config: McConfig, ks: range) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Standardized values and forced flags per variant for replications ks, in order, from run_many's pipeline."""
+def _run_block(config: McConfig, ks: range) -> np.ndarray:
+    """run_many's pipeline on replications ks: the (variants, FIELDS, replications) array, in order."""
     seeds = [replication_seed(config.seed, k) for k in ks]
-    size = max(1, _CHUNK_ELEMENTS // (config.n * config.process.r**2))
     # no name holds the simulated block, so it is freed once equilibrated: keeping it made the pipeline slower
-    rows = _run_samples(_simulate_stack(config.process, config.n, config.burn_in, seeds), config.model,
-                        config.bandwidth, config.variants, size)[1]
-    return {label: (row["standardized"], row["nonpd"] > 0) for label, row in rows.items()}
+    return _run_samples(_simulate_stack(config.process, config.n, config.burn_in, seeds), config.model,
+                        config.bandwidth, config.variants)[1]
 
 
 def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Standardized values and forced flags per variant, ordered by replication."""
+    """Standardized values and forced flags per variant, ordered by replication, from the blocks' arrays."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     # at most _BLOCK_ELEMENTS / ((burn_in + n) r) replications per block, and at least one block per worker
@@ -209,12 +205,8 @@ def _collect(config: McConfig, threads: int) -> dict[str, tuple[np.ndarray, np.n
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_block, [config] * len(blocks), blocks))
-    collected = {label: (np.empty(config.replications), np.empty(config.replications, dtype=bool))
-                 for label in config.labels}
-    for ks, block in zip(blocks, results):
-        for label, (values, forced) in collected.items():
-            values[ks.start : ks.stop], forced[ks.start : ks.stop] = block[label]
-    return collected
+    rows = np.concatenate(results, axis=-1)[:, [FIELDS.index("standardized"), FIELDS.index("nonpd")]]
+    return {label: (standardized, nonpd > 0) for label, (standardized, nonpd) in zip(config.labels, rows)}
 
 
 def _summarize(values: np.ndarray, forced: np.ndarray, alpha_level: float) -> McSummary:

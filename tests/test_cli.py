@@ -391,7 +391,7 @@ def test_cli_usage_errors_exit_64(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: argument --cvll: not allowed with argument --m\n")
 
 
-@pytest.mark.parametrize("span", ["0", "-2", "7"])
+@pytest.mark.parametrize("span", ["0", "-2", "7", "abc", "1.5"])
 @pytest.mark.parametrize("command", [["test", "--input"], ["simulate-null", "--n", "64", "--output"]])
 def test_cli_checks_the_span_before_any_file(tmp_path, capsys, command, span):
     # the argparse type is the library's span check: its message, exit 64, and no file read or written
@@ -399,7 +399,9 @@ def test_cli_checks_the_span_before_any_file(tmp_path, capsys, command, span):
     assert main([*command, str(missing), "--m", span]) == 64
     out, err = capsys.readouterr()
     assert out == "" and not missing.exists()
-    assert err.endswith(f"error: argument --m: span m must be even and >= 2, got {span}\n")
+    integral = span.lstrip("-").isdigit()
+    message = f"must be even and >= 2, got {span}" if integral else f"must be an integer, got {span!r}"
+    assert err.endswith(f"error: argument --m: span m {message}\n")
 
 
 def test_cli_edge_usage_errors_come_before_the_file(tmp_path, capsys):
@@ -517,6 +519,32 @@ def test_cli_threads_env_default(tmp_path, capsys, monkeypatch):
           "--stat", "full", "--seed", "1"])
     out_serial, _ = capsys.readouterr()
     assert out == out_serial
+
+
+def test_cli_threads_env_must_be_a_positive_integer(capsys, monkeypatch):
+    # a set SPECTEST_THREADS is read like --threads, so a bad one is an addressed error before any work
+    def refuse(*args):
+        raise AssertionError("a replication was simulated with a bad thread count")
+
+    argv = ["simulate-null", "--n", "64", "--m", "8", "--reps", "100", "--stat", "full"]
+    monkeypatch.setattr(spectest.simulation, "_simulate_stack", refuse)
+    for env, message in (("abc", "SPECTEST_THREADS must be an integer, got 'abc'"),
+                         ("1.5", "SPECTEST_THREADS must be an integer, got '1.5'"),
+                         ("0", "threads must be >= 1"), (" -3 ", "threads must be >= 1")):
+        monkeypatch.setenv("SPECTEST_THREADS", env)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main([*argv, "--threads", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: threads must be >= 1\n")
+    monkeypatch.undo()
+    # unset, empty or blank means one thread
+    monkeypatch.delenv("SPECTEST_THREADS", raising=False)
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    for env in ("", "  "):
+        monkeypatch.setenv("SPECTEST_THREADS", env)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial
 
 
 def test_cli_simulate_rejects_a_bad_design_before_any_work(capsys, monkeypatch):

@@ -363,6 +363,20 @@ def test_mu_tensor_shape_validation():
     g = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         mu_tensor(g, g, np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match=re.escape("dg must have shape (..., 2, 2, 2, 2), got (4, 2, 2, 3, 2)")):
+        mu_tensor(np.stack([g] * 4), np.stack([g] * 4), np.zeros((4, 2, 2, 3, 2)))
+
+
+def test_mu_tensor_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(31)
+    for r in (2, 3, 4):
+        g = random_hpd_stack(rng, 6, r)
+        dg = rng.standard_normal((6,) + (r,) * 4) + 1j * rng.standard_normal((6,) + (r,) * 4)
+        stacked = mu_tensor(g, inverse_pd(g), dg)
+        assert stacked.shape == (6,) + (r,) * 4
+        for t in range(6):
+            want = mu_tensor(g[t], inverse_pd(g[t]), dg[t])
+            assert np.max(np.abs(stacked[t] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ------------------------------------------------- eta/sigma, closed versus generic

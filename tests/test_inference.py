@@ -20,6 +20,7 @@ from spectest.hypotheses import (
     SeparableModel,
 )
 from spectest.inference import (
+    FIELDS,
     StatisticVariant,
     _equilibrate,
     _run_stack,
@@ -514,12 +515,31 @@ def test_run_many_takes_a_weight_kernel(name):
     assert run_many(z, model, WeightKernel.flat(16), variants) == run_many(z, model, 16, variants)
     bump = WeightKernel.from_function(lambda x: 1.0 + np.cos(math.pi * x), 16)
     reports = run_many(z, model, bump, variants)
-    for label, row in _run_stack(_equilibrate(z[np.newaxis]), model, bump, variants).items():
-        report = reports[label]
+    rows = _run_stack(_equilibrate(z[np.newaxis]), model, bump, variants)
+    assert rows.shape == (len(variants), len(FIELDS), 1)
+    for variant, row in zip(variants, rows):
+        report, row = reports[variant.label], dict(zip(FIELDS, row))
         assert report.m == 16
         assert (report.raw, report.standardized, report.nonpd_count) == (row["raw"][0], row["standardized"][0],
                                                                          row["nonpd"][0])
         assert (report.eta_hat, report.sigma2_hat) == (row["eta"][0], row["sigma2"][0])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_run_many_reports_keep_their_json_types(name):
+    # the pipeline's float array is unpacked into Python ints, bools and floats, as json.dumps writes them
+    rng = np.random.default_rng(59)
+    plain = rng.standard_normal((128, 3))
+    collinear = plain.copy()
+    collinear[:, 2] = collinear[:, 0]  # a singular unrestricted estimate: every frequency forces the call
+    types = {"nonpd_count": int, "m": int, "n": int, "reject": bool, "forced_reject": bool}
+    variants = (FULL, QUAD, BLOCK, StatisticVariant("weighted", phi=lambda lam: 1.0 + lam))
+    cases = ((plain, False), (collinear, True))
+    for z, forced in cases[:1] if name == "separable" else cases:  # theta of a collinear sample raises there
+        for report in run_many(z, KERNEL_MODELS[name], 16, variants).values():
+            assert report.forced_reject is forced and (report.nonpd_count > 0) is forced
+            for field, value in vars(report).items():
+                assert type(value) is types.get(field, float), field
 
 
 def test_run_many_rejects_short_samples():

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
+import spectest.inference
 import spectest.simulation
 import spectest.spectral
 from spectest.divergence import J, chernoff
 from spectest.errors import BandwidthTooLarge, NonStationary
 from spectest.hypotheses import EdgeSet, GraphicalModel, IndependenceModel, SeparableModel
-from spectest.inference import StatisticVariant, run_many
+from spectest.inference import FIELDS, StatisticVariant, run_many
 from spectest.simulation import (
     McConfig,
     VarOneProcess,
@@ -361,7 +362,7 @@ def test_collect_is_invariant_to_chunk_size_and_threads(name, monkeypatch):
     per_replication = config.n * config.process.r**2
     runs = {"default": _collect(config, threads=1), "threads=2": _collect(config, threads=2)}
     for size in (1, 7):
-        monkeypatch.setattr(spectest.simulation, "_CHUNK_ELEMENTS", size * per_replication)
+        monkeypatch.setattr(spectest.inference, "_CHUNK_ELEMENTS", size * per_replication)
         runs[f"chunk {size}"] = _collect(config, threads=1)
     # a chunk's CVLL spans are selected in one stacked call, here eliminated one span at a time
     monkeypatch.setattr(spectest.spectral, "_CVLL_BLOCK_ELEMENTS", 1)
@@ -393,7 +394,10 @@ def test_collect_prefix_does_not_depend_on_the_replication_count():
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_batched_replications_match_the_serial_oracle(name):
     config = batch_config(name, reps=12)
-    batched = _run_block(config, range(config.replications))
+    rows = _run_block(config, range(config.replications))
+    assert rows.shape == (len(config.labels), len(FIELDS), config.replications)
+    batched = {label: (row[FIELDS.index("standardized")], row[FIELDS.index("nonpd")] > 0)
+               for label, row in zip(config.labels, rows)}
     assert list(batched) == list(config.labels)
     for k, want in enumerate(oracles.replications(config)):
         sample = simulate_var1(config.process, config.n, burn_in=config.burn_in,
@@ -409,6 +413,10 @@ def test_batched_replications_match_the_serial_oracle(name):
             assert direct[label].raw == pytest.approx(want[label].raw, rel=1e-12)
             # standardized values are centred, so near zero only an absolute bound means anything
             assert values[k] == pytest.approx(want[label].standardized, rel=1e-12, abs=1e-12)
+        for label, row in zip(config.labels, rows[..., k]):
+            report = direct[label]
+            assert row.tolist() == [report.raw, report.standardized, report.nonpd_count, report.eta_hat,
+                                    report.sigma2_hat]
 
 
 def test_simulator_matches_the_serial_recursion():
@@ -453,7 +461,7 @@ def test_paths_start_from_the_stationary_law(name):
 def test_collect_is_invariant_to_block_and_chunk_splits(name, monkeypatch):
     config = batch_config(name)
     default = _collect(config, threads=1)
-    monkeypatch.setattr(spectest.simulation, "_CHUNK_ELEMENTS", 3 * config.n * config.process.r**2)
+    monkeypatch.setattr(spectest.inference, "_CHUNK_ELEMENTS", 3 * config.n * config.process.r**2)
     for block in (1, 7, config.replications):
         path = block * (config.burn_in + config.n) * config.process.r
         monkeypatch.setattr(spectest.simulation, "_BLOCK_ELEMENTS", path)
