@@ -227,6 +227,8 @@ def _variants_from(args) -> tuple:
             continue
         if token not in ("full", "quadratic", "block"):
             args.error(f"unknown statistic form {token!r}")
+        if any(variant.form == token for variant in variants):
+            args.error(f"statistic form {token!r} is repeated")
         variants.append(StatisticVariant(form=token, kind=kind))
     if not variants:
         args.error("at least one statistic form is required")

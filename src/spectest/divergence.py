@@ -10,6 +10,10 @@ is 1, are nonnegative, and behave near the identity like
 for a measure-specific curvature constant c.  Dividing by c puts every
 measure on the same local scale, which is what the standardization of the
 test statistics uses.
+
+On the pipeline's pencils (A, B), a restriction that knows B's structure hands
+over the inverse and log-det of B scaled to a unit diagonal, and where B can be
+nonzero; B is swept at every frequency only when it does not.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveEigenvalue
-from .hermitian import _eliminate, _lower, _sweep
+from .hermitian import _eliminate, _lower, _sweep, _unit_scale
 
 VALID_FAMILIES = ("kl", "j", "chernoff", "quadratic")
 
@@ -88,7 +92,7 @@ def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return total
 
 
-def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.ndarray]:
+def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Discrepancy, np.ndarray]:
     """Each kind's discrepancy of the pencils (A, B) of frequency-last (r, r, ...) stacks.
 
     Every family's eigenvalue sum is a trace or log-det in M = B^{-1} A; with D = A - B, E = B^{-1} D:
@@ -98,34 +102,52 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray) -> dict[Discrepancy, np.n
         quadratic  tr(E^2) / 2
         chernoff   log det(aM + (1 - a)I) - a log det M = log det(B + aD) - log det B - a log det M
 
-    Scaling both by diag(B)^{-1/2} on each side first keeps M's eigenvalues and makes every
-    log-det O(1).  Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a
-    fixed order, so a pencil's terms have the same bits whatever else the stack holds.  Maps each
-    kind to an array over the trailing axes, meaningless where A or B is not positive definite.
-    The scaled A, B and D are the only full temporaries: E is formed, a row at a time, for a quadratic
-    kind alone, kl sums tr E from its diagonal, and the rest are rows, entries or packed triangles.
+    Scaling both by s = diag(B)^{-1/2} on each side first keeps M's eigenvalues and makes every
+    log-det O(1).  A restriction that knows B's structure passes inverse = (-B^{-1}, log det B,
+    support) of the scaled B, frequency last and broadcastable against a; support[i] is the slice of
+    row i outside which B and B^{-1} vanish.  Without it the scaled B is swept and its support is
+    every entry.  Every loop over (i, k) visits the support only: off it D is A and B^{-1} adds
+    nothing.  Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a fixed
+    order, so a pencil's terms have the same bits whatever else the stack holds.  Maps each kind to
+    an array over the trailing axes, meaningless where A or B is not positive definite.  The scaled A
+    is the one full temporary that every call makes, and D overwrites it unless j sweeps it; the
+    scaled B is another when it is swept or a chernoff kind needs it, and E one for a quadratic kind,
+    formed a row at a time.  kl sums tr E over the support, and the rest are rows, entries or packed
+    triangles.
     """
     r, families = len(a), {kind.family for kind in kinds}
+    minus_inverse, logdet_b, support = (None, None, (slice(None),) * r) if inverse is None else inverse
     with np.errstate(all="ignore"):
-        s = 1.0 / np.sqrt(np.moveaxis(np.diagonal(b).real, -1, 0))
-        x, y, d = (np.empty(a.shape, np.result_type(*z, float)) for z in ((a,), (b,), (a, b)))
-        for i, scale in enumerate(row * s for row in s):  # row i of the (r, r, ...) scale
-            np.subtract(a[i], b[i], out=d[i])
-            for z, out in ((a, x), (b, y), (d, d)):
-                np.multiply(z[i], scale, out=out[i])
-        a, b = x, y
-        mixed = {k.alpha: _eliminate(_lower(b) + k.alpha * _lower(d), r)[1] for k in kinds if k.family == "chernoff"}
-        # the sweep leaves -B^{-1} in b; only j needs -A^{-1}, and elimination has the sweep's pivots
-        logdet_b = _sweep(b)
-        logdet_a = _sweep(a) if "j" in families else _eliminate(_lower(a), r)[1]
+        s = _unit_scale(np.moveaxis(np.diagonal(b).real, -1, 0))
+        x = np.empty(a.shape, np.result_type(a, float))
+        for i, row in enumerate(s):
+            np.multiply(a[i], row * s, out=x[i])  # row i of the (r, r, ...) scale
+        # only j needs -A^{-1}, and elimination has the sweep's pivots; off the support D is A
+        logdet_a = None if "j" in families else _eliminate(_lower(x), r)[1]
+        d = x.astype(np.result_type(x, b), copy="j" in families)
+        y = np.zeros(b.shape, np.result_type(b, float)) if inverse is None or "chernoff" in families else None
+        for i, cols in enumerate(support):
+            scale = s[i] * s[cols]
+            np.multiply(np.subtract(a[i, cols], b[i, cols], out=d[i, cols]), scale, out=d[i, cols])
+            if y is not None:
+                np.multiply(b[i, cols], scale, out=y[i, cols])
+        rows = [range(r)[cols] for cols in support]
+        mixed = {k.alpha: _eliminate(_lower(y) + k.alpha * _lower(d), r)[1] for k in kinds if k.family == "chernoff"}
+        if inverse is None:  # the sweep leaves -B^{-1} in y
+            logdet_b, minus_inverse = _sweep(y), y
         if "kl" in families:
-            trace_e = sum((-sum(b[i, k] * d[k, i] for k in range(r))).real for i in range(r))
+            trace_e = sum((-sum(minus_inverse[i, k] * d[k, i] for k in rows[i])).real for i in range(r))
         if "j" in families:
-            j_term = _trace_product(np.subtract(a, b, out=a), d)
-        if "quadratic" in families:  # E = -sum_k b[:, k] D[k], a row at a time
-            e, product = np.zeros_like(d), np.empty_like(d[0])
-            for i, k in np.ndindex(r, r):
-                e[i] += np.multiply(b[i, k], d[k], out=product)
+            logdet_a = _sweep(x)
+            for i, cols in enumerate(support):
+                np.subtract(x[i, cols], minus_inverse[i, cols], out=x[i, cols])
+            j_term = _trace_product(x, d)
+        if "quadratic" in families:  # E = -sum_k B^{-1}[:, k] D[k], a row at a time
+            e, product = np.empty_like(d), np.empty_like(d[0])
+            for i, (k, *others) in enumerate(rows):
+                np.multiply(minus_inverse[i, k], d[k], out=e[i])
+                for k in others:
+                    e[i] += np.multiply(minus_inverse[i, k], d[k], out=product)
             np.negative(e, out=e)
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"
                 else j_term if kind.family == "j"

@@ -119,6 +119,12 @@ def _eliminate(w: np.ndarray, r: int):
     return ok, logdet
 
 
+def _unit_scale(diagonal: np.ndarray) -> np.ndarray:
+    """s = 1 / sqrt(diagonal): s_i B_ik s_k has a unit diagonal.  The pencil and the restrictions that
+    hand it their inverse both scale by it, so their pivots have the same bits."""
+    return 1.0 / np.sqrt(diagonal)
+
+
 def _sweep(a: np.ndarray) -> np.ndarray:
     """Sweep every index of a frequency-last (r, r, ...) Hermitian stack in place; returns log det.
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, NoConvergence, NotPositiveDefinite, SingularCovariance
-from .hermitian import DEFAULT_PD_TOL, _eliminate, _lower, _sweep, as_hermitian, inverse_pd, is_positive_definite
+from .hermitian import (DEFAULT_PD_TOL, _eliminate, _lower, _sweep, _unit_scale, as_hermitian, inverse_pd,
+                        is_positive_definite)
 from .spectral import SpectralSequence, WeightKernel
 
 # Sweeps covariance selection runs before it gives up on a matrix, and its default tolerance.
@@ -279,7 +280,9 @@ class IndependenceModel:
 
     The restriction is built frequency last.  Its screen reads the diagonal, which holds the LDL^H pivots,
     and gives the elimination's verdict bit for bit: that also fails where a pivot before the last has a
-    reciprocal that overflows, as the elimination's 0 * (1/p) is NaN there.
+    reciprocal that overflows, as the elimination's 0 * (1/p) is NaN there.  It hands the pencil the
+    inverse and log det of the diagonal scaled to 1 from the pivots a sweep of it finds, so the pencil's
+    terms keep the bits of that sweep.
     """
 
     name = "independence"
@@ -290,13 +293,17 @@ class IndependenceModel:
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         r, idx = f_unrestricted.r, np.arange(f_unrestricted.r)
         diag = np.real(np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1))[idx, idx])
-        mats = np.zeros((r,) + diag.shape, dtype=complex)
+        mats, minus_inverse = np.zeros((r,) + diag.shape, dtype=complex), np.zeros((r,) + diag.shape)
         mats[idx, idx] = diag
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             trace = functools.reduce(np.add, diag)  # in column order, as _eliminate adds it
             pivots_clear = np.all(diag > DEFAULT_PD_TOL * trace / r, axis=0) & np.all(1.0 / diag[:-1] < np.inf, axis=0)
+            pivots = diag * np.square(_unit_scale(diag))  # the scaled diagonal, as the pencil's sweep sees it
+            minus_inverse[idx, idx] = -1.0 / pivots
+            logdet = functools.reduce(np.add, np.log(pivots))
         pd = (trace > 0.0) & pivots_clear
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)), pd)
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)), pd,
+                                         (minus_inverse, logdet, tuple(slice(i, i + 1) for i in range(r))))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         return EtaSigma(eta=(r * r - r) / 4.0, sigma2=(r * r - r) / 6.0)
@@ -308,7 +315,11 @@ class IndependenceModel:
 
 
 class SeparableModel:
-    """Constant covariance times a common scalar spectral shape."""
+    """Constant covariance times a common scalar spectral shape.
+
+    Scaled to a unit diagonal, the restriction is Sigma's correlation matrix at every frequency, so it
+    hands the pencil that matrix's inverse and log det from one sweep per sample.
+    """
 
     name = "separable"
 
@@ -327,8 +338,13 @@ class SeparableModel:
         scale = np.diagonal(sigma, axis1=-2, axis2=-1)[..., np.newaxis, :]
         shape = np.mean(np.divide(diag, scale, order="C"), axis=-1)  # adds each row as a frequency-first copy does
         mats = shape * np.ascontiguousarray(np.moveaxis(sigma, (-2, -1), (0, 1)), complex)[..., np.newaxis]
+        s = _unit_scale(np.moveaxis(np.diagonal(sigma, axis1=-2, axis2=-1), -1, 0))
+        corr = np.ascontiguousarray(np.moveaxis(sigma, (-2, -1), (0, 1)) * (s * s[:, np.newaxis]))[..., np.newaxis]
+        with np.errstate(all="ignore"):
+            logdet = _sweep(corr)  # leaves -corr^{-1} in corr
         return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)),
-                                         _eliminate(_lower(mats), f_unrestricted.r)[0])
+                                         _eliminate(_lower(mats), f_unrestricted.r)[0],
+                                         (corr, logdet, (slice(None),) * f_unrestricted.r))
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
         """The constants for one theta, or arrays of them over a stack of theta."""

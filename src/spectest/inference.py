@@ -101,7 +101,8 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
     """Accumulate each variant's discrepancy over its own index set; the block form's is fixed by the span m.
 
     One call evaluates every variant's discrepancy family at every index, as
-    traces and log-dets of the pencil, shared by all variants.  Indices where
+    traces and log-dets of the pencil, shared by all variants, with the inverse
+    that fR's restriction handed over, if any.  Indices where
     either matrix failed the positive-definiteness screen contribute nothing
     and are counted, per variant over its own index set; the decision layer
     turns a nonzero count into a forced rejection.  Returns one (raw value,
@@ -113,7 +114,7 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
     half = fU.half
     ok = fU.pd & fR.pd
     kinds = dict.fromkeys(variant.effective_kind for variant in variants)
-    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)))
+    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)), fR._scaled_inverse)
     results = []
     for variant in variants:
         positions = block_indices(half, m) - 1 if variant.form == "block" else np.arange(half)
@@ -162,6 +163,14 @@ def normal_quantile(p: float) -> float:
 def _check_alpha(alpha_level: float) -> None:
     if not 0.0 < alpha_level < 1.0:
         raise ValueError(f"alpha_level must lie in (0, 1), got {alpha_level}")
+
+
+def _check_labels(variants) -> None:
+    """Reports are keyed by label, so a label two variants share (it does not tell phi apart) raises."""
+    labels = [variant.label for variant in variants]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"statistic variants must have distinct labels, {label!r} is repeated")
 
 
 def decide(standardized: float, alpha_level: float, forced: bool) -> tuple[float, bool]:
@@ -234,17 +243,21 @@ def _run_samples(samples, model, kernel, variants) -> tuple[np.ndarray, np.ndarr
     """
     size = max(1, _CHUNK_ELEMENTS // (samples.shape[1] * samples.shape[2] ** 2))
     # by chunks: one pass over a whole Monte Carlo block made the pipeline after it slower
-    samples = np.concatenate([_equilibrate(samples[at : at + size]) for at in range(0, len(samples), size)])
+    chunks = [_equilibrate(samples[at : at + size]) for at in range(0, len(samples), size)]
+    samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if kernel == "cvll":  # a WeightKernel compares by identity
         spans = np.concatenate([cvll_select(samples[at : at + size])[0] for at in range(0, len(samples), size)])
+        # grouped over the whole stack: per chunk, a CVLL block ran twice the spans
+        groups = [(WeightKernel.flat(int(span)), np.flatnonzero(spans == span)) for span in np.unique(spans)]
     else:
         kernel = kernel if isinstance(kernel, WeightKernel) else WeightKernel.flat(kernel)
-        spans = np.full(len(samples), kernel.m)
+        spans, groups = np.full(len(samples), kernel.m), [(kernel, range(len(samples)))]
     out = np.empty((len(variants), len(FIELDS), len(samples)))
-    for span in np.unique(spans):  # grouped over the whole stack: per chunk, a CVLL block ran twice the spans
-        kern = WeightKernel.flat(int(span)) if kernel == "cvll" else kernel
-        group = np.flatnonzero(spans == span)
+    for kern, group in groups:
+        if group[-1] - group[0] == len(group) - 1:  # a contiguous range: views in, slices out
+            group = range(group[0], group[-1] + 1)
         for chunk in (group[at : at + size] for at in range(0, len(group), size)):
+            chunk = slice(chunk.start, chunk.stop) if isinstance(chunk, range) else chunk
             out[..., chunk] = _run_stack(samples[chunk], model, kern, variants)
     return spans, out
 
@@ -262,6 +275,7 @@ def run_many(sample, model, kernel, variants, alpha_level: float = 0.05) -> dict
         raise ValueError(f"need at least 8 observations, got {arr.shape[0]}")
     _check_alpha(alpha_level)
     variants = tuple(variants)
+    _check_labels(variants)
     spans, rows = _run_samples(arr[np.newaxis], model, kernel, variants)
     reports = {}
     for variant, row in zip(variants, rows[..., 0]):

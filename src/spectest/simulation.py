@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import NonStationary
 from .hermitian import is_positive_definite
-from .inference import FIELDS, _check_alpha, _run_samples, normal_quantile, run_many  # noqa: F401 (bench/tracing.py wraps it)
+from .inference import FIELDS, _check_alpha, _check_labels, _run_samples, normal_quantile
+from .inference import run_many  # noqa: F401 (bench/tracing.py wraps it)
 from .spectral import _check_span
 
 # Path elements (block * (burn_in + n) * r) per simulation block: 663 replications and a
@@ -159,6 +160,7 @@ class McConfig:
             raise ValueError("replications must be positive")
         if not self.variants:
             raise ValueError("at least one statistic variant is required")
+        _check_labels(self.variants)
         _check_alpha(self.alpha_level)
 
     @property

@@ -304,11 +304,15 @@ class SpectralSequence:
         matrices = as_hermitian(np.asarray(matrices, dtype=complex), tol=1e-10)
         return cls(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=is_positive_definite(matrices))
 
+    _scaled_inverse = None  # set by _trusted only
+
     @classmethod
-    def _trusted(cls, kind, n, matrices, pd) -> "SpectralSequence":
-        """A sequence the pipeline built exactly Hermitian and screened itself, stored unchecked."""
+    def _trusted(cls, kind, n, matrices, pd, scaled_inverse=None) -> "SpectralSequence":
+        """A sequence the pipeline built exactly Hermitian and screened itself, stored unchecked, with the
+        inverse its restriction hands divergence._pencil_terms, if any."""
         seq = object.__new__(cls)
-        seq.__dict__.update(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=pd)
+        seq.__dict__.update(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=pd,
+                            _scaled_inverse=scaled_inverse)
         return seq
 
 

@@ -547,6 +547,21 @@ def test_cli_threads_env_must_be_a_positive_integer(capsys, monkeypatch):
         assert capsys.readouterr().out == serial
 
 
+def test_cli_rejects_a_repeated_statistic_form(capsys, monkeypatch):
+    # a usage error before any replication: the summary holds one row per form
+    def refuse(*args):
+        raise AssertionError("a replication was simulated before the forms were checked")
+
+    monkeypatch.setattr(spectest.simulation, "_simulate_stack", refuse)
+    for argv, form in ((["simulate-null", "--stat", "full,full"], "full"),
+                       (["simulate-power", "--phi1", "0.3", "--stat", "block, quadratic,block"], "block")):
+        assert main([*argv, "--n", "64", "--m", "8", "--reps", "100"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: spectest {argv[0]} ")
+        assert err.endswith(f"error: statistic form {form!r} is repeated\n")
+
+
 def test_cli_simulate_rejects_a_bad_design_before_any_work(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a replication was simulated before the design was checked")

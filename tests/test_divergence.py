@@ -10,6 +10,9 @@ from oracles import pencil_terms_by_full_sweeps
 
 from spectest.divergence import J, KL, QUADRATIC, Discrepancy, _pencil_terms, chernoff, discrepancy
 from spectest.errors import NonPositiveEigenvalue
+from spectest.hermitian import is_positive_definite
+from spectest.hypotheses import IndependenceModel, SeparableModel
+from spectest.spectral import SpectralSequence
 
 
 def test_frozen_values():
@@ -125,17 +128,73 @@ def test_pencil_terms_match_full_sweeps(seed, r, stacked, real, picks, alpha, ba
     assert all(np.array_equal(m, m0) for m, m0 in zip(pencil, before))
 
 
+def _handed(model, b, theta=None):
+    """model's restriction of the frequency-first (..., half, r, r) stack b: its frequency-last matrices
+    and the inverse it hands the pencil, with its screen."""
+    unrestricted = SpectralSequence.from_matrices("unrestricted", 2 * b.shape[-3], b)
+    restricted = model.restricted_estimate(unrestricted, theta)
+    return np.moveaxis(restricted.matrices, (-2, -1), (0, 1)), restricted._scaled_inverse, restricted.pd
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    stacked=st.booleans(),
+    real=st.booleans(),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    alpha=st.floats(0.05, 0.95),
+    bad=st.integers(0, 23),
+)
+def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha, bad):
+    # The independence null hands the pencil the inverse of its diagonal B: every term has the bits of
+    # full sweeps where A and B pass the screen.  The separable null's B = g_t Sigma is Sigma's
+    # correlation matrix once scaled, swept once per sample: it agrees to 1e-12 of max(1, |term|), as a
+    # term near 0 is a difference of O(1) traces and log-dets.  One index has an A and another a B that
+    # is not PD.
+    rng = np.random.default_rng(seed)
+    lead = (3, 8) if stacked else (8,)
+    a, b = _hermitian_pairs(rng, lead, r, real)
+    a.reshape(-1, r, r)[bad % 8] *= -1.0
+    b.reshape(-1, r, r)[(bad + 3) % 8] *= -1.0
+    x = rng.standard_normal(lead[:-1] + (r, 2 * r + 2))
+    sigma = x @ np.swapaxes(x, -1, -2) / (2 * r + 2)
+    g = np.exp(rng.standard_normal(lead))
+    g.reshape(-1)[(bad + 5) % 8] *= -1.0
+    kinds = [(KL, J, QUADRATIC, chernoff(alpha))[i] for i in picks]
+    a = np.moveaxis(a, (-2, -1), (0, 1))
+    for model, b_restricted, theta in ((IndependenceModel(), b, None),
+                                       (SeparableModel(), g[..., None, None] * sigma[..., None, :, :], sigma)):
+        b, inverse, b_pd = _handed(model, b_restricted, theta)
+        b = b.real if real else b
+        ok = is_positive_definite(np.moveaxis(a, (0, 1), (-2, -1))) & b_pd
+        assert not ok.all()
+        before = [m.copy() for m in (a, b, *inverse[:2])]
+        got = _pencil_terms(kinds, a, b, inverse)
+        want = pencil_terms_by_full_sweeps(kinds, a.copy(), b.copy())
+        for kind in kinds:
+            if isinstance(model, IndependenceModel):
+                assert got[kind][ok].tobytes() == want[kind][ok].tobytes()
+            else:
+                deviation = np.abs(got[kind] - want[kind]) / np.maximum(1.0, np.abs(want[kind]))
+                assert np.all(deviation[ok] <= 1e-12)
+        assert all(np.array_equal(m, m0, equal_nan=True) for m, m0 in zip((a, b, *inverse[:2]), before))
+
+
 def test_pencil_terms_hold_a_few_stacks_at_most():
     # At the graphical design (r = 5, 256 frequencies) kl and j need the scaled A, B and D; the
-    # whole-stack form held about 7.5 stacks at its peak.
-    a, b = (np.moveaxis(m, (-2, -1), (0, 1)) for m in _hermitian_pairs(np.random.default_rng(3), (256,), 5))
-    _pencil_terms([KL, J], a, b)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        _pencil_terms([KL, J], a, b)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * a.nbytes
+    # whole-stack form held about 7.5 stacks at its peak.  With the inverse the independence null
+    # hands over, no scaled copy of its diagonal B is made.
+    a, b = _hermitian_pairs(np.random.default_rng(3), (256,), 5)
+    a = np.moveaxis(a, (-2, -1), (0, 1))
+    for b, inverse in ((np.moveaxis(b, (-2, -1), (0, 1)), None), _handed(IndependenceModel(), b)[:2]):
+        _pencil_terms([KL, J], a, b, inverse)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _pencil_terms([KL, J], a, b, inverse)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * a.nbytes
 

@@ -23,6 +23,7 @@ from spectest.inference import (
     FIELDS,
     StatisticVariant,
     _equilibrate,
+    _run_samples,
     _run_stack,
     block_indices,
     decide,
@@ -443,7 +444,8 @@ def test_run_test_rejects_a_non_integral_span():
 @pytest.mark.parametrize("count", [None, 3])
 def test_raw_statistic_is_the_same_on_either_layout(count):
     # The pipeline's sequences view frequency-last arrays, so the pencil reads contiguous stacks; the
-    # same matrices stored frequency-first, as from_matrices keeps them, must give the same bits.
+    # same matrices stored frequency-first, as from_matrices keeps them, must give the same bits.  The
+    # copy of a restricted sequence carries the inverse its restriction handed the pencil.
     rng = np.random.default_rng(43)
     n, r, m = 150, 4, 8
     e = rng.standard_normal((n + 1, r) if count is None else (count, n + 1, r))
@@ -461,10 +463,56 @@ def test_raw_statistic_is_the_same_on_either_layout(count):
         for f in (fu, fr):
             assert np.moveaxis(f.matrices, (-2, -1), (0, 1)).flags.c_contiguous
             assert np.array_equal(copy(f).pd, f.pd)
+        fr_copy = SpectralSequence._trusted(fr.kind, n, copy(fr).matrices, copy(fr).pd, fr._scaled_inverse)
         for (raw, nonpd), (raw_copy, nonpd_copy) in zip(raw_statistic(fu, fr, variants, m),
-                                                        raw_statistic(copy(fu), copy(fr), variants, m)):
+                                                        raw_statistic(copy(fu), fr_copy, variants, m)):
             assert np.asarray(raw).tobytes() == np.asarray(raw_copy).tobytes()
             assert np.array_equal(nonpd, nonpd_copy)
+
+
+class _Swept:
+    """A null whose restricted sequences drop the inverse their restriction hands the pencil."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def restricted_estimate(self, f_unrestricted, theta=None):
+        fr = self.model.restricted_estimate(f_unrestricted, theta)
+        return SpectralSequence._trusted(fr.kind, fr.n, fr.matrices, fr.pd)
+
+
+def test_handed_inverse_keeps_the_swept_reports():
+    # Independence reports keep every bit of the path that sweeps B; separable ones, whose B is swept
+    # once per sample as Sigma's correlation matrix, move by rounding only.
+    z = np.random.default_rng(47).standard_normal((3, 301, 4)) @ np.triu(np.ones((4, 4)))
+    variants = [QUAD] + [StatisticVariant(form, kind, phi=(lambda lam: 1.0 + lam) if form == "weighted" else None)
+                         for form in ("full", "block", "weighted") for kind in (KL, J, chernoff(0.3))]
+    for m in (8, 30, "cvll"):
+        for model in (IndependenceModel(), SeparableModel()):
+            handed, swept = (run_many(z[0], null, m, variants) for null in (model, _Swept(model)))
+            rows = [_run_samples(z, null, m, variants)[1] for null in (model, _Swept(model))]
+            if model.name == "independence":
+                assert handed == swept
+                assert rows[0].tobytes() == rows[1].tobytes()
+            else:
+                for label, report in handed.items():
+                    assert report.raw == pytest.approx(swept[label].raw, rel=1e-12)
+                    assert report.standardized == pytest.approx(swept[label].standardized, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(rows[0], rows[1], rtol=1e-12, atol=1e-12)
+
+
+def test_variants_must_have_distinct_labels():
+    # the label keys the reports and ignores phi, so two weighted variants cannot share one silently
+    z = np.random.default_rng(53).standard_normal((101, 3))
+    twins = [StatisticVariant("weighted", phi=lambda lam: 1.0), StatisticVariant("weighted", phi=lambda lam: 1.0 + lam)]
+    for variants in (twins, [FULL, QUAD, FULL]):
+        with pytest.raises(ValueError) as caught:
+            run_many(z, IndependenceModel(), 8, variants)
+        label = variants[0].label
+        assert str(caught.value) == f"statistic variants must have distinct labels, {label!r} is repeated"
 
 
 def test_run_many_shares_pipeline():
@@ -489,15 +537,15 @@ def test_run_many_solves_each_pencil_once(monkeypatch):
     calls = []
     original = spectest.inference._pencil_terms
 
-    def counted(kinds, a, b):
-        calls.append(a.shape[-1])
-        return original(kinds, a, b)
+    def counted(kinds, a, b, inverse):
+        calls.append((a.shape[-1], inverse is not None))
+        return original(kinds, a, b, inverse)
 
     monkeypatch.setattr(spectest.inference, "_pencil_terms", counted)
     z = np.random.default_rng(31).standard_normal((201, 3))
     reports = run_many(z, IndependenceModel(), 30, (FULL, QUAD, BLOCK))
     assert len(reports) == 3
-    assert calls == [100]
+    assert calls == [(100, True)]  # and the restriction handed it B's inverse
 
 
 KERNEL_MODELS = {

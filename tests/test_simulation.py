@@ -479,6 +479,9 @@ SIMULATION_ERRORS = {
                          "innovation covariance must match the coefficient matrix"),
     "no replications": (lambda: small_config(reps=0), "replications must be positive"),
     "no variants": (lambda: small_config(variants=()), "at least one statistic variant is required"),
+    "repeated label": (lambda: small_config(variants=(FULL, StatisticVariant("weighted", phi=abs),
+                                                      StatisticVariant("weighted", phi=np.cos))),
+                       "statistic variants must have distinct labels, 'weighted-kl' is repeated"),
     "no threads": (lambda: _collect(small_config(), threads=0), "threads must be >= 1"),
     "power across n": (lambda: size_adjusted_power(small_config(), dataclasses.replace(small_config(), n=120)),
                        "configurations must share n and the bandwidth rule"),

@@ -34,10 +34,10 @@ and cross pipeline-chunk boundaries inside a block, where --cvll selects the
 spans of many chunks, one stacked call each.  Then
 `simulate-null --kind j` and `simulate-power --kind chernoff --chernoff-alpha
 0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
-CLI path through the quadrature.  Last, 18 usage errors (a missing or doubled
+CLI path through the quadrature.  Last, 19 usage errors (a missing or doubled
 --m/--cvll, an odd span, a span that is not an integer (abc, 1.5), an unknown
-statistic, a graphical null without edges, a missing --phi1 or --input, an
-unknown command).  Then `spectest test --m 2`
+or repeated statistic, a graphical null without edges, a missing --phi1 or
+--input, an unknown command).  Then `spectest test --m 2`
 and `spectest cvll` on each of 20 fixed 20 x 3 CSVs (stdlib random, seed 17)
 that hold one odd cell (padded, quoted, with an underscore, a full-width digit,
 inf, nan, a word, empty or whitespace only), one blank or whitespace-only line,
@@ -47,7 +47,7 @@ that hold a 200000-character cell (over csv's field limit; one of 1s, which
 parses to inf, and one finite, which numpy's C reader parses), a byte that is
 not UTF-8 or a column of 1.7e308 whose mean overflows, or that keep only the
 first column; the one-column CSV also runs `test --m 2` under separable and
-graphical (--edges 1-2) nulls: 759 runs on the ten fixed files.
+graphical (--edges 1-2) nulls: 760 runs on the ten fixed files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -229,6 +229,7 @@ def usage_errors(path: str) -> list[list[str]]:
         [*test, "--m", "1.5"], [*test, "--m", "8", "--cvll"],
         [*test, "--m", "8", "--stat", "banana"], [*test, "--m", "8", "--hypothesis", "graphical"],
         null, [*null, "--m", "8", "--cvll"], [*null, "--m", "7"], [*null, "--m", "8", "--stat", "banana"],
+        [*null, "--m", "8", "--stat", "full,full"],
         [*null, "--m", "8", "--hypothesis", "graphical"], ["simulate-power", "--n", "64", "--m", "8"],
         ["simulate-power", "--phi1", "0.3", "--n", "64", "--cvll", "--m", "8"],
     ]
