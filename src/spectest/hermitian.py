@@ -12,7 +12,10 @@ Positive definiteness is decided by an LDL^H elimination whose pivots must
 clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
 eigenvalue scale, so the verdict is scale free.  The elimination runs in place
 on the packed lower triangle; the upper one is never stored or read.  A sweep
-updates the full stack a row at a time, so no temporary is larger than a row.
+updates the full stack a row at a time, so no temporary is larger than a row;
+in natural order it does the elimination's arithmetic on the trailing lower
+triangle, so it screens with the same pivots, and one sweep gives a matrix's
+verdict, log-det and inverse.
 Eliminations and sweeps scale a complex column by the reciprocal of its real
 pivot, x * (1 / p): numpy's complex division by (p, 0) computes just that, so
 every finite quotient keeps its value at less cost.  A real stack keeps true
@@ -125,23 +128,29 @@ def _unit_scale(diagonal: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(diagonal)
 
 
-def _sweep(a: np.ndarray) -> np.ndarray:
-    """Sweep every index of a frequency-last (r, r, ...) Hermitian stack in place; returns log det.
+def _sweep(a: np.ndarray):
+    """Sweep every index of a frequency-last (r, r, ...) Hermitian stack in place; returns (ok, logdet).
 
-    Leaves -A^{-1} in a (Goodnight, 1979); both are meaningless where an LDL^H pivot is not positive.
-    Row i takes a[i] - a[i, k] conj(a[:, k] / pivot) for pivot k through one (r, ...) buffer, so no
-    temporary is larger than a row; row k, which the pivot's values replace, is not updated.
+    Leaves -A^{-1} in a (Goodnight, 1979); it and log det are meaningless where ok is False.  In
+    natural order the sweep does _eliminate's arithmetic on the trailing lower triangle, so its pivots,
+    and with them ok and log det, are the elimination's bit for bit.  Row i takes a[i] - a[i, k]
+    conj(a[:, k] / pivot) for pivot k through one (r, ...) buffer, so no temporary is larger than a
+    row; row k, which the pivot's values replace, is not updated.
     """
+    r = len(a)
+    trace = functools.reduce(np.add, [a[k, k].real for k in range(r)])  # in column order, as _eliminate adds it
+    ok, floor = trace > 0.0, DEFAULT_PD_TOL * trace / r
     scaled, product, logdet = np.empty(a.shape[1:], a.dtype), np.empty(a.shape[1:], a.dtype), np.zeros(a.shape[2:])
-    for k in range(len(a)):
+    for k in range(r):
         pivot = a[k, k].real.copy()
+        ok &= pivot > floor
         logdet += np.log(pivot)
         np.conj(_divide(a[:, k], pivot, out=scaled), out=a[k])  # no other row reads row k
-        for i in [*range(k), *range(k + 1, len(a))]:
+        for i in [*range(k), *range(k + 1, r)]:
             a[i] -= np.multiply(a[i, k], a[k], out=product)
         a[:, k] = scaled
         a[k, k] = -1.0 / pivot
-    return logdet
+    return ok, logdet
 
 
 def is_positive_definite(a):

@@ -16,7 +16,9 @@ estimate.  Three hypotheses are built in:
                    pass for a chordal edge set, cyclic sweeps otherwise.
                    Selection runs elementwise on frequency-last (r, r, ...)
                    stacks: each inverse it needs comes from the sweep kernel
-                   of `hermitian`, so no LAPACK call is made per frequency.
+                   of `hermitian`, so no LAPACK call is made per frequency,
+                   and one sweep of the completion screens it and gives the
+                   inverse the pencil is handed.
 
 Each model also knows the centering and scaling constants (eta, sigma^2)
 that standardize the test statistics, either in closed form or through the
@@ -120,7 +122,7 @@ def parse_edge_list(text: str, r: int) -> EdgeSet:
 
 @functools.lru_cache
 def _elimination_order(edges: EdgeSet):
-    """(v, earlier neighbours S_v, earlier non-neighbours) in maximum cardinality search order.
+    """(v, earlier neighbours S_v, earlier non-neighbours, _fill's plan) in maximum cardinality search order.
 
     None unless every S_v is a clique: the edge set is chordal (Tarjan & Yannakakis, 1984).
     Computed once per edge set; the index arrays are shared, so they are never written.
@@ -132,41 +134,58 @@ def _elimination_order(edges: EdgeSet):
         clique = [s for s in seen if s in near[v]]
         if any(b not in near[a] for a in clique for b in clique if a != b):
             return None
-        order.append((v, np.array(clique, dtype=int), np.array([s for s in seen if s not in near[v]], dtype=int)))
+        clique, others = np.array(clique, dtype=int), np.array([s for s in seen if s not in near[v]], dtype=int)
+        order.append((v, clique, others, _fill_plan(v, others, clique)))
         seen.append(v)
     return order
 
 
-def _fill(g: np.ndarray, a: int, others: np.ndarray, rest: np.ndarray) -> None:
+def _fill_plan(a: int, others: np.ndarray, rest: np.ndarray) -> tuple:
+    """The index tuples _fill reads and writes for G[a, others] given G[rest, rest]."""
+    return np.ix_(rest, rest), (a, rest[:, np.newaxis]), np.ix_(rest, others), (a, others), (others, a)
+
+
+def _fill(g: np.ndarray, plan: tuple) -> None:
     """Set G[a, others] = G[a, rest] G[rest, rest]^{-1} G[rest, others] and its mirror, in place.
 
-    g is a frequency-last (r, r, K) stack.  A copy of G[rest, rest] is swept to minus its inverse,
-    and the products run elementwise over K; an empty rest gives 0.
+    g is a frequency-last (r, r, K) stack and plan is _fill_plan(a, others, rest).  A copy of
+    G[rest, rest] is swept to minus its inverse, and the products run elementwise over K; an empty
+    rest gives 0.
     """
-    block = g[np.ix_(rest, rest)]
-    _sweep(block)
-    coef = np.sum(g[a, rest, np.newaxis] * block, axis=0)  # -G[a, rest] G[rest, rest]^{-1}
-    value = np.sum(coef[:, np.newaxis] * g[np.ix_(rest, others)], axis=0)
-    g[a, others], g[others, a] = -value, -np.conj(value)
+    square, row, cross, upper, lower = plan
+    block = g[square]
+    if len(block):  # an empty rest has nothing to sweep
+        _sweep(block)
+    coef = np.add.reduce(g[row] * block, axis=0)  # -G[a, rest] G[rest, rest]^{-1}
+    value = np.add.reduce(coef[:, np.newaxis] * g[cross], axis=0)
+    g[upper], g[lower] = -value, -np.conj(value)
 
 
-def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float) -> np.ndarray:
-    """Cyclic sweeps over the absent pairs of stack[:, :, active], in place; returns the indices left above tol."""
-    updates = [(a, np.array([b]), np.delete(np.arange(len(stack)), [a, b])) for a, b in absent]
+def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float):
+    """Cyclic sweeps over the absent pairs of stack[:, :, active], in place.
+
+    Returns the indices left above tol, and the (-G^{-1}, ok, log det) of the convergence test's sweep
+    of each final G, over every index of stack: NaN, False and NaN where no G converged.
+    """
+    plans = [_fill_plan(a, np.array([b]), np.delete(np.arange(len(stack)), [a, b])) for a, b in absent]
     rows, cols = np.array(absent).T
     work = stack[:, :, active]
+    minus_inverse = np.full_like(stack, np.nan)
+    ok, logdet = np.zeros(stack.shape[2:], bool), np.full(stack.shape[2:], np.nan)
     for _ in range(SELECTION_MAX_SWEEPS):
         if not active.size:
             break
-        for a, b, rest in updates:
-            _fill(work, a, b, rest)
+        for plan in plans:
+            _fill(work, plan)
         inv = work.copy()
-        _sweep(inv)  # -G^{-1}
+        swept_ok, swept_logdet = _sweep(inv)  # leaves -G^{-1} in inv
         scale = np.sqrt(np.abs(inv[range(len(inv)), range(len(inv))]))  # sqrt((G^-1)_aa)
         done = np.max(np.abs(inv[rows, cols]) / (scale[rows] * scale[cols]), axis=0) <= tol
-        stack[:, :, active[done]] = work[:, :, done]
+        finished = active[done]
+        stack[:, :, finished], minus_inverse[:, :, finished] = work[:, :, done], inv[:, :, done]
+        ok[finished], logdet[finished] = swept_ok[done], swept_logdet[done]
         active, work = active[~done], work[:, :, ~done]
-    return active
+    return active, (minus_inverse, ok, logdet)
 
 
 def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.ndarray:
@@ -181,6 +200,8 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     cyclic sweeps with R = all other indices until |(G^-1)_ab| <= tol *
     sqrt((G^-1)_aa (G^-1)_bb) on every absent pair, a test that a rescaling of
     the series leaves alone; tol and SELECTION_MAX_SWEEPS apply only there.
+    That test sweeps the whole completion, and the graphical null hands the
+    last such sweep to the pencil rather than sweep G again.
 
     h may be one (r, r) matrix or an (..., r, r) stack.  A single matrix
     raises NotPositiveDefinite on invalid input and NoConvergence if the
@@ -192,27 +213,30 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     pd = _eliminate(_lower(g), len(g))[0]
     if g.ndim == 2 and not pd:
         raise NotPositiveDefinite("covariance selection needs a positive definite input")
-    if _complete(g, pd, edges, tol) and g.ndim == 2:
+    if _complete(g, pd, edges, tol)[0] and g.ndim == 2:
         raise NoConvergence(f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps")
     return np.moveaxis(g, (0, 1), (-2, -1))
 
 
-def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL) -> int:
+def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL):
     """covariance_selection on a C-contiguous frequency-last (r, r, ...) Hermitian stack g with its PD flags
-    pd, in place; returns how many PD matrices the sweeps left unconverged (NaN, as is every non-PD one)."""
+    pd, in place; returns how many PD matrices the sweeps left unconverged (NaN, as is every non-PD one).
+    Cyclic sweeps also return their last sweep of the completion, (-G^{-1}, ok, log det) shaped like g and
+    its trailing axes, with ok the screen is_positive_definite gives G; a chordal pass returns None there.
+    """
     stack = g.reshape(g.shape[:2] + (-1,))
     pd = np.reshape(pd, -1)
     stack[:, :, ~pd] = np.nan
     order = _elimination_order(edges)
     if order is None:
-        left = _selection_sweeps(stack, np.flatnonzero(pd), edges.absent_pairs, tol)
+        left, (minus_inverse, ok, logdet) = _selection_sweeps(stack, np.flatnonzero(pd), edges.absent_pairs, tol)
         stack[:, :, left] = np.nan
-        return left.size
-    for v, clique, others in order:
+        return left.size, (minus_inverse.reshape(g.shape), ok.reshape(g.shape[2:]), logdet.reshape(g.shape[2:]))
+    for _, _, others, plan in order:
         if others.size:
-            _fill(stack, v, others, clique)
+            _fill(stack, plan)
     stack[:, :, ~pd] = np.nan  # again, as an empty clique fills in zeros
-    return 0
+    return 0, None
 
 
 def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
@@ -341,7 +365,7 @@ class SeparableModel:
         s = _unit_scale(np.moveaxis(np.diagonal(sigma, axis1=-2, axis2=-1), -1, 0))
         corr = np.ascontiguousarray(np.moveaxis(sigma, (-2, -1), (0, 1)) * (s * s[:, np.newaxis]))[..., np.newaxis]
         with np.errstate(all="ignore"):
-            logdet = _sweep(corr)  # leaves -corr^{-1} in corr
+            logdet = _sweep(corr)[1]  # leaves -corr^{-1} in corr
         return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)),
                                          _eliminate(_lower(mats), f_unrestricted.r)[0],
                                          (corr, logdet, (slice(None),) * f_unrestricted.r))
@@ -362,7 +386,12 @@ class SeparableModel:
 
 
 class GraphicalModel:
-    """Conditional independence off a fixed edge set (covariance selection)."""
+    """Conditional independence off a fixed edge set (covariance selection).
+
+    The restriction sweeps its completion B once: the sweep's screen is the elimination's verdict bit
+    for bit, and it hands the pencil -B^{-1} and log det B scaled to B's unit diagonal.  Cyclic sweeps
+    already sweep the final completion to test convergence, so their sweep is the one handed over.
+    """
 
     name = "graphical"
 
@@ -376,10 +405,20 @@ class GraphicalModel:
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         # Already Hermitian and screened; frequencies it cannot complete come back NaN.
+        r = f_unrestricted.r
         g = np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1)).copy()
-        _complete(g, f_unrestricted.pd, self.edges)
-        pd = _eliminate(_lower(g), f_unrestricted.r)[0]
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(g, (0, 1), (-2, -1)), pd)
+        swept = _complete(g, f_unrestricted.pd, self.edges)[1]
+        with np.errstate(all="ignore"):
+            if swept is None:
+                minus_inverse = g.copy()
+                swept = (minus_inverse, *_sweep(minus_inverse))
+            minus_inverse, pd, logdet = swept
+            diagonal = g[range(r), range(r)].real
+            root = np.sqrt(diagonal)
+            minus_inverse *= root[:, np.newaxis] * root  # -B^{-1}_ik sqrt(b_ii b_kk), the scaled B's
+            logdet = logdet - functools.reduce(np.add, np.log(diagonal))
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(g, (0, 1), (-2, -1)), pd,
+                                         (minus_inverse, logdet, (slice(None),) * r))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         m_absent = self.edges.missing_count

@@ -12,6 +12,11 @@ from spectest.hermitian import _eliminate, _lower, as_hermitian, inverse_pd, is_
 from spectest.hypotheses import SELECTION_MAX_SWEEPS, SELECTION_TOL, _elimination_order
 from spectest.spectral import _pair_sums, _periodogram_planes
 
+# Diagonal entries where a screen rule could part from the LDL^H elimination: non-positive, non-finite,
+# extreme, at the relative floor, and subnormal, where the elimination's 0 * (1/p) is NaN.
+ODD_DIAGONALS = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.0, 1e-12, 3.75e-13,
+                 2.2250738585072014e-308, 5.6e-309, 1e-309, 1e-310, 5e-324]
+
 
 def periodogram(frame, j):
     """I[j] = w[j] w[j]^H at frequency index j (mod n), as an explicit outer product."""
@@ -283,7 +288,7 @@ def selection_by_solves(h, edges, tol=SELECTION_TOL):
     order = _elimination_order(edges)
     if order is not None:
         work = stack[active]
-        for v, clique, others in order:
+        for v, clique, others, _ in order:
             if others.size:
                 fill_by_solve(work, v, others, clique)
         stack[active] = work

@@ -11,7 +11,7 @@ from oracles import pencil_terms_by_full_sweeps
 from spectest.divergence import J, KL, QUADRATIC, Discrepancy, _pencil_terms, chernoff, discrepancy
 from spectest.errors import NonPositiveEigenvalue
 from spectest.hermitian import is_positive_definite
-from spectest.hypotheses import IndependenceModel, SeparableModel
+from spectest.hypotheses import EdgeSet, GraphicalModel, IndependenceModel, SeparableModel
 from spectest.spectral import SpectralSequence
 
 
@@ -149,9 +149,11 @@ def _handed(model, b, theta=None):
 def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha, bad):
     # The independence null hands the pencil the inverse of its diagonal B: every term has the bits of
     # full sweeps where A and B pass the screen.  The separable null's B = g_t Sigma is Sigma's
-    # correlation matrix once scaled, swept once per sample: it agrees to 1e-12 of max(1, |term|), as a
-    # term near 0 is a difference of O(1) traces and log-dets.  One index has an A and another a B that
-    # is not PD.
+    # correlation matrix once scaled, swept once per sample, and the graphical null's completion B is
+    # swept unscaled, by its own sweep or the cyclic sweeps' last convergence test, then scaled: each
+    # agrees to 1e-12 of max(1, |term|), as a term near 0 is a difference of O(1) traces and
+    # log-dets.  The graphical nulls are a chain (no edges on 2 series) and a 4-cycle on the first
+    # four series.  One index has an A and another a B that is not PD.
     rng = np.random.default_rng(seed)
     lead = (3, 8) if stacked else (8,)
     a, b = _hermitian_pairs(rng, lead, r, real)
@@ -163,8 +165,12 @@ def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha
     g.reshape(-1)[(bad + 5) % 8] *= -1.0
     kinds = [(KL, J, QUADRATIC, chernoff(alpha))[i] for i in picks]
     a = np.moveaxis(a, (-2, -1), (0, 1))
-    for model, b_restricted, theta in ((IndependenceModel(), b, None),
-                                       (SeparableModel(), g[..., None, None] * sigma[..., None, :, :], sigma)):
+    nulls = [(IndependenceModel(), b, None), (SeparableModel(), g[..., None, None] * sigma[..., None, :, :], sigma)]
+    if r > 1:
+        nulls.append((GraphicalModel(EdgeSet.from_pairs(r, [(i, i + 1) for i in range(r - 2)])), b, None))
+    if r > 3:
+        nulls.append((GraphicalModel(EdgeSet.from_pairs(r, [(0, 1), (1, 2), (2, 3), (0, 3)])), b, None))
+    for model, b_restricted, theta in nulls:
         b, inverse, b_pd = _handed(model, b_restricted, theta)
         b = b.real if real else b
         ok = is_positive_definite(np.moveaxis(a, (0, 1), (-2, -1))) & b_pd
@@ -184,10 +190,12 @@ def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha
 def test_pencil_terms_hold_a_few_stacks_at_most():
     # At the graphical design (r = 5, 256 frequencies) kl and j need the scaled A, B and D; the
     # whole-stack form held about 7.5 stacks at its peak.  With the inverse the independence null
-    # hands over, no scaled copy of its diagonal B is made.
+    # hands over, no scaled copy of its diagonal B is made, nor with the one a graphical null hands.
     a, b = _hermitian_pairs(np.random.default_rng(3), (256,), 5)
     a = np.moveaxis(a, (-2, -1), (0, 1))
-    for b, inverse in ((np.moveaxis(b, (-2, -1), (0, 1)), None), _handed(IndependenceModel(), b)[:2]):
+    chain = GraphicalModel(EdgeSet.from_pairs(5, [(i, i + 1) for i in range(4)]))
+    for b, inverse in ((np.moveaxis(b, (-2, -1), (0, 1)), None), _handed(IndependenceModel(), b)[:2],
+                       _handed(chain, b)[:2]):
         _pencil_terms([KL, J], a, b, inverse)
         tracemalloc.start()
         try:

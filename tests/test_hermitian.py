@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_eliminate, column_screen, eliminate_by_division, logdet, relative_eigenvalues
+from oracles import ODD_DIAGONALS, block_eliminate, column_screen, eliminate_by_division, logdet, relative_eigenvalues
 from spectest.errors import NotPositiveDefinite
 from spectest.hermitian import (
     _eliminate,
     _lower,
+    _sweep,
     as_hermitian,
     inverse_pd,
     is_positive_definite,
@@ -261,6 +262,43 @@ def test_eliminate_keeps_the_bits_of_division_by_the_pivot(seed, s, data, dtype)
     else:
         assert logdet_[ok].tobytes() == logdet_ref[ok].tobytes()
         assert tail[:, ok].tobytes() == tail_ref[:, ok].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 8),
+    lead=st.sampled_from([(), (5,), (2, 3)]),
+    is_complex=st.booleans(),
+    diagonal=st.booleans(),
+    data=st.data(),
+)
+def test_sweep_screens_as_the_elimination(seed, r, lead, is_complex, diagonal, data):
+    # A natural-order sweep does the elimination's arithmetic on the trailing lower triangle, so its
+    # verdict and log det are _eliminate's bit for bit: on one matrix or a stack, with columns scaled
+    # by up to e^20 either way and odd diagonal entries, among them subnormal pivots whose reciprocal
+    # overflows (a diagonal matrix keeps such a pivot to the end).
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((r, r + 1) + lead)
+    if is_complex:
+        x = x + 1j * rng.standard_normal(x.shape)
+    a = np.einsum("ik...,jk...->ij...", x, np.conj(x))
+    if diagonal:
+        a *= np.eye(r).reshape((r, r) + (1,) * len(lead))
+    scale = np.exp(rng.uniform(-20.0, 20.0, (r,) + lead))
+    a *= scale * scale[:, np.newaxis]
+    upper = np.triu_indices(r, 1)
+    a[upper] = np.conj(np.swapaxes(a, 0, 1)[upper])  # exactly Hermitian, as the pipeline's stacks are
+    picks = data.draw(st.lists(st.sampled_from(ODD_DIAGONALS + [None] * 4), min_size=r, max_size=r))
+    for k, value in enumerate(picks):
+        if value is not None:
+            a[(k, k) + tuple(rng.integers(0, n) for n in lead)] = value
+    with np.errstate(all="ignore"):
+        ok, logdet_ = _sweep(a.copy())
+        ok_ref, logdet_ref = _eliminate(_lower(a), r)
+    assert np.shape(ok) == np.shape(ok_ref) == lead and np.asarray(ok).dtype == bool
+    assert np.asarray(ok).tobytes() == np.asarray(ok_ref).tobytes()
+    assert np.asarray(logdet_).tobytes() == np.asarray(logdet_ref).tobytes()
 
 
 def test_as_hermitian_symmetrizes_and_validates():

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectest.hypotheses
-from oracles import is_chordal, selection_by_solves
+from oracles import ODD_DIAGONALS, is_chordal, selection_by_solves
 from spectest.errors import DegenerateVariance, NoConvergence, NotPositiveDefinite
-from spectest.hermitian import inverse_pd, is_positive_definite
+from spectest.hermitian import as_hermitian, inverse_pd, is_positive_definite
 from spectest.hypotheses import (
     EdgeSet,
     EtaSigma,
@@ -51,7 +51,7 @@ def every_edge_set(r):
 def swept(h, es, tol=1e-13):
     """The cyclic sweeps alone, run to tol on the Hermitian part of a (K, r, r) stack."""
     g = np.moveaxis((h + np.conj(np.swapaxes(h, -1, -2))) / 2.0, 0, -1).copy()
-    assert not _selection_sweeps(g, np.arange(len(h)), es.absent_pairs, tol).size
+    assert not _selection_sweeps(g, np.arange(len(h)), es.absent_pairs, tol)[0].size
     return np.moveaxis(g, -1, 0)
 
 
@@ -493,12 +493,6 @@ def test_independence_restriction_is_diagonal_projection():
     assert np.allclose(fr2.matrices, fr.matrices, atol=0.0)
 
 
-# Diagonal entries where a screen rule could part from the LDL^H elimination: non-positive, non-finite,
-# extreme, at the relative floor, and subnormal, where the elimination's 0 * (1/p) is NaN.
-ODD_DIAGONALS = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, 1e-300, 1.0, 1e-12, 3.75e-13,
-                 2.2250738585072014e-308, 5.6e-309, 1e-309, 1e-310, 5e-324]
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     r=st.integers(1, 6),
@@ -523,6 +517,35 @@ def test_independence_screen_matches_the_elimination(r, shape, seed, data):
     fr = IndependenceModel().restricted_estimate(fu)
     with np.errstate(all="ignore"):
         assert np.array_equal(fr.pd, is_positive_definite(fr.matrices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.sampled_from(["chain", "star", "cycle"]),
+    shape=st.sampled_from([(), (4,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_graphical_screen_matches_the_elimination(edges, shape, seed):
+    # The restriction reads its PD verdict off the one sweep of its completion that also gives the
+    # pencil its inverse; it must be is_positive_definite's on the completed matrices, bit for bit,
+    # for the chordal chain and star and for a 4-cycle's cyclic sweeps.  Columns are scaled by up to
+    # e^20 either way, two frequencies of A are not PD and one is diagonal with its last pivot at the
+    # relative floor, on one side or the other.
+    pairs = {"chain": [(0, 1), (1, 2), (2, 3)], "star": [(0, 1), (0, 2), (0, 3)],
+             "cycle": [(0, 1), (1, 2), (2, 3), (0, 3)]}
+    model = GraphicalModel(EdgeSet.from_pairs(4, pairs[edges]))
+    rng = np.random.default_rng(seed)
+    flat = random_hpd_stack(rng, math.prod(shape) * 8, 4)
+    flat[rng.choice(len(flat), 2, replace=False)] *= -1.0
+    scale = np.exp(rng.uniform(-20.0, 20.0, (len(flat), 4)))
+    flat = as_hermitian(flat * scale[:, :, np.newaxis] * scale[:, np.newaxis, :])
+    flat[rng.integers(len(flat))] = np.diag([1.0, 1.0, 1.0, 0.75e-12 * (1.0 + rng.choice([-1e-3, 1e-3]))])
+    mats = flat.reshape(shape + (8, 4, 4))
+    fu = SpectralSequence._trusted("unrestricted", 16, mats, is_positive_definite(mats))
+    fr = model.restricted_estimate(fu)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(fr.pd, is_positive_definite(fr.matrices))
+    assert fr.pd.shape == shape + (8,) and not fr.pd.all()
 
 
 def test_independence_screen_fails_after_an_overflowing_reciprocal():

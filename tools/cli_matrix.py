@@ -51,10 +51,14 @@ graphical (--edges 1-2) nulls: 760 runs on the ten fixed files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
-gives the number of runs whose exit code, stdout and stderr are identical,
-the largest relative difference per JSON field (and per CVLL score) among
-the others, and every flip of a decision (reject), of a selected span (m) or
-of an exit code.  A run with no stdout whose stderr changes is listed with both
+gives, per group of runs, the number whose exit code, stdout and stderr are
+identical and the largest relative difference per JSON field (and per CVLL
+score) among the others, and every flip of a decision (reject), of a selected span (m) or
+of an exit code.  A group is a command, except that the `test` runs of the
+matrix are split by null: independence, separable, chordal graphical (the
+chains and --edges 1-2) and cyclic graphical (the 4-cycle and the 6-cycle), so
+a change that moves one null's numbers by rounding can show the others
+bit-identical.  A run with no stdout whose stderr changes is listed with both
 messages.  A simulate run's CSV table and manifest (stderr) are compared
 byte for byte; each differing table cell is listed, and one in the size or
 power column counts as a flip, as does a table that changes with --threads
@@ -92,6 +96,7 @@ CYCLE_BANDWIDTHS = (["--m", "40"], ["--m", "22"], ["--cvll"])
 # graphical nulls on more than four series: a 6-cycle (cyclic sweeps) and the graphical benchmark's 5-series chain
 RING = ["graphical", "--edges", "1-2,2-3,3-4,4-5,5-6,1-6"]
 CHAIN = ["graphical", "--edges", "1-2,2-3,3-4,4-5"]
+CYCLIC = (CYCLE[-1], RING[-1])  # the edge sets whose covariance selection runs cyclic sweeps
 SIMULATIONS = (["simulate-null"], ["simulate-power", "--phi1", "0.3"])
 SIMULATION_DESIGN = ["--n", "64", "--reps", "100", "--seed", "11"]
 BLOCK_DESIGN = ["--n", "201", "--reps", "300", "--seed", "13"]
@@ -302,16 +307,28 @@ def thread_flips(runs: list[list[str]], results: list[dict], tree: str) -> list[
     return flips
 
 
+def group_of(argv: list[str], usage: list[list[str]], odd: list[list[str]]) -> str:
+    """The report group of a run: usage, odd-csv, `test` and its null, or the command."""
+    if argv in usage or argv in odd:
+        return "usage" if argv in usage else "odd-csv"
+    if argv[0] != "test":
+        return argv[0]
+    null = argv[argv.index("--hypothesis") + 1]
+    if null == "graphical":
+        null = "cyclic graphical" if argv[argv.index("--edges") + 1] in CYCLIC else "chordal graphical"
+    return f"test {null}"
+
+
 def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: list[list[str]],
             odd: list[list[str]]) -> int:
-    groups = ["usage" if argv in usage else "odd-csv" if argv in odd else argv[0] for argv in runs]
+    groups = [group_of(argv, usage, odd) for argv in runs]
     identical, worst, cells, flips = dict.fromkeys(groups, 0), {}, [], []
     flips += thread_flips(runs, base, "base") + thread_flips(runs, head, "head")
 
-    def note(field: str, a: float, b: float, argv: list[str]) -> None:
-        diff = relative(a, b)
-        if diff > worst.get(field, (-1.0, None))[0]:
-            worst[field] = (diff, argv)
+    def note(group: str, field: str, a: float, b: float, argv: list[str]) -> None:
+        diff, key = relative(a, b), (group, field)
+        if diff > worst.get(key, (-1.0, None))[0]:
+            worst[key] = (diff, argv)
 
     for argv, group, old, new in zip(runs, groups, base, head):
         label = " ".join(argv)
@@ -338,10 +355,10 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: li
                 flips.append(f"reject {a['reject']} -> {b['reject']}: {label}")
             for field, value in a.items():
                 if isinstance(value, float) and isinstance(b.get(field), float):
-                    note(field, value, b[field], argv)
+                    note(group, field, value, b[field], argv)
         elif argv[0] == "cvll":
             for line_a, line_b in zip(old["stdout"].splitlines()[1:], new["stdout"].splitlines()[1:]):
-                note("cvll score", float(line_a.split(",")[1]), float(line_b.split(",")[1]), argv)
+                note(group, "cvll score", float(line_a.split(",")[1]), float(line_b.split(",")[1]), argv)
         elif argv[0].startswith("simulate"):
             cells_a, cells_b = table_cells(old["stdout"]), table_cells(new["stdout"])
             for key in sorted(set(cells_a) | set(cells_b)):
@@ -354,9 +371,9 @@ def compare(runs: list[list[str]], base: list[dict], head: list[dict], usage: li
     for group, count in sorted(identical.items()):
         total = groups.count(group)
         print(f"spectest {group}: {total} runs, {count} identical, {total - count} differing")
-    for field, (diff, argv) in sorted(worst.items()):
-        where = f" ({' '.join(argv)})" if diff else ""
-        print(f"  {field}: largest relative difference {diff:.3g}{where}")
+        for (_, field), (diff, argv) in sorted(item for item in worst.items() if item[0][0] == group):
+            where = f" ({' '.join(argv)})" if diff else ""
+            print(f"  {field}: largest relative difference {diff:.3g}{where}")
     for cell in cells:
         print(f"  CHANGED {cell}")
     for flip in flips:
