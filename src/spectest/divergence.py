@@ -12,13 +12,15 @@ measure on the same local scale, which is what the standardization of the
 test statistics uses.
 
 On the pipeline's pencils (A, B), every restriction hands over the inverse and
-log-det of B scaled to a unit diagonal, and where B can be nonzero; B is swept
-here only for sequences built by SpectralSequence.from_matrices and for
-`discrepancy`.  Where B fills whole rows the traces run as whole-stack products.
+log-det of B scaled to a unit diagonal, and where B can be nonzero, as does
+`discrepancy` for its B = I; B is swept here only when a sequence built by
+SpectralSequence.from_matrices reaches `inference.raw_statistic`.  A trace of a
+product is formed a row at a time and summed in one pass over its r^2 rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,21 +77,35 @@ def discrepancy(kind: Discrepancy, eigs) -> float:
     """Evaluate one discrepancy on a vector of relative eigenvalues.
 
     eigs must be strictly positive; NonPositiveEigenvalue is raised otherwise,
-    since log and reciprocal terms are undefined at zero.  Evaluates the pencil (diag(eigs), I).
+    since log and reciprocal terms are undefined at zero.  Evaluates the pencil (diag(eigs), I), handing
+    over I's inverse, log-det and diagonal support.
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigs must be a nonempty 1-d array")
     if np.any(lam <= 0.0):
         raise NonPositiveEigenvalue(f"relative eigenvalues must be positive, got min {lam.min():.3e}")
-    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), np.atleast_3d(np.eye(lam.size)))[kind][0])
+    identity = np.atleast_3d(np.eye(lam.size))
+    inverse = (-identity, np.zeros(1), tuple(slice(i, i + 1) for i in range(lam.size)))
+    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), identity, inverse)[kind][0])
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """The sum over axis 0, adding the rows in turn from 0.  numpy's reduction does so along an outer
+    axis, but with one element per row it reduces the inner axis, and adds pairwise from 8 rows on."""
+    if x[0].size > 1:
+        return np.add.reduce(x, axis=0, initial=0.0)
+    return functools.reduce(np.add, x, 0.0)
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Re tr(X Y) over the leading (r, r) axes: one product into out, which may be x, added in i, j order
-    by an axis-0 reduction, which adds its rows in turn."""
-    np.multiply(x, np.swapaxes(y, 0, 1), out=out)
-    return np.add.reduce(out.real.reshape((-1,) + out.shape[2:]), axis=0, initial=0.0)
+    """Re tr(X Y) over the leading (r, r) axes: products into out, which may be x, added in i, j order.
+
+    Row i of out takes X[i] Y[:, i]: a whole-stack product against Y's transpose would buffer a stack.
+    """
+    for i, row in enumerate(x):
+        np.multiply(row, y[:, i], out=out[i])
+    return _sum_rows(out.real.reshape((-1,) + out.shape[2:]))
 
 
 def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Discrepancy, np.ndarray]:
@@ -106,54 +122,39 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Dis
     log-det O(1).  A restriction that knows B's structure passes inverse = (-B^{-1}, log det B,
     support) of the scaled B, frequency last and broadcastable against a; support[i] is the slice of
     row i outside which B and B^{-1} vanish.  Without it the scaled B is swept and its support is
-    every entry.  A support of whole rows forms the scaled A, D and B, B^{-1} - A^{-1} and tr E as
-    whole-stack operations; any other visits it a row at a time, as off it D is A and B^{-1} adds
-    nothing.  Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a fixed
-    order, and every sum adds in the same order on either route, so a pencil's terms have the same
-    bits whatever else the stack holds.  Maps each kind to an array over the trailing axes,
-    meaningless where A or B is not positive definite.  The scaled A is the one full temporary that
-    every call makes, and D overwrites it unless j sweeps it; the scaled B is another when it is
-    swept or a chernoff kind needs it, and E one for a quadratic kind, formed a row at a time.  The
-    whole-stack route holds the scale s_i s_k until D and B are scaled.  Each trace of a product
+    every entry.  Every loop over (i, k) visits the support only: off it D is A and B^{-1} adds
+    nothing.  With a support of whole rows, tr E takes one product a row at a time and two sums.
+    Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a fixed order, and
+    every trace adds its terms in the loops' order, so a pencil's terms have the same bits whatever
+    else the stack holds.  Maps each kind to an array over the trailing axes, meaningless where A or
+    B is not positive definite.  The scaled A is the one full temporary that every call makes, and D
+    overwrites it unless j sweeps it; the scaled B is another when it is swept or a chernoff kind
+    needs it, and E one for a quadratic kind, formed a row at a time.  Each trace of a product
     overwrites a stack that is not needed again: j's the scaled A, tr E's and then tr(E^2)'s D.
     """
     r, families = len(a), {kind.family for kind in kinds}
     minus_inverse, logdet_b, support = (None, None, (slice(None),) * r) if inverse is None else inverse
-    whole = all(cols == slice(None) for cols in support)
-    loops = () if whole else tuple(enumerate(support))  # the row-at-a-time route's (i, support[i])
     with np.errstate(all="ignore"):
         s = _unit_scale(np.moveaxis(np.diagonal(b).real, -1, 0))
         x = np.empty(a.shape, np.result_type(a, float if minus_inverse is None else minus_inverse))
-        if whole:  # s_i s_k in D's type, as numpy casts a real factor of a complex one anyway, through a buffer
-            scale = np.multiply(s[:, np.newaxis], s, dtype=np.result_type(x, b), order="C")
-            np.multiply(a, scale, out=x)
-        for i, _ in loops:
-            np.multiply(a[i], s[i] * s, out=x[i])  # row i of the (r, r, ...) scale
+        for i, row in enumerate(s):
+            np.multiply(a[i], row * s, out=x[i])  # row i of the (r, r, ...) scale
         # only j needs -A^{-1}, and elimination has the sweep's pivots; off the support D is A
         logdet_a = None if "j" in families else _eliminate(_lower(x), r)[1]
         d = x.astype(np.result_type(x, b), copy="j" in families)
         y = np.zeros_like(d) if inverse is None or "chernoff" in families else None
-        if whole:  # in place, as a - b of two strided stacks would buffer both
-            np.copyto(d, a)
-            d -= b
-            d *= scale
+        for i, cols in enumerate(support):
+            scale = s[i] * s[cols]
+            np.multiply(np.subtract(a[i, cols], b[i, cols], out=d[i, cols]), scale, out=d[i, cols])
             if y is not None:
-                np.multiply(b, scale, out=y)
-            del scale
-        for i, cols in loops:
-            row_scale = s[i] * s[cols]
-            np.multiply(np.subtract(a[i, cols], b[i, cols], out=d[i, cols]), row_scale, out=d[i, cols])
-            if y is not None:
-                np.multiply(b[i, cols], row_scale, out=y[i, cols])
+                np.multiply(b[i, cols], scale, out=y[i, cols])
         rows = [range(r)[cols] for cols in support]
         mixed = {k.alpha: _eliminate(_lower(y) + k.alpha * _lower(d), r)[1] for k in kinds if k.family == "chernoff"}
         if inverse is None:  # the sweep leaves -B^{-1} in y
             logdet_b, minus_inverse = _sweep(y)[1], y
         if "j" in families:
             logdet_a = _sweep(x)[1]
-            if whole:
-                np.subtract(x, minus_inverse, out=x)
-            for i, cols in loops:
+            for i, cols in enumerate(support):
                 np.subtract(x[i, cols], minus_inverse[i, cols], out=x[i, cols])
             j_term = _trace_product(x, d, out=x)
         if "quadratic" in families:  # E = -sum_k B^{-1}[:, k] D[k], a row at a time
@@ -163,9 +164,10 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Dis
                 for k in others:
                     e[i] += np.multiply(minus_inverse[i, k], d[k], out=term)
             np.negative(e, out=e)
-        if "kl" in families and whole:  # d[k, i] becomes -B^{-1}_ik D_ki, summed over k, then over i
-            np.multiply(np.swapaxes(minus_inverse, 0, 1), d, out=d)
-            trace_e = np.add.reduce((-np.add.reduce(d, axis=0, initial=0)).real, axis=0, initial=0.0)
+        if "kl" in families and all(cols == slice(None) for cols in support):  # d[k, i] = -B^{-1}_ik D_ki
+            for k, row in enumerate(d):
+                np.multiply(minus_inverse[:, k], row, out=row)
+            trace_e = _sum_rows((-_sum_rows(d)).real)
         elif "kl" in families:
             trace_e = sum((-sum(minus_inverse[i, k] * d[k, i] for k in rows[i])).real for i in range(r))
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"

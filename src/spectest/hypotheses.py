@@ -161,31 +161,23 @@ def _fill(g: np.ndarray, plan: tuple) -> None:
     g[upper], g[lower] = -value, -np.conj(value)
 
 
-def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float):
-    """Cyclic sweeps over the absent pairs of stack[:, :, active], in place.
-
-    Returns the indices left above tol, and the (-G^{-1}, ok, log det) of the convergence test's sweep
-    of each final G, over every index of stack: NaN, False and NaN where no G converged.
-    """
+def _selection_sweeps(stack: np.ndarray, active: np.ndarray, absent, tol: float) -> np.ndarray:
+    """Cyclic sweeps over the absent pairs of stack[:, :, active], in place; returns the indices left above tol."""
     plans = [_fill_plan(a, np.array([b]), np.delete(np.arange(len(stack)), [a, b])) for a, b in absent]
     rows, cols = np.array(absent).T
     work = stack[:, :, active]
-    minus_inverse = np.full_like(stack, np.nan)
-    ok, logdet = np.zeros(stack.shape[2:], bool), np.full(stack.shape[2:], np.nan)
     for _ in range(SELECTION_MAX_SWEEPS):
         if not active.size:
             break
         for plan in plans:
             _fill(work, plan)
         inv = work.copy()
-        swept_ok, swept_logdet = _sweep(inv)  # leaves -G^{-1} in inv
+        _sweep(inv)  # -G^{-1}
         scale = np.sqrt(np.abs(inv[range(len(inv)), range(len(inv))]))  # sqrt((G^-1)_aa)
         done = np.max(np.abs(inv[rows, cols]) / (scale[rows] * scale[cols]), axis=0) <= tol
-        finished = active[done]
-        stack[:, :, finished], minus_inverse[:, :, finished] = work[:, :, done], inv[:, :, done]
-        ok[finished], logdet[finished] = swept_ok[done], swept_logdet[done]
+        stack[:, :, active[done]] = work[:, :, done]
         active, work = active[~done], work[:, :, ~done]
-    return active, (minus_inverse, ok, logdet)
+    return active
 
 
 def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.ndarray:
@@ -200,8 +192,6 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     cyclic sweeps with R = all other indices until |(G^-1)_ab| <= tol *
     sqrt((G^-1)_aa (G^-1)_bb) on every absent pair, a test that a rescaling of
     the series leaves alone; tol and SELECTION_MAX_SWEEPS apply only there.
-    That test sweeps the whole completion, and the graphical null hands the
-    last such sweep to the pencil rather than sweep G again.
 
     h may be one (r, r) matrix or an (..., r, r) stack.  A single matrix
     raises NotPositiveDefinite on invalid input and NoConvergence if the
@@ -213,30 +203,27 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     pd = _eliminate(_lower(g), len(g))[0]
     if g.ndim == 2 and not pd:
         raise NotPositiveDefinite("covariance selection needs a positive definite input")
-    if _complete(g, pd, edges, tol)[0] and g.ndim == 2:
+    if _complete(g, pd, edges, tol) and g.ndim == 2:
         raise NoConvergence(f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps")
     return np.moveaxis(g, (0, 1), (-2, -1))
 
 
-def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL):
+def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL) -> int:
     """covariance_selection on a C-contiguous frequency-last (r, r, ...) Hermitian stack g with its PD flags
-    pd, in place; returns how many PD matrices the sweeps left unconverged (NaN, as is every non-PD one).
-    Cyclic sweeps also return their last sweep of the completion, (-G^{-1}, ok, log det) shaped like g and
-    its trailing axes, with ok the screen is_positive_definite gives G; a chordal pass returns None there.
-    """
+    pd, in place; returns how many PD matrices the sweeps left unconverged (NaN, as is every non-PD one)."""
     stack = g.reshape(g.shape[:2] + (-1,))
     pd = np.reshape(pd, -1)
     stack[:, :, ~pd] = np.nan
     order = _elimination_order(edges)
     if order is None:
-        left, (minus_inverse, ok, logdet) = _selection_sweeps(stack, np.flatnonzero(pd), edges.absent_pairs, tol)
+        left = _selection_sweeps(stack, np.flatnonzero(pd), edges.absent_pairs, tol)
         stack[:, :, left] = np.nan
-        return left.size, (minus_inverse.reshape(g.shape), ok.reshape(g.shape[2:]), logdet.reshape(g.shape[2:]))
+        return left.size
     for _, _, others, plan in order:
         if others.size:
             _fill(stack, plan)
     stack[:, :, ~pd] = np.nan  # again, as an empty clique fills in zeros
-    return 0, None
+    return 0
 
 
 def mu_tensor(g_val, g_inv, dg) -> np.ndarray:
@@ -388,9 +375,9 @@ class SeparableModel:
 class GraphicalModel:
     """Conditional independence off a fixed edge set (covariance selection).
 
-    The restriction sweeps its completion B once: the sweep's screen is the elimination's verdict bit
-    for bit, and it hands the pencil -B^{-1} and log det B scaled to B's unit diagonal.  Cyclic sweeps
-    already sweep the final completion to test convergence, so their sweep is the one handed over.
+    The restriction sweeps one copy of its completion B: the sweep's screen is the elimination's
+    verdict bit for bit, and it hands the pencil -B^{-1} and log det B scaled to B's unit diagonal.
+    Frequencies that are not completed are NaN, so they fail the screen.
     """
 
     name = "graphical"
@@ -407,12 +394,10 @@ class GraphicalModel:
         # Already Hermitian and screened; frequencies it cannot complete come back NaN.
         r = f_unrestricted.r
         g = np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1)).copy()
-        swept = _complete(g, f_unrestricted.pd, self.edges)[1]
+        _complete(g, f_unrestricted.pd, self.edges)
         with np.errstate(all="ignore"):
-            if swept is None:
-                minus_inverse = g.copy()
-                swept = (minus_inverse, *_sweep(minus_inverse))
-            minus_inverse, pd, logdet = swept
+            minus_inverse = g.copy()
+            pd, logdet = _sweep(minus_inverse)
             diagonal = g[range(r), range(r)].real
             root = np.sqrt(diagonal)
             minus_inverse *= root[:, np.newaxis] * root  # -B^{-1}_ik sqrt(b_ii b_kk), the scaled B's

@@ -126,6 +126,13 @@ def test_pencil_terms_match_full_sweeps(seed, r, stacked, real, picks, alpha, ba
         assert np.array_equal(got[kind], want[kind], equal_nan=True)
         assert got[kind].tobytes() == want[kind].tobytes()  # signed zeros and NaN payloads too
     assert all(np.array_equal(m, m0) for m, m0 in zip(pencil, before))
+    # One frequency alone, where numpy reduces a trace's r^2 products as its inner axis, pairwise
+    # from 8 on, unless the pencil adds them in turn.
+    single = [m.reshape(r, r, -1)[..., seed % 8, np.newaxis] for m in before]
+    got = _pencil_terms(kinds, *single)
+    want = pencil_terms_by_full_sweeps(kinds, *[m.copy() for m in single])
+    for kind in kinds:
+        assert got[kind].shape == (1,) and got[kind].tobytes() == want[kind].tobytes()
 
 
 def _handed(model, b, theta=None):
@@ -150,10 +157,9 @@ def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha
     # The independence null hands the pencil the inverse of its diagonal B: every term has the bits of
     # full sweeps where A and B pass the screen.  The separable null's B = g_t Sigma is Sigma's
     # correlation matrix once scaled, swept once per sample, and the graphical null's completion B is
-    # swept unscaled, by its own sweep or the cyclic sweeps' last convergence test, then scaled: each
-    # agrees to 1e-12 of max(1, |term|), as a term near 0 is a difference of O(1) traces and
-    # log-dets.  The graphical nulls are a chain (no edges on 2 series) and a 4-cycle on the first
-    # four series.  One index has an A and another a B that is not PD.
+    # swept unscaled, then scaled: each agrees to 1e-12 of max(1, |term|), as a term near 0 is a
+    # difference of O(1) traces and log-dets.  The graphical nulls are a chain (no edges on 2 series)
+    # and a 4-cycle on the first four series.  One index has an A and another a B that is not PD.
     rng = np.random.default_rng(seed)
     lead = (3, 8) if stacked else (8,)
     a, b = _hermitian_pairs(rng, lead, r, real)

@@ -51,7 +51,7 @@ def every_edge_set(r):
 def swept(h, es, tol=1e-13):
     """The cyclic sweeps alone, run to tol on the Hermitian part of a (K, r, r) stack."""
     g = np.moveaxis((h + np.conj(np.swapaxes(h, -1, -2))) / 2.0, 0, -1).copy()
-    assert not _selection_sweeps(g, np.arange(len(h)), es.absent_pairs, tol)[0].size
+    assert not _selection_sweeps(g, np.arange(len(h)), es.absent_pairs, tol).size
     return np.moveaxis(g, -1, 0)
 
 
