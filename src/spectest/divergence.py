@@ -142,7 +142,7 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Dis
         # only j needs -A^{-1}, and elimination has the sweep's pivots; off the support D is A
         logdet_a = None if "j" in families else _eliminate(_lower(x), r)[1]
         d = x.astype(np.result_type(x, b), copy="j" in families)
-        y = np.zeros_like(d) if inverse is None or "chernoff" in families else None
+        y = np.zeros(b.shape, np.result_type(b, float)) if inverse is None or "chernoff" in families else None
         for i, cols in enumerate(support):
             scale = s[i] * s[cols]
             np.multiply(np.subtract(a[i, cols], b[i, cols], out=d[i, cols]), scale, out=d[i, cols])
@@ -158,11 +158,11 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Dis
                 np.subtract(x[i, cols], minus_inverse[i, cols], out=x[i, cols])
             j_term = _trace_product(x, d, out=x)
         if "quadratic" in families:  # E = -sum_k B^{-1}[:, k] D[k], a row at a time
-            e, term = np.empty_like(d), np.empty_like(d[0])
+            e, product = np.empty_like(d), np.empty_like(d[0])
             for i, (k, *others) in enumerate(rows):
                 np.multiply(minus_inverse[i, k], d[k], out=e[i])
                 for k in others:
-                    e[i] += np.multiply(minus_inverse[i, k], d[k], out=term)
+                    e[i] += np.multiply(minus_inverse[i, k], d[k], out=product)
             np.negative(e, out=e)
         if "kl" in families and all(cols == slice(None) for cols in support):  # d[k, i] = -B^{-1}_ik D_ki
             for k, row in enumerate(d):
