@@ -13,9 +13,10 @@ test statistics uses.
 
 On the pipeline's pencils (A, B), every restriction hands over the inverse and
 log-det of B scaled to a unit diagonal, and where B can be nonzero, as does
-`discrepancy` for its B = I; B is swept here only when a sequence built by
-SpectralSequence.from_matrices reaches `inference.raw_statistic`.  A trace of a
-product is formed a row at a time and summed in one pass over its r^2 rows.
+`discrepancy` for its B = I, and the smoothing screen hands over A's log-det
+and, for j, its inverse, rescaled here.  So B and A are factored here only for
+sequences built by SpectralSequence.from_matrices, and A for `discrepancy`.  A
+trace of a product is formed a row at a time and summed in one pass over its r^2 rows.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _trace_product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _sum_rows(out.real.reshape((-1,) + out.shape[2:]))
 
 
-def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Discrepancy, np.ndarray]:
+def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None) -> dict[Discrepancy, np.ndarray]:
     """Each kind's discrepancy of the pencils (A, B) of frequency-last (r, r, ...) stacks.
 
     Every family's eigenvalue sum is a trace or log-det in M = B^{-1} A; with D = A - B, E = B^{-1} D:
@@ -122,26 +123,37 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Dis
     log-det O(1).  A restriction that knows B's structure passes inverse = (-B^{-1}, log det B,
     support) of the scaled B, frequency last and broadcastable against a; support[i] is the slice of
     row i outside which B and B^{-1} vanish.  Without it the scaled B is swept and its support is
-    every entry.  Every loop over (i, k) visits the support only: off it D is A and B^{-1} adds
+    every entry.  The smoothing screen passes factor = (-A^{-1} or None, log det A) of the unscaled A,
+    rescaled here over the handed array; without them the scaled A is swept for j, or eliminated for
+    kl or chernoff.  Every loop over (i, k) visits the support only: off it D is A and B^{-1} adds
     nothing.  With a support of whole rows, tr E takes one product a row at a time and two sums.
     Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a fixed order, and
     every trace adds its terms in the loops' order, so a pencil's terms have the same bits whatever
     else the stack holds.  Maps each kind to an array over the trailing axes, meaningless where A or
-    B is not positive definite.  The scaled A is the one full temporary that every call makes, and D
-    overwrites it unless j sweeps it; the scaled B is another when it is swept or a chernoff kind
-    needs it, and E one for a quadratic kind, formed a row at a time.  Each trace of a product
-    overwrites a stack that is not needed again: j's the scaled A, tr E's and then tr(E^2)'s D.
+    B is not positive definite.  D is the one full temporary that every call makes, over the scaled A
+    unless j sweeps that; the scaled B is another when it is swept or a chernoff kind needs it, and E
+    one for a quadratic kind, formed a row at a time.  Each trace of a product overwrites a stack that
+    is not needed again: j's -A^{-1}, tr E's and then tr(E^2)'s D.
     """
     r, families = len(a), {kind.family for kind in kinds}
     minus_inverse, logdet_b, support = (None, None, (slice(None),) * r) if inverse is None else inverse
     with np.errstate(all="ignore"):
         s = _unit_scale(np.moveaxis(np.diagonal(b).real, -1, 0))
+        inverse_a, logdet_a = (None, None) if factor is None else factor
+        swept = "j" in families and inverse_a is None
         x = np.empty(a.shape, np.result_type(a, float if minus_inverse is None else minus_inverse))
-        for i, row in enumerate(s):
-            np.multiply(a[i], row * s, out=x[i])  # row i of the (r, r, ...) scale
-        # only j needs -A^{-1}, and elimination has the sweep's pivots; off the support D is A
-        logdet_a = None if "j" in families else _eliminate(_lower(x), r)[1]
-        d = x.astype(np.result_type(x, b), copy="j" in families)
+        if swept or factor is None or any(cols != slice(None) for cols in support):  # off the support D is A
+            for i, row in enumerate(s):
+                np.multiply(a[i], row * s, out=x[i])  # row i of the (r, r, ...) scale
+        d = x.astype(np.result_type(x, b), copy=swept)
+        if swept:  # the sweep leaves -A^{-1} in x
+            logdet_a, inverse_a = _sweep(x)[1], x
+        elif factor is not None:  # -A^{-1}_ik / (s_i s_k) and log det A + 2 sum_i log s_i, the scaled A's
+            for i, row in enumerate(() if inverse_a is None else s):
+                np.multiply(inverse_a[i], 1.0 / (row * s), out=inverse_a[i])
+            logdet_a = logdet_a + 2.0 * functools.reduce(np.add, np.log(s))
+        elif families & {"kl", "chernoff"}:  # the elimination has the sweep's pivots
+            logdet_a = _eliminate(_lower(x), r)[1]
         y = np.zeros(b.shape, np.result_type(b, float)) if inverse is None or "chernoff" in families else None
         for i, cols in enumerate(support):
             scale = s[i] * s[cols]
@@ -153,10 +165,9 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None) -> dict[Dis
         if inverse is None:  # the sweep leaves -B^{-1} in y
             logdet_b, minus_inverse = _sweep(y)[1], y
         if "j" in families:
-            logdet_a = _sweep(x)[1]
             for i, cols in enumerate(support):
-                np.subtract(x[i, cols], minus_inverse[i, cols], out=x[i, cols])
-            j_term = _trace_product(x, d, out=x)
+                np.subtract(inverse_a[i, cols], minus_inverse[i, cols], out=inverse_a[i, cols])
+            j_term = _trace_product(inverse_a, d, out=inverse_a)
         if "quadratic" in families:  # E = -sum_k B^{-1}[:, k] D[k], a row at a time
             e, product = np.empty_like(d), np.empty_like(d[0])
             for i, (k, *others) in enumerate(rows):

@@ -103,6 +103,11 @@ def _eliminate(w: np.ndarray, r: int):
     where the leading r x r block has trace > 0 and every pivot above DEFAULT_PD_TOL * trace / r,
     and its sum of log pivots.  The trailing columns of w are left holding A22 - A21 A11^{-1} A12.
     """
+    if w.ndim > 1 and w[0].size == 1:  # one frequency runs as two, as numpy's loop for one element can
+        pair = np.concatenate([w, w], axis=-1)  # round a complex product other than a stack's
+        ok, logdet = _eliminate(pair, r)
+        w[...] = pair[..., :1]
+        return ok[..., :1], logdet[..., :1]
     s = int((2 * len(w)) ** 0.5)  # len(w) = s(s + 1)/2, and column j starts at j s - j(j - 1)/2
     columns = [w[j * s - j * (j - 1) // 2 : (j + 1) * (2 * s - j) // 2] for j in range(s)]
     trace = functools.reduce(np.add, [column[0].real for column in columns[:r]])  # in order, as np.sum adds

@@ -32,7 +32,8 @@ from .divergence import KL, QUADRATIC, Discrepancy, _pencil_terms
 from .errors import AlignmentMismatch, DegenerateVariance
 from .hermitian import relative_eigenvalues_stack  # noqa: F401 (bench/tracing.py wraps it)
 from .hypotheses import EtaSigma
-from .spectral import SpectralSequence, WeightKernel, cvll_select, dft, smoothed_periodogram, validate_sample
+from .spectral import (FourierFrame, SpectralSequence, WeightKernel, cvll_select, dft, smoothed_periodogram,
+                       validate_sample)
 
 VALID_FORMS = ("full", "quadratic", "block", "weighted")
 # The rows of the pipeline's (variants, fields, samples) array; the non-PD counts are exact in float64.
@@ -101,8 +102,8 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
     """Accumulate each variant's discrepancy over its own index set; the block form's is fixed by the span m.
 
     One call evaluates every variant's discrepancy family at every index, as
-    traces and log-dets of the pencil, shared by all variants, with the inverse
-    that fR's restriction handed over, if any.  Indices where
+    traces and log-dets of the pencil, shared by all variants, with the factors
+    fR and fU hand over, if any (fU's -A^{-1} is used up).  Indices where
     either matrix failed the positive-definiteness screen contribute nothing
     and are counted, per variant over its own index set; the decision layer
     turns a nonzero count into a forced rejection.  Returns one (raw value,
@@ -114,7 +115,8 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
     half = fU.half
     ok = fU.pd & fR.pd
     kinds = dict.fromkeys(variant.effective_kind for variant in variants)
-    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)), fR._scaled_inverse)
+    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)), fR._scaled_inverse,
+                          fU._factor)
     results = []
     for variant in variants:
         positions = block_indices(half, m) - 1 if variant.form == "block" else np.arange(half)
@@ -197,13 +199,14 @@ def _equilibrate(samples: np.ndarray) -> np.ndarray:
     return np.ldexp(samples, -np.frexp(top)[1][..., np.newaxis, :])
 
 
-def _run_stack(samples, model, kernel: WeightKernel, variants) -> np.ndarray:
+def _run_stack(samples, model, kernel: WeightKernel, variants, frame: FourierFrame | None = None) -> np.ndarray:
     """The test pipeline on an equilibrated (R, n, r) stack of samples: a (variants, FIELDS, R) array.
 
-    Row [v, f] holds field f of variant v for each sample.  Each stage runs once on the whole stack, the
-    model's theta and closed-form constants included.  Every operation on it is elementwise, a per-matrix
-    BLAS or LAPACK call in a restriction, or a per-row FFT or sum, so a sample's values have the same bits
-    whatever else the stack holds, and a stack raises the errors any of its samples raises alone.
+    Row [v, f] holds field f of variant v for each sample; frame is the samples' DFT, if already taken.  Each
+    stage runs once on the whole stack, the model's theta and closed-form constants included, and the smoothing
+    screen factors A once, by a sweep when a variant's kind is j.  Every operation on the stack is elementwise,
+    a per-matrix BLAS or LAPACK call in a restriction, or a per-row FFT or sum, so a sample's values have the
+    same bits whatever else the stack holds, and a stack raises the errors any of its samples raises alone.
 
     The hypothesis constants are stated for the flat kernel (C = 1/2, D = 1/3);
     a general kernel rescales them by (2C, 3D), exactly, because the frequency
@@ -212,7 +215,8 @@ def _run_stack(samples, model, kernel: WeightKernel, variants) -> np.ndarray:
     its square.
     """
     n, r = samples.shape[1:]
-    f_unrestricted = smoothed_periodogram(dft(samples), kernel)
+    inverse = any(variant.effective_kind.family == "j" for variant in variants)
+    f_unrestricted = smoothed_periodogram(dft(samples) if frame is None else frame, kernel, inverse=inverse)
     theta = model.estimate_theta(samples)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
     raws = raw_statistic(f_unrestricted, f_restricted, variants, kernel.m)
@@ -239,26 +243,29 @@ def _run_samples(samples, model, kernel, variants) -> tuple[np.ndarray, np.ndarr
 
     The stack is equilibrated once, a chunk of at most _CHUNK_ELEMENTS elements at a time.  kernel is a
     WeightKernel, an even integer span or "cvll", which selects the spans of each chunk in one cvll_select
-    call.  The samples that share a span then run through _run_stack together, again a chunk at a time.
+    call on its DFT.  The samples that share a span then run through _run_stack together with their DFTs.
     """
     size = max(1, _CHUNK_ELEMENTS // (samples.shape[1] * samples.shape[2] ** 2))
     # by chunks: one pass over a whole Monte Carlo block made the pipeline after it slower
     chunks = [_equilibrate(samples[at : at + size]) for at in range(0, len(samples), size)]
     samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if kernel == "cvll":  # a WeightKernel compares by identity
-        spans = np.concatenate([cvll_select(samples[at : at + size])[0] for at in range(0, len(samples), size)])
+        frames = [dft(samples[at : at + size]) for at in range(0, len(samples), size)]
+        spans = np.concatenate([cvll_select(frame)[0] for frame in frames])
+        w = frames[0].w if len(frames) == 1 else np.concatenate([frame.w for frame in frames])
         # grouped over the whole stack: per chunk, a CVLL block ran twice the spans
         groups = [(WeightKernel.flat(int(span)), np.flatnonzero(spans == span)) for span in np.unique(spans)]
     else:
         kernel = kernel if isinstance(kernel, WeightKernel) else WeightKernel.flat(kernel)
-        spans, groups = np.full(len(samples), kernel.m), [(kernel, range(len(samples)))]
+        spans, groups, w = np.full(len(samples), kernel.m), [(kernel, range(len(samples)))], None
     out = np.empty((len(variants), len(FIELDS), len(samples)))
     for kern, group in groups:
         if group[-1] - group[0] == len(group) - 1:  # a contiguous range: views in, slices out
             group = range(group[0], group[-1] + 1)
         for chunk in (group[at : at + size] for at in range(0, len(group), size)):
             chunk = slice(chunk.start, chunk.stop) if isinstance(chunk, range) else chunk
-            out[..., chunk] = _run_stack(samples[chunk], model, kern, variants)
+            frame = None if w is None else FourierFrame(w[chunk], *samples.shape[1:])
+            out[..., chunk] = _run_stack(samples[chunk], model, kern, variants, frame)
     return spans, out
 
 

@@ -12,8 +12,8 @@ read the periodogram as real lower-triangle planes, frequency last.  Flat
 smoothing sums each window from two within-block sums, at a cost that does not
 grow with m; other weights and the CVLL running sum add pairs I[t - k] + I[t + k].
 Smoothing mirrors the planes into an exactly Hermitian frequency-last stack, whose
-sequence holds a frequency-first view of it; CVLL writes them, for one sample or a
-stack, into the packed lower triangle of a bordered block of spans and eliminates it in place.
+sequence holds a frequency-first view of it and its screen's factor; CVLL writes them, for one
+sample or a stack, into the packed lower triangle of a bordered block of spans and eliminates it in place.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import _check_hermitian, _eliminate, _lower, as_hermitian, is_positive_definite
+from .hermitian import _check_hermitian, _eliminate, _lower, _sweep, as_hermitian, is_positive_definite
 
 TWO_PI = 2.0 * math.pi
 QUADRATURE_PANELS = 2048
@@ -71,16 +71,15 @@ def dft(values) -> FourierFrame:
     """Transform an (n, r) real sample, or an (R, n, r) stack of finite ones, to its DFT frame."""
     arr = _check_finite(np.asarray(values, dtype=float)) if np.ndim(values) == 3 else validate_sample(values)
     n, r = arr.shape[-2:]
-    # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * conj(rfft(Z)[j]) for real Z and j <= n//2
-    spectrum = np.conj(np.fft.rfft(arr, axis=-2))
+    # sum_{t=1}^{n} Z_t e^{i t lambda_j} = e^{i lambda_j} * conj(rfft(Z)[j]) for real Z and j <= n//2; rows are faster
+    spectrum = np.swapaxes(np.conj(np.fft.rfft(np.ascontiguousarray(np.swapaxes(arr, -1, -2)))), -1, -2)
     phase = np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)[:, np.newaxis]
     w = np.empty(arr.shape, dtype=complex)
     w[..., : n // 2 + 1, :] = phase * spectrum * (1.0 / math.sqrt(TWO_PI * n))  # the bits of complex / sqrt
     w[..., 0, :] = w[..., 0, :].real
     if n % 2 == 0:
         w[..., n // 2, :] = w[..., n // 2, :].real
-    upper = np.arange(1, (n + 1) // 2)
-    w[..., n - upper, :] = np.conj(w[..., upper, :])
+    np.conjugate(w[..., 1 : (n + 1) // 2, :], out=w[..., : n // 2 : -1, :])  # w[n - j] = conj(w[j])
     return FourierFrame(w=w, n=n, r=r)
 
 
@@ -304,26 +303,26 @@ class SpectralSequence:
         matrices = as_hermitian(np.asarray(matrices, dtype=complex), tol=1e-10)
         return cls(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=is_positive_definite(matrices))
 
-    _scaled_inverse = None  # set by _trusted only
+    _scaled_inverse = _factor = None  # set by _trusted only
 
     @classmethod
-    def _trusted(cls, kind, n, matrices, pd, scaled_inverse=None) -> "SpectralSequence":
-        """A sequence the pipeline built exactly Hermitian and screened itself, stored unchecked, with the
-        inverse its restriction hands divergence._pencil_terms, if any."""
+    def _trusted(cls, kind, n, matrices, pd, scaled_inverse=None, factor=None) -> "SpectralSequence":
+        """A sequence the pipeline built exactly Hermitian and screened itself, stored unchecked, with what it
+        hands divergence._pencil_terms, if anything: a restriction's inverse or the smoothing screen's factor."""
         seq = object.__new__(cls)
         seq.__dict__.update(kind=kind, n=n, r=matrices.shape[-1], matrices=matrices, pd=pd,
-                            _scaled_inverse=scaled_inverse)
+                            _scaled_inverse=scaled_inverse, _factor=factor)
         return seq
 
 
-def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
+def smoothed_periodogram(sample, kernel: WeightKernel, *, inverse: bool = False) -> SpectralSequence:
     """Kernel-smoothed periodogram on the half grid t = 1 .. n//2.
 
     fhat[t] = (1/wstar) * sum_{j=-m/2}^{m/2} w_j I[(t + j) mod n].
 
     Requires m < n/2 (BandwidthTooLarge otherwise) and m + 1 >= r so the
     estimate has full rank for generic data.  A stack of samples gives a
-    stacked sequence.
+    stacked sequence.  Its screen, an elimination or with inverse a sweep, hands over log dets and -fhat^{-1}.
     """
     frame = sample if isinstance(sample, FourierFrame) else dft(sample)
     n, r, m = frame.n, frame.r, kernel.m
@@ -341,7 +340,10 @@ def smoothed_periodogram(sample, kernel: WeightKernel) -> SpectralSequence:
     stack = np.zeros((r, r) + total.shape[1:], dtype=complex)
     _write_planes(stack, total)
     smoothed = np.moveaxis(stack, (0, 1), (-2, -1))  # frequency-first view of a frequency-last array
-    return SpectralSequence._trusted("unrestricted", n, smoothed, _eliminate(_lower(stack), r)[0])
+    minus_inverse = stack.copy() if inverse else None
+    with np.errstate(all="ignore"):  # where a pivot fails
+        pd, logdet = _eliminate(_lower(stack), r) if minus_inverse is None else _sweep(minus_inverse)
+    return SpectralSequence._trusted("unrestricted", n, smoothed, pd, factor=(minus_inverse, logdet))
 
 
 def _cvll_curve(frame: FourierFrame, grid: list[int]) -> np.ndarray:

@@ -10,9 +10,9 @@ from oracles import pencil_terms_by_full_sweeps
 
 from spectest.divergence import J, KL, QUADRATIC, Discrepancy, _pencil_terms, chernoff, discrepancy
 from spectest.errors import NonPositiveEigenvalue
-from spectest.hermitian import is_positive_definite
+from spectest.hermitian import _sweep, is_positive_definite
 from spectest.hypotheses import EdgeSet, GraphicalModel, IndependenceModel, SeparableModel
-from spectest.spectral import SpectralSequence
+from spectest.spectral import SpectralSequence, WeightKernel, smoothed_periodogram
 
 
 def test_frozen_values():
@@ -191,24 +191,48 @@ def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha
                 deviation = np.abs(got[kind] - want[kind]) / np.maximum(1.0, np.abs(want[kind]))
                 assert np.all(deviation[ok] <= 1e-12)
         assert all(np.array_equal(m, m0, equal_nan=True) for m, m0 in zip((a, b, *inverse[:2]), before))
+    # A smoothed periodogram's screen hands the pencil A's log det and, when j is asked for, -A^{-1}, both
+    # unscaled: rescaled, every null's terms agree with full sweeps of the scaled pair to the same 1e-12.
+    # The span is well above r: at m + 1 = r, A's condition number reaches 1e4 and either route is
+    # cond(A) eps from the exact terms, and so from the other (up to 7e-13 at r = 6, m = 6).
+    z = rng.standard_normal(lead[:-1] + (65, r))
+    fu = smoothed_periodogram(z, WeightKernel.flat(16), inverse=any(kind.family == "j" for kind in kinds))
+    a = np.moveaxis(fu.matrices, (-2, -1), (0, 1))
+    for model, _, _ in nulls:
+        fr = model.restricted_estimate(fu, model.estimate_theta(z))
+        b, ok = np.moveaxis(fr.matrices, (-2, -1), (0, 1)), fu.pd & fr.pd
+        minus_inverse, logdet_a = fu._factor
+        factor = (None if minus_inverse is None else minus_inverse.copy(), logdet_a)
+        got = _pencil_terms(kinds, a, b, fr._scaled_inverse, factor)
+        want = pencil_terms_by_full_sweeps(kinds, a.copy(), b.copy())
+        for kind in kinds:
+            deviation = np.abs(got[kind] - want[kind]) / np.maximum(1.0, np.abs(want[kind]))
+            assert ok.any() and np.all(deviation[ok] <= 1e-12)
 
 
 def test_pencil_terms_hold_a_few_stacks_at_most():
     # At the graphical design (r = 5, 256 frequencies) kl and j need the scaled A, B and D; the
     # whole-stack form held about 7.5 stacks at its peak.  With the inverse the independence null
-    # hands over, no scaled copy of its diagonal B is made, nor with the one a graphical null hands.
-    a, b = _hermitian_pairs(np.random.default_rng(3), (256,), 5)
-    a = np.moveaxis(a, (-2, -1), (0, 1))
+    # hands over, no scaled copy of its diagonal B is made, nor with the one a graphical null hands,
+    # and with A's factor handed too, -A^{-1} is rescaled over the handed array.  At 4096 frequencies
+    # numpy's ufunc buffers, of at most 8192 elements, are a small part of a stack.
     chain = GraphicalModel(EdgeSet.from_pairs(5, [(i, i + 1) for i in range(4)]))
-    for b, inverse in ((np.moveaxis(b, (-2, -1), (0, 1)), None), _handed(IndependenceModel(), b)[:2],
-                       _handed(chain, b)[:2]):
-        _pencil_terms([KL, J], a, b, inverse)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _pencil_terms([KL, J], a, b, inverse)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * a.nbytes
-
+    for half in (256, 4096):
+        a, b = _hermitian_pairs(np.random.default_rng(3), (half,), 5)
+        a = np.moveaxis(a, (-2, -1), (0, 1))
+        minus_inverse = a.copy()
+        logdet_a = _sweep(minus_inverse)[1]
+        graphical = _handed(chain, b)[:2]
+        for b, inverse, factor in ((np.moveaxis(b, (-2, -1), (0, 1)), None, None),
+                                   (*_handed(IndependenceModel(), b)[:2], None), (*graphical, None),
+                                   (*graphical, (minus_inverse, logdet_a))):
+            for _ in range(2):  # the first call warms up
+                handed = None if factor is None else (factor[0].copy(), factor[1])
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    _pencil_terms([KL, J], a, b, inverse, handed)
+                    peak = tracemalloc.get_traced_memory()[1] - start
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 5.5 * a.nbytes

@@ -422,13 +422,18 @@ def test_run_test_constant_column_forces_rejection():
     assert report.reject
 
 
-def test_run_test_cvll_resolution():
-    rng = np.random.default_rng(19)
-    z = rng.standard_normal((128, 2))
-    report = run_test(z, IndependenceModel(), "cvll", FULL)
+def test_run_test_cvll_resolution(monkeypatch):
+    import spectest.inference
     from spectest.spectral import cvll_select
 
+    rng = np.random.default_rng(19)
+    z = rng.standard_normal((128, 2))
+    calls, original = [], spectest.inference.dft
+    monkeypatch.setattr(spectest.inference, "dft", lambda values: calls.append(np.shape(values)) or original(values))
+    report = run_test(z, IndependenceModel(), "cvll", FULL)
+    assert calls == [(1, 128, 2)]  # one DFT serves the span search and the statistic
     assert report.m == cvll_select(z)[0]
+    assert report == run_test(z, IndependenceModel(), report.m, FULL)
 
 
 def test_run_test_rejects_a_non_integral_span():
@@ -445,7 +450,7 @@ def test_run_test_rejects_a_non_integral_span():
 def test_raw_statistic_is_the_same_on_either_layout(count):
     # The pipeline's sequences view frequency-last arrays, so the pencil reads contiguous stacks; the
     # same matrices stored frequency-first, as from_matrices keeps them, must give the same bits.  The
-    # copy of a restricted sequence carries the inverse its restriction handed the pencil.
+    # copies carry the inverse the restriction and the log det the smoothing screen handed the pencil.
     rng = np.random.default_rng(43)
     n, r, m = 150, 4, 8
     e = rng.standard_normal((n + 1, r) if count is None else (count, n + 1, r))
@@ -464,8 +469,9 @@ def test_raw_statistic_is_the_same_on_either_layout(count):
             assert np.moveaxis(f.matrices, (-2, -1), (0, 1)).flags.c_contiguous
             assert np.array_equal(copy(f).pd, f.pd)
         fr_copy = SpectralSequence._trusted(fr.kind, n, copy(fr).matrices, copy(fr).pd, fr._scaled_inverse)
+        fu_copy = SpectralSequence._trusted(fu.kind, n, copy(fu).matrices, copy(fu).pd, factor=fu._factor)
         for (raw, nonpd), (raw_copy, nonpd_copy) in zip(raw_statistic(fu, fr, variants, m),
-                                                        raw_statistic(copy(fu), fr_copy, variants, m)):
+                                                        raw_statistic(fu_copy, fr_copy, variants, m)):
             assert np.asarray(raw).tobytes() == np.asarray(raw_copy).tobytes()
             assert np.array_equal(nonpd, nonpd_copy)
 
@@ -537,15 +543,17 @@ def test_run_many_solves_each_pencil_once(monkeypatch):
     calls = []
     original = spectest.inference._pencil_terms
 
-    def counted(kinds, a, b, inverse):
-        calls.append((a.shape[-1], inverse is not None))
-        return original(kinds, a, b, inverse)
+    def counted(kinds, a, b, inverse, factor):
+        calls.append((a.shape[-1], inverse is not None, factor[0] is not None, np.shape(factor[1])))
+        return original(kinds, a, b, inverse, factor)
 
     monkeypatch.setattr(spectest.inference, "_pencil_terms", counted)
     z = np.random.default_rng(31).standard_normal((201, 3))
     reports = run_many(z, IndependenceModel(), 30, (FULL, QUAD, BLOCK))
     assert len(reports) == 3
-    assert calls == [(100, True)]  # and the restriction handed it B's inverse
+    run_many(z, IndependenceModel(), 30, (FULL, StatisticVariant("full", kind=J)))
+    # the restriction handed it B's inverse, and the smoothing screen A's log det and, for j, A's inverse
+    assert calls == [(100, True, False, (1, 100)), (100, True, True, (1, 100))]
 
 
 KERNEL_MODELS = {
