@@ -11,12 +11,12 @@ for a measure-specific curvature constant c.  Dividing by c puts every
 measure on the same local scale, which is what the standardization of the
 test statistics uses.
 
-On the pipeline's pencils (A, B), every restriction hands over the inverse and
-log-det of B scaled to a unit diagonal, and where B can be nonzero, as does
-`discrepancy` for its B = I, and the smoothing screen hands over A's log-det
-and, for j, its inverse, rescaled here.  So B and A are factored here only for
-sequences built by SpectralSequence.from_matrices, and A for `discrepancy`.  A
-trace of a product is formed a row at a time and summed in one pass over its r^2 rows.
+On the pipeline's pencils (A, B), every restriction hands over the inverse and log-det of B
+scaled to a unit diagonal, and whether B is diagonal, as does `discrepancy` for its B = I, and the
+smoothing screen hands over A's log-det and, for j, its inverse, rescaled into the pencil's own
+buffer: no array handed over is written.  So B and A are swept here only for sequences built by
+SpectralSequence.from_matrices, and A for `discrepancy`; an elimination runs only for chernoff's
+mixed matrix.  A trace of a product is formed a row at a time and summed in one pass over its r^2 rows.
 """
 
 from __future__ import annotations
@@ -77,18 +77,19 @@ def chernoff(alpha: float) -> Discrepancy:
 def discrepancy(kind: Discrepancy, eigs) -> float:
     """Evaluate one discrepancy on a vector of relative eigenvalues.
 
-    eigs must be strictly positive; NonPositiveEigenvalue is raised otherwise,
-    since log and reciprocal terms are undefined at zero.  Evaluates the pencil (diag(eigs), I), handing
-    over I's inverse, log-det and diagonal support.
+    eigs must be finite, or ValueError is raised, and strictly positive; NonPositiveEigenvalue is raised
+    otherwise, since log and reciprocal terms are undefined at zero.  Evaluates the pencil (diag(eigs), I),
+    handing over I's inverse and log-det, and that it is diagonal.
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigs must be a nonempty 1-d array")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"relative eigenvalues must be finite, got {lam[~np.isfinite(lam)][0]}")
     if np.any(lam <= 0.0):
         raise NonPositiveEigenvalue(f"relative eigenvalues must be positive, got min {lam.min():.3e}")
     identity = np.atleast_3d(np.eye(lam.size))
-    inverse = (-identity, np.zeros(1), tuple(slice(i, i + 1) for i in range(lam.size)))
-    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), identity, inverse)[kind][0])
+    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), identity, (-identity, np.zeros(1), True))[kind][0])
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -121,46 +122,45 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None
 
     Scaling both by s = diag(B)^{-1/2} on each side first keeps M's eigenvalues and makes every
     log-det O(1).  A restriction that knows B's structure passes inverse = (-B^{-1}, log det B,
-    support) of the scaled B, frequency last and broadcastable against a; support[i] is the slice of
-    row i outside which B and B^{-1} vanish.  Without it the scaled B is swept and its support is
-    every entry.  The smoothing screen passes factor = (-A^{-1} or None, log det A) of the unscaled A,
-    rescaled here over the handed array; without them the scaled A is swept for j, or eliminated for
-    kl or chernoff.  Every loop over (i, k) visits the support only: off it D is A and B^{-1} adds
-    nothing.  With a support of whole rows, tr E takes one product a row at a time and two sums.
-    Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a fixed order, and
-    every trace adds its terms in the loops' order, so a pencil's terms have the same bits whatever
-    else the stack holds.  Maps each kind to an array over the trailing axes, meaningless where A or
-    B is not positive definite.  D is the one full temporary that every call makes, over the scaled A
-    unless j sweeps that; the scaled B is another when it is swept or a chernoff kind needs it, and E
-    one for a quadratic kind, formed a row at a time.  Each trace of a product overwrites a stack that
-    is not needed again: j's -A^{-1}, tr E's and then tr(E^2)'s D.
+    diagonal) of the scaled B, frequency last and broadcastable against a, with diagonal True where B
+    and B^{-1} vanish off the diagonal; without it the scaled B is swept and taken as full.  The
+    smoothing screen passes factor = (-A^{-1} or None, log det A) of the unscaled A, rescaled here into
+    a buffer of the pencil's own; without them the scaled A is swept, for j's inverse and the log det.
+    No array handed in is written.  With a diagonal B every loop over (i, k) visits the diagonal only:
+    off it D is A and B^{-1} adds nothing; with a full B, tr E takes one product a row at a time and
+    two sums.  Inverses come from sweeps and log-dets from LDL^H pivots, all elementwise in a fixed
+    order, and every trace adds its terms in the loops' order, so a pencil's terms have the same bits
+    whatever else the stack holds.  Maps each kind to an array over the trailing axes, meaningless
+    where A or B is not positive definite.  D is the one full temporary that every call makes, over
+    the scaled A where that is swept; the scaled B is another when it is swept or a chernoff kind
+    needs it, -A^{-1} one for j, and E one for a quadratic kind, formed a row at a time.  Each trace
+    of a product overwrites a stack that is not needed again: j's -A^{-1}, tr E's and then tr(E^2)'s D.
     """
     r, families = len(a), {kind.family for kind in kinds}
-    minus_inverse, logdet_b, support = (None, None, (slice(None),) * r) if inverse is None else inverse
+    minus_inverse, logdet_b, diagonal = (None, None, False) if inverse is None else inverse
+    support = [slice(i, i + 1) if diagonal else slice(None) for i in range(r)]  # the columns of row i
     with np.errstate(all="ignore"):
         s = _unit_scale(np.moveaxis(np.diagonal(b).real, -1, 0))
-        inverse_a, logdet_a = (None, None) if factor is None else factor
-        swept = "j" in families and inverse_a is None
+        handed, logdet_a = (None, None) if factor is None else factor
+        swept = handed is None and ("j" in families or factor is None)
         x = np.empty(a.shape, np.result_type(a, float if minus_inverse is None else minus_inverse))
-        if swept or factor is None or any(cols != slice(None) for cols in support):  # off the support D is A
+        if swept or diagonal:  # off the diagonal D is A
             for i, row in enumerate(s):
                 np.multiply(a[i], row * s, out=x[i])  # row i of the (r, r, ...) scale
         d = x.astype(np.result_type(x, b), copy=swept)
         if swept:  # the sweep leaves -A^{-1} in x
             logdet_a, inverse_a = _sweep(x)[1], x
-        elif factor is not None:  # -A^{-1}_ik / (s_i s_k) and log det A + 2 sum_i log s_i, the scaled A's
-            for i, row in enumerate(() if inverse_a is None else s):
-                np.multiply(inverse_a[i], 1.0 / (row * s), out=inverse_a[i])
+        else:  # -A^{-1}_ik / (s_i s_k) and log det A + 2 sum_i log s_i, the scaled A's
+            inverse_a = None if handed is None else np.empty_like(handed)
+            for i, row in enumerate(() if handed is None else s):
+                np.multiply(handed[i], 1.0 / (row * s), out=inverse_a[i])
             logdet_a = logdet_a + 2.0 * functools.reduce(np.add, np.log(s))
-        elif families & {"kl", "chernoff"}:  # the elimination has the sweep's pivots
-            logdet_a = _eliminate(_lower(x), r)[1]
         y = np.zeros(b.shape, np.result_type(b, float)) if inverse is None or "chernoff" in families else None
         for i, cols in enumerate(support):
             scale = s[i] * s[cols]
             np.multiply(np.subtract(a[i, cols], b[i, cols], out=d[i, cols]), scale, out=d[i, cols])
             if y is not None:
                 np.multiply(b[i, cols], scale, out=y[i, cols])
-        rows = [range(r)[cols] for cols in support]
         mixed = {k.alpha: _eliminate(_lower(y) + k.alpha * _lower(d), r)[1] for k in kinds if k.family == "chernoff"}
         if inverse is None:  # the sweep leaves -B^{-1} in y
             logdet_b, minus_inverse = _sweep(y)[1], y
@@ -170,17 +170,17 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None
             j_term = _trace_product(inverse_a, d, out=inverse_a)
         if "quadratic" in families:  # E = -sum_k B^{-1}[:, k] D[k], a row at a time
             e, product = np.empty_like(d), np.empty_like(d[0])
-            for i, (k, *others) in enumerate(rows):
+            for i, (k, *others) in enumerate(range(r)[cols] for cols in support):
                 np.multiply(minus_inverse[i, k], d[k], out=e[i])
                 for k in others:
                     e[i] += np.multiply(minus_inverse[i, k], d[k], out=product)
             np.negative(e, out=e)
-        if "kl" in families and all(cols == slice(None) for cols in support):  # d[k, i] = -B^{-1}_ik D_ki
+        if "kl" in families and not diagonal:  # d[k, i] = -B^{-1}_ik D_ki
             for k, row in enumerate(d):
                 np.multiply(minus_inverse[:, k], row, out=row)
             trace_e = _sum_rows((-_sum_rows(d)).real)
         elif "kl" in families:
-            trace_e = sum((-sum(minus_inverse[i, k] * d[k, i] for k in rows[i])).real for i in range(r))
+            trace_e = sum(-(minus_inverse[i, i] * d[i, i]).real for i in range(r))
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"
                 else j_term if kind.family == "j"
                 else 0.5 * _trace_product(e, e, out=d) if kind.family == "quadratic"

@@ -314,7 +314,7 @@ class IndependenceModel:
             logdet = functools.reduce(np.add, np.log(pivots))
         pd = (trace > 0.0) & pivots_clear
         return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)), pd,
-                                         (minus_inverse, logdet, tuple(slice(i, i + 1) for i in range(r))))
+                                         (minus_inverse, logdet, True))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         return EtaSigma(eta=(r * r - r) / 4.0, sigma2=(r * r - r) / 6.0)
@@ -354,8 +354,7 @@ class SeparableModel:
         with np.errstate(all="ignore"):
             logdet = _sweep(corr)[1]  # leaves -corr^{-1} in corr
         return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)),
-                                         _eliminate(_lower(mats), f_unrestricted.r)[0],
-                                         (corr, logdet, (slice(None),) * f_unrestricted.r))
+                                         _eliminate(_lower(mats), f_unrestricted.r)[0], (corr, logdet, False))
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
         """The constants for one theta, or arrays of them over a stack of theta."""
@@ -403,7 +402,7 @@ class GraphicalModel:
             minus_inverse *= root[:, np.newaxis] * root  # -B^{-1}_ik sqrt(b_ii b_kk), the scaled B's
             logdet = logdet - functools.reduce(np.add, np.log(diagonal))
         return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(g, (0, 1), (-2, -1)), pd,
-                                         (minus_inverse, logdet, (slice(None),) * r))
+                                         (minus_inverse, logdet, False))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
         m_absent = self.edges.missing_count

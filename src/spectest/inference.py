@@ -103,7 +103,7 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
 
     One call evaluates every variant's discrepancy family at every index, as
     traces and log-dets of the pencil, shared by all variants, with the factors
-    fR and fU hand over, if any (fU's -A^{-1} is used up).  Indices where
+    fR and fU hand over, if any; neither sequence is written.  Indices where
     either matrix failed the positive-definiteness screen contribute nothing
     and are counted, per variant over its own index set; the decision layer
     turns a nonzero count into a forced rejection.  Returns one (raw value,

@@ -68,6 +68,9 @@ def test_rejects_nonpositive_eigenvalues():
             discrepancy(kind, [1.0, 0.0])
         with pytest.raises(NonPositiveEigenvalue):
             discrepancy(kind, [-0.5, 2.0])
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"must be finite, got {value}"):
+                discrepancy(kind, [1.0, value])
         for eigs in ([], np.ones((2, 2))):
             with pytest.raises(ValueError) as caught:
                 discrepancy(kind, eigs)
@@ -111,7 +114,7 @@ def _hermitian_pairs(rng, lead, r, real=False):
     bad=st.integers(0, 23),
 )
 def test_pencil_terms_match_full_sweeps(seed, r, stacked, real, picks, alpha, bad):
-    # Every family, alone or with others (kl without j takes its log det by elimination), on one
+    # Every family, alone or with others (kl without j takes its log det by a sweep), on one
     # sample or an (R, half) stack, with one index where A and another where B is not PD.
     rng = np.random.default_rng(seed)
     a, b = _hermitian_pairs(rng, (3, 8) if stacked else (8,), r, real)
@@ -192,7 +195,8 @@ def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha
                 assert np.all(deviation[ok] <= 1e-12)
         assert all(np.array_equal(m, m0, equal_nan=True) for m, m0 in zip((a, b, *inverse[:2]), before))
     # A smoothed periodogram's screen hands the pencil A's log det and, when j is asked for, -A^{-1}, both
-    # unscaled: rescaled, every null's terms agree with full sweeps of the scaled pair to the same 1e-12.
+    # unscaled: rescaled, every null's terms agree with full sweeps of the scaled pair to the same 1e-12,
+    # and no array handed over, the factor included, is written.
     # The span is well above r: at m + 1 = r, A's condition number reaches 1e4 and either route is
     # cond(A) eps from the exact terms, and so from the other (up to 7e-13 at r = 6, m = 6).
     z = rng.standard_normal(lead[:-1] + (65, r))
@@ -201,21 +205,22 @@ def test_handed_inverse_matches_full_sweeps(seed, r, stacked, real, picks, alpha
     for model, _, _ in nulls:
         fr = model.restricted_estimate(fu, model.estimate_theta(z))
         b, ok = np.moveaxis(fr.matrices, (-2, -1), (0, 1)), fu.pd & fr.pd
-        minus_inverse, logdet_a = fu._factor
-        factor = (None if minus_inverse is None else minus_inverse.copy(), logdet_a)
-        got = _pencil_terms(kinds, a, b, fr._scaled_inverse, factor)
+        handed = [a, b, *fr._scaled_inverse[:2], *(m for m in fu._factor if m is not None)]
+        before = [m.copy() for m in handed]
+        got = _pencil_terms(kinds, a, b, fr._scaled_inverse, fu._factor)
         want = pencil_terms_by_full_sweeps(kinds, a.copy(), b.copy())
         for kind in kinds:
             deviation = np.abs(got[kind] - want[kind]) / np.maximum(1.0, np.abs(want[kind]))
             assert ok.any() and np.all(deviation[ok] <= 1e-12)
+        assert all(m.tobytes() == m0.tobytes() for m, m0 in zip(handed, before))
 
 
 def test_pencil_terms_hold_a_few_stacks_at_most():
     # At the graphical design (r = 5, 256 frequencies) kl and j need the scaled A, B and D; the
     # whole-stack form held about 7.5 stacks at its peak.  With the inverse the independence null
     # hands over, no scaled copy of its diagonal B is made, nor with the one a graphical null hands,
-    # and with A's factor handed too, -A^{-1} is rescaled over the handed array.  At 4096 frequencies
-    # numpy's ufunc buffers, of at most 8192 elements, are a small part of a stack.
+    # and with A's factor handed too, -A^{-1} is rescaled into one stack of the pencil's own.  At 4096
+    # frequencies numpy's ufunc buffers, of at most 8192 elements, are a small part of a stack.
     chain = GraphicalModel(EdgeSet.from_pairs(5, [(i, i + 1) for i in range(4)]))
     for half in (256, 4096):
         a, b = _hermitian_pairs(np.random.default_rng(3), (half,), 5)
@@ -227,11 +232,10 @@ def test_pencil_terms_hold_a_few_stacks_at_most():
                                    (*_handed(IndependenceModel(), b)[:2], None), (*graphical, None),
                                    (*graphical, (minus_inverse, logdet_a))):
             for _ in range(2):  # the first call warms up
-                handed = None if factor is None else (factor[0].copy(), factor[1])
                 tracemalloc.start()
                 try:
                     start = tracemalloc.get_traced_memory()[0]
-                    _pencil_terms([KL, J], a, b, inverse, handed)
+                    _pencil_terms([KL, J], a, b, inverse, factor)
                     peak = tracemalloc.get_traced_memory()[1] - start
                 finally:
                     tracemalloc.stop()

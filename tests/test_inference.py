@@ -1,5 +1,6 @@
 """Tests for the raw statistics, standardization, and the full test pipeline."""
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from spectest.hypotheses import (
 )
 from spectest.inference import (
     FIELDS,
+    VALID_FORMS,
     StatisticVariant,
     _equilibrate,
     _run_samples,
@@ -33,7 +35,7 @@ from spectest.inference import (
     run_test,
     standardize,
 )
-from spectest.spectral import SpectralSequence, WeightKernel, smoothed_periodogram
+from spectest.spectral import SpectralSequence, WeightKernel, cvll_select, smoothed_periodogram
 
 FULL = StatisticVariant(form="full")
 QUAD = StatisticVariant(form="quadratic")
@@ -389,6 +391,60 @@ def test_run_many_scale_and_permutation_invariance(seed, half_m, scales, perm):
         assert_same_reports(run_many(z[:, perm], relabelled, 2 * half_m, variants), base)
 
 
+@functools.lru_cache
+def _tapered(m):
+    """A from_function kernel of span m; its constants take a quadrature, so each span is built once."""
+    return WeightKernel.from_function(lambda x: 2.0 - 4.0 * x * x, m)
+
+
+# Two CVLL scores this close, relative to max(1, |score|), are a tie that rounding may break either way.
+CVLL_TIE = 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), r=st.integers(2, 5), n=st.integers(64, 160))
+def test_every_null_variant_and_kernel_keeps_its_invariances(data, seed, r, n):
+    # Scaling the columns, relabelling them (with the graphical null's edges) and reversing time act on
+    # every spectral matrix by congruence or conjugation, so every report stays put: any null, any edge
+    # set with a pair absent (chordal or not), every form and kind, a flat, a tapered or a CVLL kernel.
+    # A CVLL span may move only between two scores that tie to CVLL_TIE; the moved reports then match
+    # the base sample's at the span chosen.
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).filter(lambda k: not all(k)))
+    null = data.draw(st.sampled_from(["independence", "separable", "graphical"]))
+    perm = data.draw(st.permutations(range(r)))
+    scales = 10.0 ** np.array(data.draw(st.lists(st.floats(-150.0, 150.0), min_size=r, max_size=r)))
+    reverse = data.draw(st.booleans())
+    kinds = (KL, J, QUADRATIC, chernoff(data.draw(st.floats(0.05, 0.95))))
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(VALID_FORMS), st.sampled_from(kinds)), min_size=1, max_size=6))
+    variants = list({v.label: v for v in (StatisticVariant(form, kind, phi=lambda lam: 1.0 + math.cos(lam))
+                                          for form, kind in picks)}.values())
+    m = 2 * data.draw(st.integers((r + 1) // 2, 10))
+    kernel = data.draw(st.sampled_from([WeightKernel.flat(m), _tapered(m), "cvll"]))
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n + 1, r))
+    z = e[1:] + 0.5 * e[:-1] @ rng.standard_normal((r, r))
+    pos = {old: new for new, old in enumerate(perm)}
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    if r > 3 and data.draw(st.booleans()):  # a cycle through every series, without a chord
+        edges = [(i, i + 1) for i in range(r - 1)] + [(0, r - 1)]
+    model, moved_model = {
+        "independence": (IndependenceModel(), IndependenceModel()),
+        "separable": (SeparableModel(), SeparableModel()),
+        "graphical": (GraphicalModel(EdgeSet.from_pairs(r, edges)),
+                      GraphicalModel(EdgeSet.from_pairs(r, [(pos[a], pos[b]) for a, b in edges]))),
+    }[null]
+    moved = (z * scales)[::-1 if reverse else 1][:, perm]
+    base, got = run_many(z, model, kernel, variants), run_many(moved, moved_model, kernel, variants)
+    span, moved_span = base[variants[0].label].m, got[variants[0].label].m
+    if span != moved_span:
+        scores = dict(cvll_select(z)[1])
+        assert abs(scores[span] - scores[moved_span]) <= CVLL_TIE * max(1.0, abs(scores[span]))
+        base = run_many(z, model, WeightKernel.flat(moved_span), variants)
+    assert all(got[label].m == report.m for label, report in base.items())
+    assert_same_reports(got, base)
+
+
 def test_one_column_in_other_units_keeps_the_statistic():
     # White noise with its third column in units 1e7 or 1e9 apart from the others: the PD screen's
     # trace floor once failed every frequency there and forced a rejection.
@@ -450,7 +506,9 @@ def test_run_test_rejects_a_non_integral_span():
 def test_raw_statistic_is_the_same_on_either_layout(count):
     # The pipeline's sequences view frequency-last arrays, so the pencil reads contiguous stacks; the
     # same matrices stored frequency-first, as from_matrices keeps them, must give the same bits.  The
-    # copies carry the inverse the restriction and the log det the smoothing screen handed the pencil.
+    # copies carry the inverse the restriction and the factor the smoothing screen handed the pencil,
+    # with -A^{-1} too when the screen swept.  The pencil writes none of them, so one unrestricted
+    # sequence serves every null and every call, twice over, with the same bits.
     rng = np.random.default_rng(43)
     n, r, m = 150, 4, 8
     e = rng.standard_normal((n + 1, r) if count is None else (count, n + 1, r))
@@ -459,21 +517,24 @@ def test_raw_statistic_is_the_same_on_either_layout(count):
         StatisticVariant(form, kind, phi=lambda lam: 1.0 + math.cos(lam))
         for form in ("full", "block", "weighted") for kind in (KL, J, QUADRATIC, chernoff(0.3))
     ]
-    fu = smoothed_periodogram(z, WeightKernel.flat(m))
     chain = EdgeSet.from_pairs(r, [(0, 1), (1, 2), (2, 3)])
     ring = EdgeSet.from_pairs(r, [(0, 1), (1, 2), (2, 3), (0, 3)])
     copy = lambda f: SpectralSequence.from_matrices(f.kind, n, np.ascontiguousarray(f.matrices))
-    for model in (IndependenceModel(), SeparableModel(), GraphicalModel(chain), GraphicalModel(ring)):
-        fr = model.restricted_estimate(fu, model.estimate_theta(z))
-        for f in (fu, fr):
-            assert np.moveaxis(f.matrices, (-2, -1), (0, 1)).flags.c_contiguous
-            assert np.array_equal(copy(f).pd, f.pd)
-        fr_copy = SpectralSequence._trusted(fr.kind, n, copy(fr).matrices, copy(fr).pd, fr._scaled_inverse)
+    for inverse in (False, True):
+        fu = smoothed_periodogram(z, WeightKernel.flat(m), inverse=inverse)
+        assert (fu._factor[0] is not None) == inverse
         fu_copy = SpectralSequence._trusted(fu.kind, n, copy(fu).matrices, copy(fu).pd, factor=fu._factor)
-        for (raw, nonpd), (raw_copy, nonpd_copy) in zip(raw_statistic(fu, fr, variants, m),
-                                                        raw_statistic(fu_copy, fr_copy, variants, m)):
-            assert np.asarray(raw).tobytes() == np.asarray(raw_copy).tobytes()
-            assert np.array_equal(nonpd, nonpd_copy)
+        for model in (IndependenceModel(), SeparableModel(), GraphicalModel(chain), GraphicalModel(ring)):
+            fr = model.restricted_estimate(fu, model.estimate_theta(z))
+            for f in (fu, fr):
+                assert np.moveaxis(f.matrices, (-2, -1), (0, 1)).flags.c_contiguous
+                assert np.array_equal(copy(f).pd, f.pd)
+            fr_copy = SpectralSequence._trusted(fr.kind, n, copy(fr).matrices, copy(fr).pd, fr._scaled_inverse)
+            first = raw_statistic(fu, fr, variants, m)
+            for pair in ((fu, fr), (fu_copy, fr_copy), (fu, fr), (fu_copy, fr_copy)):
+                for (raw, nonpd), (raw_first, nonpd_first) in zip(raw_statistic(*pair, variants, m), first):
+                    assert np.asarray(raw).tobytes() == np.asarray(raw_first).tobytes()
+                    assert np.array_equal(nonpd, nonpd_first)
 
 
 class _Swept:
