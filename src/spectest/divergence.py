@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveEigenvalue
-from .hermitian import _eliminate, _lower, _sweep, _unit_scale
+from .hermitian import _eliminate, _frequency_last, _lower, _sweep, _unit_scale
 
 VALID_FAMILIES = ("kl", "j", "chernoff", "quadratic")
 
@@ -79,7 +79,7 @@ def discrepancy(kind: Discrepancy, eigs) -> float:
 
     eigs must be finite, or ValueError is raised, and strictly positive; NonPositiveEigenvalue is raised
     otherwise, since log and reciprocal terms are undefined at zero.  Evaluates the pencil (diag(eigs), I),
-    handing over I's inverse and log-det, and that it is diagonal.
+    handing over the diagonal of I's inverse, its log-det, and that it is diagonal.
     """
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -88,8 +88,8 @@ def discrepancy(kind: Discrepancy, eigs) -> float:
         raise ValueError(f"relative eigenvalues must be finite, got {lam[~np.isfinite(lam)][0]}")
     if np.any(lam <= 0.0):
         raise NonPositiveEigenvalue(f"relative eigenvalues must be positive, got min {lam.min():.3e}")
-    identity = np.atleast_3d(np.eye(lam.size))
-    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), identity, (-identity, np.zeros(1), True))[kind][0])
+    identity, ones = np.atleast_3d(np.eye(lam.size)), np.ones((lam.size, 1))
+    return float(_pencil_terms([kind], np.atleast_3d(np.diag(lam)), identity, (-ones, np.zeros(1), True))[kind][0])
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -120,10 +120,10 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None
         quadratic  tr(E^2) / 2
         chernoff   log det(aM + (1 - a)I) - a log det M = log det(B + aD) - log det B - a log det M
 
-    Scaling both by s = diag(B)^{-1/2} on each side first keeps M's eigenvalues and makes every
-    log-det O(1).  A restriction that knows B's structure passes inverse = (-B^{-1}, log det B,
-    diagonal) of the scaled B, frequency last and broadcastable against a, with diagonal True where B
-    and B^{-1} vanish off the diagonal; without it the scaled B is swept and taken as full.  The
+    Scaling both by s = diag(B)^{-1/2} on each side first keeps M's eigenvalues and makes every log-det
+    O(1).  A restriction that knows B's structure passes inverse = (-B^{-1}, log det B, diagonal) of the
+    scaled B, frequency last and broadcastable against a, with diagonal True where B is diagonal, and
+    -B^{-1} then only its (r, ...) diagonal; without it the scaled B is swept and taken as full.  The
     smoothing screen passes factor = (-A^{-1} or None, log det A) of the unscaled A, rescaled here into
     a buffer of the pencil's own; without them the scaled A is swept, for j's inverse and the log det.
     No array handed in is written.  With a diagonal B every loop over (i, k) visits the diagonal only:
@@ -140,7 +140,7 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None
     minus_inverse, logdet_b, diagonal = (None, None, False) if inverse is None else inverse
     support = [slice(i, i + 1) if diagonal else slice(None) for i in range(r)]  # the columns of row i
     with np.errstate(all="ignore"):
-        s = _unit_scale(np.moveaxis(np.diagonal(b).real, -1, 0))
+        s = _unit_scale(_frequency_last(b.diagonal().real, 1))
         handed, logdet_a = (None, None) if factor is None else factor
         swept = handed is None and ("j" in families or factor is None)
         x = np.empty(a.shape, np.result_type(a, float if minus_inverse is None else minus_inverse))
@@ -164,14 +164,14 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None
         mixed = {k.alpha: _eliminate(_lower(y) + k.alpha * _lower(d), r)[1] for k in kinds if k.family == "chernoff"}
         if inverse is None:  # the sweep leaves -B^{-1} in y
             logdet_b, minus_inverse = _sweep(y)[1], y
-        if "j" in families:
-            for i, cols in enumerate(support):
-                np.subtract(inverse_a[i, cols], minus_inverse[i, cols], out=inverse_a[i, cols])
+        if "j" in families:  # minus_inverse[i] is row i of -B^{-1}, or with a diagonal B its entry (i, i)
+            for i, at in enumerate((i, i) if diagonal else i for i in range(r)):
+                np.subtract(inverse_a[at], minus_inverse[i], out=inverse_a[at])
             j_term = _trace_product(inverse_a, d, out=inverse_a)
         if "quadratic" in families:  # E = -sum_k B^{-1}[:, k] D[k], a row at a time
             e, product = np.empty_like(d), np.empty_like(d[0])
             for i, (k, *others) in enumerate(range(r)[cols] for cols in support):
-                np.multiply(minus_inverse[i, k], d[k], out=e[i])
+                np.multiply(minus_inverse[i] if diagonal else minus_inverse[i, k], d[k], out=e[i])
                 for k in others:
                     e[i] += np.multiply(minus_inverse[i, k], d[k], out=product)
             np.negative(e, out=e)
@@ -180,7 +180,7 @@ def _pencil_terms(kinds, a: np.ndarray, b: np.ndarray, inverse=None, factor=None
                 np.multiply(minus_inverse[:, k], row, out=row)
             trace_e = _sum_rows((-_sum_rows(d)).real)
         elif "kl" in families:
-            trace_e = sum(-(minus_inverse[i, i] * d[i, i]).real for i in range(r))
+            trace_e = sum(-(minus_inverse[i] * d[i, i]).real for i in range(r))
         return {kind: trace_e - (logdet_a - logdet_b) if kind.family == "kl"
                 else j_term if kind.family == "j"
                 else 0.5 * _trace_product(e, e, out=d) if kind.family == "quadratic"

@@ -24,7 +24,8 @@ Only `inverse_pd` (Cholesky and inverse, for the generic eta/sigma engine)
 and `relative_eigenvalues_stack` (Cholesky, solves and eigvalsh) still call
 LAPACK; the test pipeline calls neither.
 The screen, the inverse and the Hermitian check take one (r, r) matrix or an
-(..., r, r) stack alike.
+(..., r, r) stack alike; `_frequency_last` views such a stack as (r, r, ...)
+and `_frequency_first` back, each by one fixed-axis transpose.
 That check runs once, where matrix input enters the library; the pipeline's
 own estimates are exactly Hermitian by construction and skip it.
 """
@@ -43,6 +44,16 @@ DEFAULT_PD_TOL = 1e-12
 def _conj_t(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _frequency_last(a: np.ndarray, axes: int = 2) -> np.ndarray:
+    """np.moveaxis(a, (-2, -1), (0, 1)), or with axes = 1 np.moveaxis(a, -1, 0): the last axes first."""
+    return a.transpose((*range(a.ndim - axes, a.ndim), *range(a.ndim - axes)))
+
+
+def _frequency_first(a: np.ndarray) -> np.ndarray:
+    """np.moveaxis(a, (0, 1), (-2, -1)), which _frequency_last inverts: the first two axes last."""
+    return a.transpose((*range(2, a.ndim), 0, 1))
 
 
 def _check_hermitian(a: np.ndarray, tol: float) -> None:
@@ -92,7 +103,7 @@ def _divide(x: np.ndarray, pivot: np.ndarray, out=None) -> np.ndarray:
     """x / pivot for real pivots: complex x takes x * (1 / pivot), which is what numpy's complex
     division by (pivot, 0) computes, so every finite nonzero quotient keeps its bits at less cost;
     real x keeps true division, as the reciprocal would round some quotients differently."""
-    return np.multiply(x, 1.0 / pivot, out=out) if np.iscomplexobj(x) else np.divide(x, pivot, out=out)
+    return np.multiply(x, 1.0 / pivot, out=out) if x.dtype.kind == "c" else np.divide(x, pivot, out=out)
 
 
 def _eliminate(w: np.ndarray, r: int):
@@ -161,7 +172,7 @@ def _sweep(a: np.ndarray):
 def is_positive_definite(a):
     """True iff every LDL^H pivot clears DEFAULT_PD_TOL * trace / r; a stack gives an array."""
     a = np.asarray(a)
-    ok = _eliminate(_lower(np.moveaxis(a, (-2, -1), (0, 1))), a.shape[-1])[0]
+    ok = _eliminate(_lower(_frequency_last(a)), a.shape[-1])[0]
     return ok if a.ndim > 2 else bool(ok)
 
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, NoConvergence, NotPositiveDefinite, SingularCovariance
-from .hermitian import (DEFAULT_PD_TOL, _eliminate, _lower, _sweep, _unit_scale, as_hermitian, inverse_pd,
-                        is_positive_definite)
+from .hermitian import (DEFAULT_PD_TOL, _eliminate, _frequency_first, _frequency_last, _lower, _sweep, _unit_scale,
+                        as_hermitian, inverse_pd, is_positive_definite)
 from .spectral import SpectralSequence, WeightKernel
 
 # Sweeps covariance selection runs before it gives up on a matrix, and its default tolerance.
@@ -55,9 +55,9 @@ class EtaSigma:
     sigma2: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.eta)):
+        if not np.isfinite(self.eta).all():
             raise ValueError(f"eta must be finite, got {self.eta}")
-        if not np.all(np.isfinite(self.sigma2) & (np.asarray(self.sigma2) > 0.0)):
+        if not (np.isfinite(self.sigma2) & (np.asarray(self.sigma2) > 0.0)).all():
             raise DegenerateVariance(f"sigma2 must be positive, got {self.sigma2}")
 
 
@@ -199,13 +199,13 @@ def covariance_selection(h, edges: EdgeSet, tol: float = SELECTION_TOL) -> np.nd
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    g = np.moveaxis(as_hermitian(np.asarray(h, dtype=complex)), (-2, -1), (0, 1)).copy()
+    g = _frequency_last(as_hermitian(np.asarray(h, dtype=complex))).copy()
     pd = _eliminate(_lower(g), len(g))[0]
     if g.ndim == 2 and not pd:
         raise NotPositiveDefinite("covariance selection needs a positive definite input")
     if _complete(g, pd, edges, tol) and g.ndim == 2:
         raise NoConvergence(f"covariance selection did not reach tol {tol:g} in {SELECTION_MAX_SWEEPS} sweeps")
-    return np.moveaxis(g, (0, 1), (-2, -1))
+    return _frequency_first(g)
 
 
 def _complete(g: np.ndarray, pd, edges: EdgeSet, tol: float = SELECTION_TOL) -> int:
@@ -292,8 +292,8 @@ class IndependenceModel:
     The restriction is built frequency last.  Its screen reads the diagonal, which holds the LDL^H pivots,
     and gives the elimination's verdict bit for bit: that also fails where a pivot before the last has a
     reciprocal that overflows, as the elimination's 0 * (1/p) is NaN there.  It hands the pencil the
-    inverse and log det of the diagonal scaled to 1 from the pivots a sweep of it finds, so the pencil's
-    terms keep the bits of that sweep.
+    inverse's diagonal and log det of the diagonal scaled to 1 from the pivots a sweep of it finds, so the
+    pencil's terms keep the bits of that sweep.
     """
 
     name = "independence"
@@ -303,17 +303,17 @@ class IndependenceModel:
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         r, idx = f_unrestricted.r, np.arange(f_unrestricted.r)
-        diag = np.real(np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1))[idx, idx])
-        mats, minus_inverse = np.zeros((r,) + diag.shape, dtype=complex), np.zeros((r,) + diag.shape)
+        diag = np.real(_frequency_last(f_unrestricted.matrices)[idx, idx])
+        mats = np.zeros((r,) + diag.shape, dtype=complex)
         mats[idx, idx] = diag
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             trace = functools.reduce(np.add, diag)  # in column order, as _eliminate adds it
-            pivots_clear = np.all(diag > DEFAULT_PD_TOL * trace / r, axis=0) & np.all(1.0 / diag[:-1] < np.inf, axis=0)
+            pivots_clear = (diag > DEFAULT_PD_TOL * trace / r).all(axis=0) & (1.0 / diag[:-1] < np.inf).all(axis=0)
             pivots = diag * np.square(_unit_scale(diag))  # the scaled diagonal, as the pencil's sweep sees it
-            minus_inverse[idx, idx] = -1.0 / pivots
+            minus_inverse = -1.0 / pivots  # the diagonal of -B^{-1}, all the pencil reads
             logdet = functools.reduce(np.add, np.log(pivots))
         pd = (trace > 0.0) & pivots_clear
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)), pd,
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, _frequency_first(mats), pd,
                                          (minus_inverse, logdet, True))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:
@@ -348,12 +348,12 @@ class SeparableModel:
         diag = np.real(np.diagonal(f_unrestricted.matrices, axis1=-2, axis2=-1))
         scale = np.diagonal(sigma, axis1=-2, axis2=-1)[..., np.newaxis, :]
         shape = np.mean(np.divide(diag, scale, order="C"), axis=-1)  # adds each row as a frequency-first copy does
-        mats = shape * np.ascontiguousarray(np.moveaxis(sigma, (-2, -1), (0, 1)), complex)[..., np.newaxis]
-        s = _unit_scale(np.moveaxis(np.diagonal(sigma, axis1=-2, axis2=-1), -1, 0))
-        corr = np.ascontiguousarray(np.moveaxis(sigma, (-2, -1), (0, 1)) * (s * s[:, np.newaxis]))[..., np.newaxis]
+        mats = shape * np.ascontiguousarray(_frequency_last(sigma), complex)[..., np.newaxis]
+        s = _unit_scale(_frequency_last(np.diagonal(sigma, axis1=-2, axis2=-1), 1))
+        corr = np.ascontiguousarray(_frequency_last(sigma) * (s * s[:, np.newaxis]))[..., np.newaxis]
         with np.errstate(all="ignore"):
             logdet = _sweep(corr)[1]  # leaves -corr^{-1} in corr
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(mats, (0, 1), (-2, -1)),
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, _frequency_first(mats),
                                          _eliminate(_lower(mats), f_unrestricted.r)[0], (corr, logdet, False))
 
     def eta_sigma_closed(self, r: int, theta) -> EtaSigma:
@@ -392,7 +392,7 @@ class GraphicalModel:
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         # Already Hermitian and screened; frequencies it cannot complete come back NaN.
         r = f_unrestricted.r
-        g = np.moveaxis(f_unrestricted.matrices, (-2, -1), (0, 1)).copy()
+        g = _frequency_last(f_unrestricted.matrices).copy()
         _complete(g, f_unrestricted.pd, self.edges)
         with np.errstate(all="ignore"):
             minus_inverse = g.copy()
@@ -401,7 +401,7 @@ class GraphicalModel:
             root = np.sqrt(diagonal)
             minus_inverse *= root[:, np.newaxis] * root  # -B^{-1}_ik sqrt(b_ii b_kk), the scaled B's
             logdet = logdet - functools.reduce(np.add, np.log(diagonal))
-        return SpectralSequence._trusted("restricted", f_unrestricted.n, np.moveaxis(g, (0, 1), (-2, -1)), pd,
+        return SpectralSequence._trusted("restricted", f_unrestricted.n, _frequency_first(g), pd,
                                          (minus_inverse, logdet, False))
 
     def eta_sigma_closed(self, r: int, theta=None) -> EtaSigma:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .divergence import KL, QUADRATIC, Discrepancy, _pencil_terms
 from .errors import AlignmentMismatch, DegenerateVariance
-from .hermitian import relative_eigenvalues_stack  # noqa: F401 (bench/tracing.py wraps it)
+from .hermitian import _frequency_last, relative_eigenvalues_stack  # noqa: F401 (bench/tracing.py wraps the latter)
 from .hypotheses import EtaSigma
 from .spectral import (FourierFrame, SpectralSequence, WeightKernel, cvll_select, dft, smoothed_periodogram,
                        validate_sample)
@@ -106,26 +106,29 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
     fR and fU hand over, if any; neither sequence is written.  Indices where
     either matrix failed the positive-definiteness screen contribute nothing
     and are counted, per variant over its own index set; the decision layer
-    turns a nonzero count into a forced rejection.  Returns one (raw value,
+    turns a nonzero count into a forced rejection.  Each kind is masked once,
+    and the block form alone gathers its indices.  Returns one (raw value,
     non-PD count) pair per variant, in order; for stacked sequences each is an
     array over the leading axes, and each sample's row is summed on its own.
     """
     if (fU.n, fU.r) != (fR.n, fR.r):
         raise AlignmentMismatch(f"sequence mismatch: (n={fU.n}, r={fU.r}) vs (n={fR.n}, r={fR.r})")
-    half = fU.half
-    ok = fU.pd & fR.pd
+    half, ok = fU.half, fU.pd & fR.pd
     kinds = dict.fromkeys(variant.effective_kind for variant in variants)
-    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)), fR._scaled_inverse,
+    table = _pencil_terms(kinds, _frequency_last(fU.matrices), _frequency_last(fR.matrices), fR._scaled_inverse,
                           fU._factor)
+    masked = {kind: np.where(ok, terms, 0.0) for kind, terms in table.items()}
+    nonpd = half - ok.sum(axis=-1)
     results = []
     for variant in variants:
-        positions = block_indices(half, m) - 1 if variant.form == "block" else np.arange(half)
-        terms = np.where(ok, table[variant.effective_kind], 0.0)[..., positions]
-        if variant.form == "weighted":
-            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[positions]])
-        # a C-ordered copy, so each row is summed in the same order whatever the stack holds
-        raw = np.sum(np.ascontiguousarray(terms), axis=-1)
-        results.append((raw, positions.size - np.sum(ok[..., positions], axis=-1)))
+        terms, count = masked[variant.effective_kind], nonpd
+        if variant.form == "block":
+            positions = block_indices(half, m) - 1
+            terms, count = terms[..., positions], positions.size - ok[..., positions].sum(axis=-1)
+        elif variant.form == "weighted":
+            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies])
+        # C-ordered, so each row is summed in the same order whatever the stack holds
+        results.append((np.ascontiguousarray(terms).sum(axis=-1), count))
     return results
 
 
@@ -140,7 +143,7 @@ def standardize(raw, n: int, kernel: WeightKernel, es: EtaSigma, variant: Statis
     and es.sigma2 may be arrays over a stack of samples; the result is then
     the array of each sample's value.
     """
-    if np.any(np.asarray(es.sigma2) <= 0.0):
+    if (np.asarray(es.sigma2) <= 0.0).any():
         raise DegenerateVariance(f"sigma2 must be positive, got {es.sigma2}")
     m, curvature = kernel.m, variant.effective_kind.curvature
     eta_k = curvature * es.eta
@@ -223,13 +226,13 @@ def _run_stack(samples, model, kernel: WeightKernel, variants, frame: FourierFra
     closed = model.eta_sigma_closed(r, theta)  # arrays over the stack, or floats shared by it
     out = np.empty((len(variants), len(FIELDS), len(samples)))
     for row, variant, (raw, nonpd) in zip(out, variants, raws):
-        phi = [1.0]
+        eta_weight = sigma2_weight = 1.0
         if variant.form == "weighted":
             phi = np.array([float(variant.phi(lam)) for lam in f_unrestricted.frequencies])
-        eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
+            eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
         es = EtaSigma(eta=closed.eta * 2.0 * kernel.cu * eta_weight,
                       sigma2=closed.sigma2 * 3.0 * kernel.du * sigma2_weight)
-        row[:] = np.broadcast_arrays(raw, standardize(raw, n, kernel, es, variant), nonpd, es.eta, es.sigma2)
+        row[0], row[1], row[2], row[3], row[4] = raw, standardize(raw, n, kernel, es, variant), nonpd, es.eta, es.sigma2
     return out
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandwidthTooLarge, EmptyGrid, NoUsableSpan
-from .hermitian import _check_hermitian, _eliminate, _lower, _sweep, as_hermitian, is_positive_definite
+from .hermitian import (_check_hermitian, _eliminate, _frequency_first, _frequency_last, _lower, _sweep, as_hermitian,
+                        is_positive_definite)
 
 TWO_PI = 2.0 * math.pi
 QUADRATURE_PANELS = 2048
@@ -48,7 +49,7 @@ def validate_sample(values) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample contains non-finite values")
     return arr
 
@@ -93,9 +94,9 @@ def _periodogram_planes(frame: FourierFrame, reach: int, block: int = 1) -> np.n
     """
     half, r = frame.n // 2, frame.r
     count = half + 2 * reach
-    w = np.moveaxis(frame.w[..., np.arange(1 - reach, half + reach + 1) % frame.n, :], -1, 0)
+    w = _frequency_last(frame.w[..., np.arange(1 - reach, half + reach + 1) % frame.n, :], 1)
     x, y = w.real, w.imag
-    (a, c), (b, d) = (np.split(index, [r * (r + 1) // 2]) for index in _plane_entries(r)[:2])
+    (a, c), (b, d) = ((index[: r * (r + 1) // 2], index[r * (r + 1) // 2 :]) for index in _plane_entries(r)[:2])
     planes = np.zeros((r * r,) + w.shape[1:-1] + (-(-count // block) * block,))
     real, imag = planes[: a.size, ..., :count], planes[a.size :, ..., :count]
     np.multiply(x[a], x[b], out=real)
@@ -240,7 +241,7 @@ class WeightKernel:
 
     @property
     def wstar(self) -> float:
-        return float(np.sum(self.weights))
+        return float(self.weights.sum())
 
     @classmethod
     def from_function(cls, u, m: int) -> "WeightKernel":
@@ -328,7 +329,7 @@ def smoothed_periodogram(sample, kernel: WeightKernel, *, inverse: bool = False)
     n, r, m = frame.n, frame.r, kernel.m
     _check_span(m, r=r, n=n, centre=True)
     half, h = n // 2, m // 2
-    if np.all(kernel.weights == 1.0):
+    if (kernel.weights == 1.0).all():
         total = _window_sums(_periodogram_planes(frame, h, block=m + 1), m, half)
     else:
         planes = _periodogram_planes(frame, h)
@@ -339,7 +340,7 @@ def smoothed_periodogram(sample, kernel: WeightKernel, *, inverse: bool = False)
     total *= 1.0 / kernel.wstar  # the bits of a complex sum divided by wstar
     stack = np.zeros((r, r) + total.shape[1:], dtype=complex)
     _write_planes(stack, total)
-    smoothed = np.moveaxis(stack, (0, 1), (-2, -1))  # frequency-first view of a frequency-last array
+    smoothed = _frequency_first(stack)  # frequency-first view of a frequency-last array
     minus_inverse = stack.copy() if inverse else None
     with np.errstate(all="ignore"):  # where a pivot fails
         pd, logdet = _eliminate(_lower(stack), r) if minus_inverse is None else _sweep(minus_inverse)
@@ -366,7 +367,7 @@ def _cvll_curve(frame: FourierFrame, grid: list[int]) -> np.ndarray:
     rows, cols, part = _plane_entries(r)
     size = max(1, min(len(grid), _CVLL_BLOCK_ELEMENTS // (packed[r, r] + 1) // total[0].size))
     parts = np.zeros((packed[r, r] + 1, size) + total.shape[1:] + (2,))  # the bordered block's re and im parts
-    border = np.moveaxis(np.conj(frame.w[..., 1 : half + 1, :]), -1, 0)[:, np.newaxis]
+    border = _frequency_last(np.conj(frame.w[..., 1 : half + 1, :]), 1)[:, np.newaxis]
     h, scores = 0, np.empty((len(grid),) + total.shape[1:-1])
     for start in range(0, len(grid), size):
         block = grid[start : start + size]

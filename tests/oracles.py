@@ -7,9 +7,11 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
+from spectest.divergence import _pencil_terms
 from spectest.errors import NonNumeric, ParseError, RaggedRows, TooShort
 from spectest.hermitian import _eliminate, _lower, as_hermitian, inverse_pd, is_positive_definite
 from spectest.hypotheses import SELECTION_MAX_SWEEPS, SELECTION_TOL, _elimination_order
+from spectest.inference import block_indices
 from spectest.spectral import _pair_sums, _periodogram_planes
 
 # Diagonal entries where a screen rule could part from the LDL^H elimination: non-positive, non-finite,
@@ -167,6 +169,24 @@ def pencil_terms_by_full_sweeps(kinds, a, b):
                 else 0.5 * trace_product(e, e) if kind.family == "quadratic"
                 else (mixed[kind.alpha] - logdet_b) - kind.alpha * (logdet_a - logdet_b)
                 for kind in kinds}
+
+
+def raw_statistic_by_gathers(fU, fR, variants, m):
+    """inference.raw_statistic with one gather per variant: each masks its kind's terms with np.where,
+    gathers its positions, np.arange(half) but for the block form, and sums a C-ordered copy of them."""
+    half, ok = fU.half, fU.pd & fR.pd
+    kinds = dict.fromkeys(variant.effective_kind for variant in variants)
+    table = _pencil_terms(kinds, *(np.moveaxis(f.matrices, (-2, -1), (0, 1)) for f in (fU, fR)), fR._scaled_inverse,
+                          fU._factor)
+    results = []
+    for variant in variants:
+        positions = block_indices(half, m) - 1 if variant.form == "block" else np.arange(half)
+        terms = np.where(ok, table[variant.effective_kind], 0.0)[..., positions]
+        if variant.form == "weighted":
+            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies[positions]])
+        raw = np.sum(np.ascontiguousarray(terms), axis=-1)
+        results.append((raw, positions.size - np.sum(ok[..., positions], axis=-1)))
+    return results
 
 
 def bordered_cvll_curve(frame, grid):

@@ -9,6 +9,8 @@ from oracles import ODD_DIAGONALS, block_eliminate, column_screen, eliminate_by_
 from spectest.errors import NotPositiveDefinite
 from spectest.hermitian import (
     _eliminate,
+    _frequency_first,
+    _frequency_last,
     _lower,
     _sweep,
     as_hermitian,
@@ -329,6 +331,22 @@ def test_one_matrix_keeps_its_bits_from_a_stack(seed, s, is_complex, flip, data)
             single = single.copy()
             _sweep(single)
             assert single.tobytes() == swept[..., t : t + 1].tobytes()
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+def test_frequency_transposes_are_the_moveaxis_views(ndim):
+    # Each fixed-axis transpose gives np.moveaxis's view, shape, strides and base alike, on a strided
+    # input whose axes all differ in length, and each inverts the other.
+    a = np.arange(2.0 * 3 * 4 * 10).reshape(2, 3, 4, 10)[..., ::2][(0,) * (4 - ndim)]
+    for got, want in ((_frequency_last(a), np.moveaxis(a, (-2, -1), (0, 1))),
+                      (_frequency_last(a, 1), np.moveaxis(a, -1, 0)),
+                      (_frequency_first(a), np.moveaxis(a, (0, 1), (-2, -1)))):
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert got.base is want.base and got.base is not None
+        assert np.array_equal(got, want)
+    for there_and_back in (_frequency_first(_frequency_last(a)), _frequency_last(_frequency_first(a))):
+        assert (there_and_back.shape, there_and_back.strides) == (a.shape, a.strides)
+        assert np.shares_memory(there_and_back, a) and np.array_equal(there_and_back, a)
 
 
 def test_as_hermitian_symmetrizes_and_validates():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eigenvalue_terms, relative_eigenvalues
+from oracles import eigenvalue_terms, raw_statistic_by_gathers, relative_eigenvalues
 from scipy.special import ndtri
 
 from spectest.divergence import J, KL, QUADRATIC, _pencil_terms, chernoff
@@ -535,6 +535,54 @@ def test_raw_statistic_is_the_same_on_either_layout(count):
                 for (raw, nonpd), (raw_first, nonpd_first) in zip(raw_statistic(*pair, variants, m), first):
                     assert np.asarray(raw).tobytes() == np.asarray(raw_first).tobytes()
                     assert np.array_equal(nonpd, nonpd_first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 5),
+    count=st.sampled_from([None, 1, 3]),
+    pipeline=st.booleans(),
+    picks=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    alpha=st.floats(0.05, 0.95),
+    bad=st.lists(st.integers(0, 79), max_size=4, unique=True),
+)
+def test_raw_statistic_matches_one_gather_per_variant(seed, r, count, pipeline, picks, alpha, bad):
+    # Each kind's terms are masked once and only the block form gathers its indices; every raw value and
+    # non-PD count keeps the bits of one np.where and one gather per variant.  Every form is drawn, with
+    # full-KL and block-KL sharing a kind, on one sample or an (R, half) stack; the sequences come from
+    # the pipeline, with the factors it hands over, or from from_matrices with non-PD frequencies in
+    # either sequence.  The block form has 10 or 13 indices, so its rows are summed pairwise, in an order
+    # that a gather's frequency-first layout would change.
+    rng = np.random.default_rng(seed)
+    lead = () if count is None else (count,)
+    kinds = [(KL, J, QUADRATIC, chernoff(alpha))[i] for i in picks]
+    phi = lambda lam: 1.0 + math.cos(lam)
+    variants = [StatisticVariant("full", KL), StatisticVariant("block", KL), StatisticVariant("quadratic"),
+                StatisticVariant("full", kinds[0]), StatisticVariant("block", kinds[1]),
+                StatisticVariant("weighted", kinds[2], phi=phi)]
+    variants = list({variant.label: variant for variant in variants}.values())
+    if pipeline:
+        n, m = 101, 4
+        z = rng.standard_normal(lead + (n, r))
+        fu = smoothed_periodogram(z, WeightKernel.flat(m), inverse=J in kinds)
+        models = [IndependenceModel(), SeparableModel()]
+        models += [GraphicalModel(EdgeSet.from_pairs(r, [(0, 1)]))] if r > 2 else []
+        model = models[seed % len(models)]
+        fr = model.restricted_estimate(fu, model.estimate_theta(z))
+    else:
+        n, m = 81, 2
+        x = rng.standard_normal((2, *lead, n // 2, r, r + 1, 2)) @ np.array([1.0, 1j])
+        mats = x @ np.conj(np.swapaxes(x, -1, -2))
+        for index in bad:  # index // 40 picks the sequence and index % 40 the frequency, in one sample of a stack
+            mats[index // 40].reshape(-1, n // 2, r, r)[seed % (count or 1), index % 40] *= -1.0
+        fu, fr = (SpectralSequence.from_matrices(kind, n, b) for kind, b in zip(("unrestricted", "restricted"), mats))
+        assert np.sum(~(fu.pd & fr.pd)) >= (len(bad) > 0)
+    got, want = raw_statistic(fu, fr, variants, m), raw_statistic_by_gathers(fu, fr, variants, m)
+    for (raw, nonpd), (raw_want, nonpd_want) in zip(got, want):
+        for x, y in ((raw, raw_want), (nonpd, nonpd_want)):
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 class _Swept:
