@@ -35,20 +35,9 @@ from .simulation import (
     summary_rows,
     write_summary_csv,
 )
-from .spectral import _check_span, cvll_select, kernel_constants
+from .spectral import WeightKernel, _check_span, cvll_select
 
 USAGE_EXIT = 64
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
 
 
 def ingest_csv(path: str, demean: bool = True) -> np.ndarray:
@@ -293,14 +282,14 @@ def _cmd_cvll(args) -> int:
 
 
 def _cmd_kernel_constants(args) -> int:
-    cu, du, bu = kernel_constants(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    sys.stdout.write(f"Cu={_fmt6(cu)} Du={_fmt6(du)} Bu={_fmt6(bu)}\n")
+    flat = WeightKernel.flat(2)  # its constants are exact and do not depend on the span
+    sys.stdout.write(f"Cu={_fmt6(flat.cu)} Du={_fmt6(flat.du)} Bu={_fmt6(flat.bu)}\n")
     return 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     """The spectest parser; options that several subcommands take are declared once, in parents."""
-    design = _Parser(add_help=False)
+    design = argparse.ArgumentParser(add_help=False)
     design.add_argument("--hypothesis", default="independence", choices=["independence", "separable", "graphical"])
     design.add_argument("--edges", default=None, help="graphical edge list, 1-based, e.g. 1-2,2-3")
     design.add_argument("--kind", default="kl", choices=_KINDS)
@@ -310,11 +299,11 @@ def _build_parser() -> _Parser:
     span.add_argument("--cvll", dest="bandwidth", action="store_const", const="cvll",
                       help="select the span by cross validation")
     design.add_argument("--alpha", type=float, default=0.05)
-    csv_input = _Parser(add_help=False)
+    csv_input = argparse.ArgumentParser(add_help=False)
     csv_input.add_argument("--input", required=True, help="CSV file: header row + numeric rows")
     csv_input.add_argument("--output", default=None)
     csv_input.add_argument("--no-demean", action="store_true", help="skip column mean removal")
-    study = _Parser(add_help=False)
+    study = argparse.ArgumentParser(add_help=False)
     study.add_argument("--n", type=int, required=True)
     study.add_argument("--stat", default="full,quadratic,block", help="comma-separated subset of full,quadratic,block")
     study.add_argument("--reps", type=int, default=1000)
@@ -322,7 +311,7 @@ def _build_parser() -> _Parser:
     study.add_argument("--threads", type=int, default=None)
     study.add_argument("--output", default=None)
 
-    parser = _Parser(prog="spectest", description=__doc__)
+    parser = argparse.ArgumentParser(prog="spectest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     test = sub.add_parser("test", parents=[csv_input, design], help="run one hypothesis test on a CSV sample")
     test.add_argument("--stat", default="full", choices=["full", "quadratic", "block"])
@@ -351,7 +340,9 @@ def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         return args.run(args)
-    except _UsageError:
+    except SystemExit as exc:  # argparse's usage errors, found in parsing or after it, exit 2
+        if exc.code != 2:
+            raise
         return USAGE_EXIT
     except (SpectestError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

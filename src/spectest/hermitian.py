@@ -8,26 +8,16 @@ surface, plus the elementwise LDL^H eliminations and sweeps on frequency-last
 eigenvalues of B^{-1} A for Hermitian A and positive definite B ("relative
 eigenvalues") are the eigenvalue-level view of the same pencils.
 
-Positive definiteness is decided by an LDL^H elimination whose pivots must
-clear DEFAULT_PD_TOL * trace / r, i.e. a relative floor against the mean
-eigenvalue scale, so the verdict is scale free.  The elimination runs in place
-on the packed lower triangle; the upper one is never stored or read.  A sweep
-updates the full stack a row at a time, so no temporary is larger than a row;
-in natural order it does the elimination's arithmetic on the trailing lower
-triangle, so it screens with the same pivots, and one sweep gives a matrix's
-verdict, log-det and inverse.
-Eliminations and sweeps scale a complex column by the reciprocal of its real
-pivot, x * (1 / p): numpy's complex division by (p, 0) computes just that, so
-every finite quotient keeps its value at less cost.  A real stack keeps true
-division, as x * (1 / p) and x / p can differ in the last bit.
-Only `inverse_pd` (Cholesky and inverse, for the generic eta/sigma engine)
-and `relative_eigenvalues_stack` (Cholesky, solves and eigvalsh) still call
-LAPACK; the test pipeline calls neither.
-The screen, the inverse and the Hermitian check take one (r, r) matrix or an
-(..., r, r) stack alike; `_frequency_last` views such a stack as (r, r, ...)
-and `_frequency_first` back, each by one fixed-axis transpose.
-That check runs once, where matrix input enters the library; the pipeline's
-own estimates are exactly Hermitian by construction and skip it.
+Positive definiteness is decided by LDL^H pivots against a floor relative to
+the mean eigenvalue, so the verdict is scale free; `_pd_floor` states the rule
+and every screen takes it from there.  The elimination runs in place on the
+packed lower triangle; a sweep updates the full stack a row at a time and, in
+natural order, finds the same pivots, so one sweep gives a matrix's verdict,
+log-det and inverse.  Only `inverse_pd` and `relative_eigenvalues_stack` still
+call LAPACK; the test pipeline calls neither.  The screen, the inverse and the
+Hermitian check take one (r, r) matrix or an (..., r, r) stack alike; that
+check runs once, where matrix input enters the library, as the pipeline's own
+estimates are exactly Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -106,13 +96,20 @@ def _divide(x: np.ndarray, pivot: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(x, 1.0 / pivot, out=out) if x.dtype.kind == "c" else np.divide(x, pivot, out=out)
 
 
+def _pd_floor(diagonal) -> tuple:
+    """(ok, floors) of the PD rule for r x r matrices whose real diagonal is diagonal, r arrays in column order: a
+    matrix passes where ok, trace > 0, holds and each pivot k exceeds floors[k] = DEFAULT_PD_TOL * trace / r."""
+    trace = functools.reduce(np.add, diagonal)
+    return trace > 0.0, [DEFAULT_PD_TOL * trace / len(diagonal)] * len(diagonal)
+
+
 def _eliminate(w: np.ndarray, r: int):
     """LDL^H elimination, in place, of the first r columns of a packed lower-triangle stack.
 
     Entry (i, j), j <= i, of each s x s matrix sits at w[j s - j(j - 1)/2 + i - j], frequency last,
     so a column is one contiguous slice; no upper triangle is stored or read.  Returns (ok, logdet): ok
-    where the leading r x r block has trace > 0 and every pivot above DEFAULT_PD_TOL * trace / r,
-    and its sum of log pivots.  The trailing columns of w are left holding A22 - A21 A11^{-1} A12.
+    where the leading r x r block passes _pd_floor's rule, and its sum of log pivots.  The trailing
+    columns of w are left holding A22 - A21 A11^{-1} A12.
     """
     if w.ndim > 1 and w[0].size == 1:  # one frequency runs as two, as numpy's loop for one element can
         pair = np.concatenate([w, w], axis=-1)  # round a complex product other than a stack's
@@ -121,15 +118,13 @@ def _eliminate(w: np.ndarray, r: int):
         return ok[..., :1], logdet[..., :1]
     s = int((2 * len(w)) ** 0.5)  # len(w) = s(s + 1)/2, and column j starts at j s - j(j - 1)/2
     columns = [w[j * s - j * (j - 1) // 2 : (j + 1) * (2 * s - j) // 2] for j in range(s)]
-    trace = functools.reduce(np.add, [column[0].real for column in columns[:r]])  # in order, as np.sum adds
-    ok = trace > 0.0
-    floor = DEFAULT_PD_TOL * trace / r
-    logdet = np.zeros_like(trace)
+    ok, floors = _pd_floor([column[0].real for column in columns[:r]])
+    logdet = np.zeros_like(floors[0])
     # Once a matrix has failed, its later (possibly non-finite) pivots are ignored.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, column in enumerate(columns[:r]):
             pivot = column[0].real
-            ok &= pivot > floor
+            ok &= pivot > floors[k]
             logdet += np.log(pivot)
             scaled = _divide(column[1:], pivot)
             np.conj(scaled, out=scaled)
@@ -154,12 +149,11 @@ def _sweep(a: np.ndarray):
     row; row k, which the pivot's values replace, is not updated.
     """
     r = len(a)
-    trace = functools.reduce(np.add, [a[k, k].real for k in range(r)])  # in column order, as _eliminate adds it
-    ok, floor = trace > 0.0, DEFAULT_PD_TOL * trace / r
+    ok, floors = _pd_floor([a[k, k].real for k in range(r)])
     scaled, product, logdet = np.empty(a.shape[1:], a.dtype), np.empty(a.shape[1:], a.dtype), np.zeros(a.shape[2:])
     for k in range(r):
         pivot = a[k, k].real.copy()
-        ok &= pivot > floor
+        ok &= pivot > floors[k]
         logdet += np.log(pivot)
         np.conj(_divide(a[:, k], pivot, out=scaled), out=a[k])  # no other row reads row k
         for i in [*range(k), *range(k + 1, r)]:
@@ -170,7 +164,7 @@ def _sweep(a: np.ndarray):
 
 
 def is_positive_definite(a):
-    """True iff every LDL^H pivot clears DEFAULT_PD_TOL * trace / r; a stack gives an array."""
+    """True iff every LDL^H pivot passes _pd_floor's rule; a stack gives an array."""
     a = np.asarray(a)
     ok = _eliminate(_lower(_frequency_last(a)), a.shape[-1])[0]
     return ok if a.ndim > 2 else bool(ok)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, NoConvergence, NotPositiveDefinite, SingularCovariance
-from .hermitian import (DEFAULT_PD_TOL, _eliminate, _frequency_first, _frequency_last, _lower, _sweep, _unit_scale,
+from .hermitian import (_eliminate, _frequency_first, _frequency_last, _lower, _pd_floor, _sweep, _unit_scale,
                         as_hermitian, inverse_pd, is_positive_definite)
 from .spectral import SpectralSequence, WeightKernel
 
@@ -275,7 +275,7 @@ def eta_sigma_generic(g_grid: SpectralSequence, dg_provider, kernel: WeightKerne
     sigma_terms = np.einsum("tabcd,tABCD,taA,tBb,tcC,tDd->t", mu_all, mu_conj, mats, mats, mats, mats, optimize=True)
     sigma_terms += np.einsum("tabcd,tABCD,taC,tDb,tcA,tBd->t", mu_all, mu_conj, mats, mats, mats, mats, optimize=True)
     if phi is not None:
-        phi_vals = np.array([float(phi(lam)) for lam in freqs])
+        phi_vals = g_grid._phi_values(phi)
         eta_terms = eta_terms * phi_vals
         sigma_terms = sigma_terms * phi_vals**2
     eta_c = kernel.cu * np.mean(eta_terms)
@@ -307,12 +307,11 @@ class IndependenceModel:
         mats = np.zeros((r,) + diag.shape, dtype=complex)
         mats[idx, idx] = diag
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            trace = functools.reduce(np.add, diag)  # in column order, as _eliminate adds it
-            pivots_clear = (diag > DEFAULT_PD_TOL * trace / r).all(axis=0) & (1.0 / diag[:-1] < np.inf).all(axis=0)
+            ok, floors = _pd_floor(diag)
+            pd = ok & (diag > floors).all(axis=0) & (1.0 / diag[:-1] < np.inf).all(axis=0)
             pivots = diag * np.square(_unit_scale(diag))  # the scaled diagonal, as the pencil's sweep sees it
             minus_inverse = -1.0 / pivots  # the diagonal of -B^{-1}, all the pencil reads
             logdet = functools.reduce(np.add, np.log(pivots))
-        pd = (trace > 0.0) & pivots_clear
         return SpectralSequence._trusted("restricted", f_unrestricted.n, _frequency_first(mats), pd,
                                          (minus_inverse, logdet, True))
 
@@ -380,14 +379,12 @@ class GraphicalModel:
     """
 
     name = "graphical"
+    estimate_theta = IndependenceModel.estimate_theta  # neither null has a parameter
 
     def __init__(self, edges: EdgeSet):
         if edges.missing_count < 1:
             raise ValueError("complete edge set leaves nothing to test; at least one pair must be absent")
         self.edges = edges
-
-    def estimate_theta(self, values) -> np.ndarray:
-        return np.empty(np.shape(values)[:-2] + (0,))
 
     def restricted_estimate(self, f_unrestricted: SpectralSequence, theta=None) -> SpectralSequence:
         # Already Hermitian and screened; frequencies it cannot complete come back NaN.

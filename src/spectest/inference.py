@@ -126,7 +126,7 @@ def raw_statistic(fU: SpectralSequence, fR: SpectralSequence, variants, m: int) 
             positions = block_indices(half, m) - 1
             terms, count = terms[..., positions], positions.size - ok[..., positions].sum(axis=-1)
         elif variant.form == "weighted":
-            terms = terms * np.array([float(variant.phi(lam)) for lam in fU.frequencies])
+            terms = terms * fU._phi_values(variant.phi)
         # C-ordered, so each row is summed in the same order whatever the stack holds
         results.append((np.ascontiguousarray(terms).sum(axis=-1), count))
     return results
@@ -228,7 +228,7 @@ def _run_stack(samples, model, kernel: WeightKernel, variants, frame: FourierFra
     for row, variant, (raw, nonpd) in zip(out, variants, raws):
         eta_weight = sigma2_weight = 1.0
         if variant.form == "weighted":
-            phi = np.array([float(variant.phi(lam)) for lam in f_unrestricted.frequencies])
+            phi = f_unrestricted._phi_values(variant.phi)  # raw_statistic's evaluation
             eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
         es = EtaSigma(eta=closed.eta * 2.0 * kernel.cu * eta_weight,
                       sigma2=closed.sigma2 * 3.0 * kernel.du * sigma2_weight)

@@ -391,6 +391,26 @@ def test_cli_usage_errors_exit_64(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: argument --cvll: not allowed with argument --m\n")
 
 
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: spectest "),
+                                         (["test", "--help"], "usage: spectest test ")])
+def test_cli_help_exits_zero_with_the_usage_on_stdout(capsys, argv, usage):
+    # argparse ends a help request by exiting 0 itself; main lets that exit through
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
+
+
+def test_cli_usage_error_found_after_parsing_exits_64(capsys):
+    # the statistic list is checked after parsing, through the subcommand parser's own error
+    assert main(["simulate-null", "--n", "64", "--m", "8", "--stat", "banana"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: spectest simulate-null ")
+    assert err.endswith("spectest simulate-null: error: unknown statistic form 'banana'\n")
+
+
 @pytest.mark.parametrize("span", ["0", "-2", "7", "abc", "1.5"])
 @pytest.mark.parametrize("command", [["test", "--input"], ["simulate-null", "--n", "64", "--output"]])
 def test_cli_checks_the_span_before_any_file(tmp_path, capsys, command, span):

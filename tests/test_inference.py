@@ -646,6 +646,27 @@ def test_run_many_shares_pipeline():
     assert weighted.standardized == pytest.approx(full.standardized, rel=1e-12)
 
 
+def test_a_weighted_variant_evaluates_phi_once_per_call():
+    # raw_statistic and the standardization share one evaluation at each of the n//2 frequencies; an
+    # unhashable phi works and gives the reports of a plain function with the same values
+    class Weight:
+        __hash__ = None
+
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, lam):
+            self.calls += 1
+            return 1.0 + math.cos(lam)
+
+    z = np.random.default_rng(31).standard_normal((128, 3))
+    phi = Weight()
+    reports = run_many(z, IndependenceModel(), 8, [FULL, StatisticVariant("weighted", phi=phi)])
+    assert phi.calls == 64
+    plain = StatisticVariant("weighted", phi=lambda lam: 1.0 + math.cos(lam))
+    assert reports == run_many(z, IndependenceModel(), 8, [FULL, plain])
+
+
 def test_run_many_solves_each_pencil_once(monkeypatch):
     import spectest.inference
 

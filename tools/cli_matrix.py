@@ -33,8 +33,9 @@ with --cvll, each with --threads 1 and 2: these span several simulation blocks
 and cross pipeline-chunk boundaries inside a block, where --cvll selects the
 spans of many chunks, one stacked call each.  Then
 `simulate-null --kind j` and `simulate-power --kind chernoff --chernoff-alpha
-0.3` (n = 64, --m 8), and one `spectest kernel-constants --kernel flat`, the one
-CLI path through the quadrature.  Last, 19 usage errors (a missing or doubled
+0.3` (n = 64, --m 8), one `spectest kernel-constants --kernel flat`, and
+`spectest --help` and `spectest test --help`, whose exit 0 comes from argparse
+itself.  Last, 19 usage errors (a missing or doubled
 --m/--cvll, an odd span, a span that is not an integer (abc, 1.5), an unknown
 or repeated statistic, a graphical null without edges, a missing --phi1 or
 --input, an unknown command).  Then `spectest test --m 2`
@@ -47,7 +48,7 @@ that hold a 200000-character cell (over csv's field limit; one of 1s, which
 parses to inf, and one finite, which numpy's C reader parses), a byte that is
 not UTF-8 or a column of 1.7e308 whose mean overflows, or that keep only the
 first column; the one-column CSV also runs `test --m 2` under separable and
-graphical (--edges 1-2) nulls: 760 runs on the ten fixed files.
+graphical (--edges 1-2) nulls: 762 runs on the ten fixed files.
 
 One fresh interpreter per tree imports that tree's package and calls
 spectest.cli.main for every run, with stdout and stderr captured.  The report
@@ -67,7 +68,8 @@ argparse words its stderr; one that does not exit 64 with empty stdout in either
 tree counts as a flip.  A run on an odd CSV is compared like any test or cvll
 run, except that a changed error message (stderr of a run with no stdout) counts
 as a flip there.  An exception that escapes main is recorded in place of the
-exit code.  It exits 1 when anything flipped.  Uses only the standard library.
+exit code, and a SystemExit, such as --help's, as the exit code it carries.
+It exits 1 when anything flipped.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def matrix(inputs: list[str], cycle_input: str, graph_inputs: tuple[str, str]) -
     for command in KINDS:
         runs.append([*command, *SIMULATION_DESIGN, "--m", "8", "--threads", "1"])
     runs.append(["kernel-constants", "--kernel", "flat"])
-    return runs
+    return runs + [["--help"], ["test", "--help"]]
 
 
 def usage_errors(path: str) -> list[list[str]]:
@@ -251,6 +253,8 @@ def work(tree: str, runs: list[list[str]]) -> list[dict]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
+            except SystemExit as exc:  # argparse exits by itself after --help
+                code = exc.code
             except Exception as exc:  # what would end the command with a traceback
                 code = f"uncaught {type(exc).__name__}: {exc}"
         results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
@@ -308,9 +312,11 @@ def thread_flips(runs: list[list[str]], results: list[dict], tree: str) -> list[
 
 
 def group_of(argv: list[str], usage: list[list[str]], odd: list[list[str]]) -> str:
-    """The report group of a run: usage, odd-csv, `test` and its null, or the command."""
+    """The report group of a run: usage, odd-csv, help, `test` and its null, or the command."""
     if argv in usage or argv in odd:
         return "usage" if argv in usage else "odd-csv"
+    if "--help" in argv:
+        return "help"
     if argv[0] != "test":
         return argv[0]
     null = argv[argv.index("--hypothesis") + 1]
