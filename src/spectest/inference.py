@@ -220,6 +220,8 @@ def _run_stack(samples, model, kernel: WeightKernel, variants, frame: FourierFra
     n, r = samples.shape[1:]
     inverse = any(variant.effective_kind.family == "j" for variant in variants)
     f_unrestricted = smoothed_periodogram(dft(samples) if frame is None else frame, kernel, inverse=inverse)
+    kept = {id(v.phi): f_unrestricted._phi_values(v.phi) for v in variants if v.form == "weighted"}
+    f_unrestricted.__dict__["_kept_phi"] = kept  # one evaluation of each phi, for raw_statistic and the moments
     theta = model.estimate_theta(samples)
     f_restricted = model.restricted_estimate(f_unrestricted, theta)
     raws = raw_statistic(f_unrestricted, f_restricted, variants, kernel.m)
@@ -228,7 +230,7 @@ def _run_stack(samples, model, kernel: WeightKernel, variants, frame: FourierFra
     for row, variant, (raw, nonpd) in zip(out, variants, raws):
         eta_weight = sigma2_weight = 1.0
         if variant.form == "weighted":
-            phi = f_unrestricted._phi_values(variant.phi)  # raw_statistic's evaluation
+            phi = kept[id(variant.phi)]
             eta_weight, sigma2_weight = float(np.mean(phi)), float(np.mean(np.square(phi)))
         es = EtaSigma(eta=closed.eta * 2.0 * kernel.cu * eta_weight,
                       sigma2=closed.sigma2 * 3.0 * kernel.du * sigma2_weight)

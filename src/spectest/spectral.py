@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,23 +168,17 @@ def kernel_constants(u) -> tuple[float, float, float]:
     rho(z) = int u(x) u(x+z) dx to D = int_0^1 rho(z)^2 dz / (int u)^4,
     which keeps every quadrature panel smooth even when u does not vanish
     at the support edges.  Every integral is composite Simpson on a uniform
-    grid of QUADRATURE_PANELS (2048) panels, once per hashable u and panel
-    count, so the spans of one u share it.  u must accept ndarray arguments.
+    grid of QUADRATURE_PANELS (2048) panels.  u must accept ndarray arguments.
     """
-    return (_quadrature if isinstance(u, Hashable) else _quadrature.__wrapped__)(u, QUADRATURE_PANELS)
-
-
-@functools.lru_cache(maxsize=16)
-def _quadrature(u, panels: int) -> tuple[float, float, float]:
-    x = np.linspace(-0.5, 0.5, panels + 1)
+    x = np.linspace(-0.5, 0.5, QUADRATURE_PANELS + 1)
     ux = _eval_weight(u, x)
     if np.min(ux) <= 0.0:
         raise ValueError("weight function must be strictly positive on [-1/2, 1/2]")
     norm, second, fourth = (_simpson(ux**p, x) for p in (1, 2, 4))
-    z = np.linspace(0.0, 1.0, panels + 1)
+    z = np.linspace(0.0, 1.0, QUADRATURE_PANELS + 1)
     rho = np.empty_like(z)
     for k, zk in enumerate(z):
-        xs = np.linspace(-0.5, 0.5 - zk, panels + 1)
+        xs = np.linspace(-0.5, 0.5 - zk, QUADRATURE_PANELS + 1)
         rho[k] = _simpson(_eval_weight(u, xs) * _eval_weight(u, xs + zk), xs)
     return 0.5 * second / norm**2, _simpson(rho**2, z) / norm**4, second**2 / fourth
 
@@ -307,11 +300,9 @@ class SpectralSequence:
         return TWO_PI * np.arange(1, self.half + 1) / self.n
 
     def _phi_values(self, phi) -> np.ndarray:
-        """phi(lambda_t) as floats, once per phi on this sequence: kept by id beside phi, which need not hash."""
-        kept = self.__dict__.setdefault("_kept_phi_values", {})
-        if id(phi) not in kept:
-            kept[id(phi)] = phi, np.array([float(phi(lam)) for lam in self.frequencies])
-        return kept[id(phi)][1]
+        """phi(lambda_t) as floats, or the values that the pipeline call which built this sequence kept by id(phi)."""
+        kept = self.__dict__.get("_kept_phi", {})
+        return kept[id(phi)] if id(phi) in kept else np.array([float(phi(lam)) for lam in self.frequencies])
 
     @classmethod
     def from_matrices(cls, kind, n, matrices) -> "SpectralSequence":

@@ -648,23 +648,31 @@ def test_run_many_shares_pipeline():
 
 def test_a_weighted_variant_evaluates_phi_once_per_call():
     # raw_statistic and the standardization share one evaluation at each of the n//2 frequencies; an
-    # unhashable phi works and gives the reports of a plain function with the same values
+    # unhashable phi works and gives the reports of a plain function with the same values.  Nothing is kept
+    # past the call: raw_statistic on a caller's sequences evaluates phi each time, so phi may change between calls
     class Weight:
         __hash__ = None
 
         def __init__(self):
-            self.calls = 0
+            self.calls, self.scale = 0, 1.0
 
         def __call__(self, lam):
             self.calls += 1
-            return 1.0 + math.cos(lam)
+            return self.scale * (1.0 + math.cos(lam))
 
     z = np.random.default_rng(31).standard_normal((128, 3))
     phi = Weight()
-    reports = run_many(z, IndependenceModel(), 8, [FULL, StatisticVariant("weighted", phi=phi)])
+    weighted = StatisticVariant("weighted", phi=phi)
+    reports = run_many(z, IndependenceModel(), 8, [FULL, weighted])
     assert phi.calls == 64
     plain = StatisticVariant("weighted", phi=lambda lam: 1.0 + math.cos(lam))
     assert reports == run_many(z, IndependenceModel(), 8, [FULL, plain])
+    fu = smoothed_periodogram(z, WeightKernel.flat(8))
+    fr = IndependenceModel().restricted_estimate(fu)
+    [(first, _)] = raw_statistic(fu, fr, [weighted], 8)
+    phi.scale = 2.0
+    [(second, _)] = raw_statistic(fu, fr, [weighted], 8)
+    assert phi.calls == 3 * 64 and second == 2.0 * first
 
 
 def test_run_many_solves_each_pencil_once(monkeypatch):

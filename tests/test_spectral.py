@@ -181,32 +181,6 @@ def test_weight_kernel_flat_shortcut_matches_quadrature():
         assert direct.bu == pytest.approx(via_function.bu, abs=1e-10)
 
 
-def test_from_function_takes_one_quadrature_per_weight_function():
-    # the spans of one u share its constants; an unhashable u takes a quadrature per kernel, with the same bits
-    class Bump:
-        def __init__(self):
-            self.calls = 0
-
-        def __call__(self, x):
-            self.calls += 1
-            return 1.0 + np.cos(math.pi * np.asarray(x, dtype=float))
-
-    class UnhashableBump(Bump):
-        __hash__ = None
-
-    hashable, unhashable = Bump(), UnhashableBump()
-    first = WeightKernel.from_function(hashable, 2)
-    quadrature = hashable.calls - 1  # the span's own weights take one call
-    kernels = [WeightKernel.from_function(hashable, m) for m in (8, 40)]
-    assert hashable.calls == quadrature + 3
-    for kernel in [first, *kernels]:
-        assert (kernel.cu, kernel.du, kernel.bu) == kernel_constants(lambda x: 1.0 + np.cos(math.pi * x))
-    for m in (2, 8):
-        kernel = WeightKernel.from_function(unhashable, m)
-        assert (kernel.cu, kernel.du, kernel.bu) == (first.cu, first.du, first.bu)
-    assert unhashable.calls == 2 * (quadrature + 1)
-
-
 def test_weight_function_output_must_broadcast():
     with pytest.raises(ValueError, match="one of its shape"):
         WeightKernel.from_function(lambda x: np.ones(3), 8)
